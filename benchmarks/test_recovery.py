@@ -32,7 +32,7 @@ def run_experiment():
     fs.volume.set_size(f.inode, FILE_SIZE)
 
     rng = random.Random(17)
-    fs.device.crash_plan = CrashPlan(crash_after=60_000)
+    fs.device.attach(CrashPlan(crash_after=60_000))
     writes = 0
     try:
         while True:

@@ -42,8 +42,8 @@ EXPORT_PATH = Path(__file__).parent.parent / "BENCH_hotpath.json"
 def _bench(bs: int, seq: bool, nops: int, fast_path: bool) -> float:
     config = MgspConfig(leaf_fast_path=fast_path)
     fs = MgspFilesystem(device_size=max(64 << 20, FSIZE * 4), config=config)
+    fs.device.detach(fs.recorder)
     fs.recorder = NullRecorder()
-    fs.device.tracer = None
     handle = fs.create("b", capacity=FSIZE)
     fs.device.drain()
     blocks = FSIZE // bs

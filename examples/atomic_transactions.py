@@ -38,7 +38,7 @@ def main() -> None:
     # Random transfers, each as one FS-level transaction... until the
     # machine dies mid-stream.
     rng = random.Random(42)
-    fs.device.crash_plan = CrashPlan(crash_after=2000)
+    fs.device.attach(CrashPlan(crash_after=2000))
     transfers = 0
     try:
         while True:

@@ -29,7 +29,7 @@ def main() -> None:
     in_flight = None
 
     # Crash somewhere inside roughly the 40th write.
-    fs.device.crash_plan = CrashPlan(crash_after=1500)
+    fs.device.attach(CrashPlan(crash_after=1500))
     completed = 0
     try:
         while True:

@@ -1,8 +1,8 @@
 """Persistence-order trace analyzer (the dynamic half of ``repro.analysis``).
 
 WITCHER-style: instead of *executing* crash states like the PR-3 sweep,
-the analyzer observes the live store/flush/fence stream through the
-device's ``analysis_tap`` and checks the MGSP ordering protocol as an
+the analyzer observes the live store/flush/fence stream as a tap on
+the device's observer list and checks the MGSP ordering protocol as an
 invariant over that stream. Event indices count exactly like the crash
 sweep's enumeration (one event per store / clwb call / fence, per
 element inside the vectorized ``_v`` entry points), so every finding can
@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.fsapi.layout import VolumeLayout
+from repro.sim.trace import TappedRecorder
 from repro.util import CACHE_LINE
 
 ERROR = "error"
@@ -120,11 +121,11 @@ _PENDING = 1  # flushed (or nt-stored), not fenced
 
 
 class TraceAnalyzer:
-    """The ``analysis_tap`` observer: mirrors line state at cache-line
-    granularity and checks the ordering rules online.
+    """A device tap: mirrors line state at cache-line granularity and
+    checks the ordering rules online.
 
-    Attach with :func:`repro.analysis.harness.attach_analyzer` (or set
-    ``device.analysis_tap`` by hand and feed op boundaries through
+    Attach with :func:`repro.analysis.harness.attach_analyzer` (or
+    ``device.attach(analyzer)`` by hand and feed op boundaries through
     :class:`AnalysisRecorder`). ``on_drain`` resets both line state and
     the event counter — aligned with the sweep's drain-then-arm
     sequence, so reported indices match ``--at`` reproducer indices.
@@ -161,8 +162,8 @@ class TraceAnalyzer:
         return [f for f in self.findings if f.severity == PERF]
 
     def _crashed(self) -> bool:
-        plan = getattr(self.device, "crash_plan", None)
-        return plan is not None and plan.fired
+        observers = getattr(self.device, "observers", ())
+        return any(getattr(observer, "fired", False) for observer in observers)
 
     def _next_index(self) -> Optional[int]:
         """Consume one event index; None once past the analysis budget."""
@@ -293,73 +294,6 @@ class TraceAnalyzer:
             )
 
 
-class AnalysisRecorder:
-    """Wrap any :class:`repro.sim.trace.Recorder` and feed op boundaries
-    to the analyzer; everything else forwards to the wrapped recorder.
-
-    Both ``TraceRecorder`` and ``NullRecorder`` satisfy the formal
-    ``Recorder`` protocol, so no isinstance checks are needed — the
-    wrapper is itself a conforming ``Recorder``.
-    """
-
-    def __init__(self, inner, analyzer: TraceAnalyzer) -> None:
-        self.inner = inner
-        self.analyzer = analyzer
-
-    @property
-    def timing(self):
-        return self.inner.timing
-
-    @property
-    def enabled(self) -> bool:
-        return self.inner.enabled
-
-    @enabled.setter
-    def enabled(self, value: bool) -> None:
-        self.inner.enabled = value
-
-    @property
-    def clock_ns(self) -> float:
-        return self.inner.clock_ns
-
-    # -- op lifecycle ------------------------------------------------------
-
-    def begin_op(self, name: str) -> None:
-        self.analyzer.on_op_begin(name)
-        self.inner.begin_op(name)
-
-    def end_op(self):
-        trace = self.inner.end_op()
-        self.analyzer.on_op_end(trace.name)
-        return trace
-
-    def take_completed(self):
-        return self.inner.take_completed()
-
-    # -- explicit costs ----------------------------------------------------
-
-    def compute(self, ns: float) -> None:
-        self.inner.compute(ns)
-
-    def lock(self, key, mode) -> None:
-        self.inner.lock(key, mode)
-
-    def unlock(self, key) -> None:
-        self.inner.unlock(key)
-
-    # -- device tracer interface -------------------------------------------
-
-    def io_write(self, nbytes: int) -> None:
-        self.inner.io_write(nbytes)
-
-    def io_cached(self, nbytes: int) -> None:
-        self.inner.io_cached(nbytes)
-
-    def io_read(self, nbytes: int) -> None:
-        self.inner.io_read(nbytes)
-
-    def io_flush(self, nlines: int) -> None:
-        self.inner.io_flush(nlines)
-
-    def io_fence(self) -> None:
-        self.inner.io_fence()
+#: the name this package exports for the recorder wrapper that feeds op
+#: boundaries to an analyzer (or any listener with the same two hooks)
+AnalysisRecorder = TappedRecorder

@@ -45,7 +45,7 @@ def resolve_config(name: str) -> str:
 def attach_analyzer(
     fs, perf: bool = True, max_events: Optional[int] = None
 ) -> TraceAnalyzer:
-    """Instrument a mounted filesystem: tap the device and wrap the
+    """Instrument a mounted filesystem: attach to the device and wrap the
     recorder so op boundaries reach the analyzer. Returns the analyzer
     (its ``findings`` accumulate for the life of the mount)."""
     analyzer = TraceAnalyzer(
@@ -55,7 +55,7 @@ def attach_analyzer(
         perf=perf,
         max_events=max_events,
     )
-    fs.device.analysis_tap = analyzer
+    fs.device.attach(analyzer)
     fs.recorder = AnalysisRecorder(fs.recorder, analyzer)
     return analyzer
 
@@ -180,7 +180,7 @@ def program_context(device_size: int = PROGRAM_DEVICE_SIZE) -> ProgramCtx:
     device = NvmDevice(device_size)
     regions = RegionMap.for_device(device_size)
     analyzer = TraceAnalyzer(regions, device=device, async_writeback=False)
-    device.analysis_tap = analyzer
+    device.attach(analyzer)
     return ProgramCtx(device=device, regions=regions, analyzer=analyzer)
 
 

@@ -150,7 +150,7 @@ def recovery_experiment(file_size: int = 64 << 20) -> str:
     fs.device.buffer.drain()
     fs.volume.set_size(f.inode, file_size)
     rng = random.Random(17)
-    fs.device.crash_plan = CrashPlan(crash_after=60_000)
+    fs.device.attach(CrashPlan(crash_after=60_000))
     writes = 0
     try:
         while True:

@@ -287,7 +287,7 @@ class MgspFile(FileHandle):
         gen = self.tree.next_gen()
 
         # 2. Plan: traverse the tree, pick log granularities, compute
-        #    RMW fills (charged as reads by the device tracer).
+        #    RMW fills (charged as reads by the device's cost recorder).
         frame = obs.span_begin("write.plan") if observing else None
         saved = self._mst_savings(offset, len(data))
         if leaf_index is not None:
@@ -339,6 +339,7 @@ class MgspFile(FileHandle):
             offset,
             new_size,
             [slot for _, __, slot in plan.commits],
+            recorder=rec,
         )
 
         # 6. Apply the valid-bit words (atomic stores) + size, fence.

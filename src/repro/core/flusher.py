@@ -69,14 +69,14 @@ class WritebackScheduler:
         fs = self.fs
         obs = fs.obs
         frame = obs.span_begin("flusher.drain") if obs.enabled else None
-        fg_recorder, fg_tracer = fs.recorder, fs.device.tracer
+        fg_recorder = fs.recorder
         fs.recorder = fs.bg_recorder
-        fs.device.tracer = fs.bg_recorder
+        fs.device.reprice(fs.bg_recorder)
         try:
             copied = handle.checkpoint()
         finally:
             fs.recorder = fg_recorder
-            fs.device.tracer = fg_tracer
+            fs.device.reprice(None)
         self._fresh_bytes[key] = 0
         self._fresh_ops[key] = 0
         self.epochs += 1

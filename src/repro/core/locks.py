@@ -40,6 +40,8 @@ class MglLockManager:
         self._retained: Dict[int, Dict[Hashable, str]] = {}
         # id(keys list) -> virtual acquire time (popped at release)
         self._hold_since: Dict[int, float] = {}
+        # (sink, its mgl_hold_ns histogram), resolved at the first release
+        self._hold_meter = (NULL_SINK, None)
 
     # -- key helpers -------------------------------------------------------
 
@@ -122,7 +124,10 @@ class MglLockManager:
         if obs.enabled:
             since = self._hold_since.pop(id(keys), None)
             if since is not None:
-                obs.registry.histogram("mgl_hold_ns").observe(obs.now() - since)
+                meter = self._hold_meter
+                if meter[0] is not obs:
+                    meter = self._hold_meter = (obs, obs.registry.histogram("mgl_hold_ns"))
+                meter[1].observe(obs.now() - since)
         for key in keys:
             self.recorder.unlock(key)
 

@@ -115,6 +115,8 @@ class MetadataLog:
         self.region = region
         self.entries = entries
         self._in_use: Dict[int, int] = {}  # entry index -> owning thread
+        # (sink, its metalog_commits_total counter), resolved at the first commit
+        self._commit_meter = (NULL_SINK, None)
 
     def entry_offset(self, index: int) -> int:
         return self.region.start + index * ENTRY_SIZE
@@ -151,8 +153,10 @@ class MetadataLog:
         file_size: int,
         slots: List[MetaSlot],
         flags: int = 0,
+        recorder=None,
     ) -> None:
-        """Persist one entry; this is the commit point of a write op."""
+        """Persist one entry; this is the commit point of a write op.
+        *recorder* is charged the marshalling cost."""
         if len(slots) > MAX_SLOTS:
             raise FsError(f"write needs {len(slots)} metadata slots > {MAX_SLOTS}")
         obs = self.obs
@@ -168,14 +172,17 @@ class MetadataLog:
         if len(body) < flush_len:
             body += bytes(flush_len - len(body))
         off = self.entry_offset(index)
-        if self.device.tracer is not None:
+        if recorder is not None:
             # Entry marshalling + checksum computation.
-            self.device.tracer.compute(100.0)
+            recorder.compute(100.0)
         self.device.nt_store(off, body)
         self.device.fence()
         if frame is not None:
             obs.span_end(frame)
-            obs.registry.counter("metalog_commits_total").inc()
+            meter = self._commit_meter
+            if meter[0] is not obs:
+                meter = self._commit_meter = (obs, obs.registry.counter("metalog_commits_total"))
+            meter[1].value += 1.0
 
     def retire(self, index: int) -> None:
         """Mark the entry outdated (length=0). Deliberately unfenced: a

@@ -145,12 +145,14 @@ class MgspTransaction:
                     fs.metalog.write(
                         idx, handle.inode.id, max(1, self.writes), gen,
                         txn_id, self._new_size, chunk, flags=TXN_MEMBER,
+                        recorder=fs.recorder,
                     )
                 idx = fs.metalog.claim(("txn", txn_id, "commit"), fs.recorder)
                 entries.append(idx)
                 fs.metalog.write(
                     idx, handle.inode.id, max(1, self.writes), gen,
                     txn_id, self._new_size, chunks[-1], flags=TXN_MEMBER | TXN_COMMIT,
+                    recorder=fs.recorder,
                 )
 
                 # Apply the staged words durably, then the size (the DRAM

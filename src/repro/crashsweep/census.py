@@ -2,11 +2,10 @@
 
 The census runs the workload once with a *counting* plan armed — a
 :class:`~repro.nvm.crash.CrashPlan` that observes every persistence
-event but never fires — so the run takes exactly the device code paths
-an armed run takes (some vectorized entry points specialize on
-``crash_plan is None``). Two independent tallies must agree:
+event but never fires. Two independent tallies must agree:
 
-- ``events``: what the plan's ``on_event`` hook saw (ground truth);
+- ``events``: what the plan's ``on_event``/``on_batch`` hooks saw
+  (ground truth);
 - ``derived``: :func:`~repro.nvm.crash.count_events` over the
   ``DeviceStats`` delta since the plan was armed.
 

@@ -109,7 +109,7 @@ class RawSystem:
     """Bare-device stand-in for a mounted file system: gives raw-NVM
     subjects (the persistent queue, planted-bug protocols) the same
     ``device`` / ``recorder`` / ``op()`` surface the sweep and the
-    analysis tap expect from a :class:`~repro.fsapi.interface.FileSystem`.
+    device observers expect from a :class:`~repro.fsapi.interface.FileSystem`.
     """
 
     def __init__(self, device_size: int = DEVICE_SIZE) -> None:
@@ -192,7 +192,8 @@ class SweepWorkload:
         state = self.setup(system)
         system.device.drain()
         stats_base = system.device.stats.snapshot()
-        system.device.crash_plan = plan
+        if plan is not None:
+            system.device.attach(plan)
         crashed = False
         try:
             self.body(system, state)

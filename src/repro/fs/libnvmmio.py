@@ -250,8 +250,7 @@ class Libnvmmio(FileSystem):
             return
         obs = self.obs
         frame = obs.span_begin("checkpoint.libnvmmio-bg") if obs.enabled else None
-        fg = self.device.tracer
-        self.device.tracer = self.bg_recorder
+        self.device.reprice(self.bg_recorder)
         self.bg_recorder.begin_op("bg-checkpoint")
         try:
             victims = sorted(handle.entries)[: max(1, len(handle.entries) // 2)]
@@ -269,7 +268,7 @@ class Libnvmmio(FileSystem):
             self.device.fence()
         finally:
             self.bg_recorder.end_op()
-            self.device.tracer = fg
+            self.device.reprice(None)
             if frame is not None:
                 obs.span_end(frame)
                 obs.registry.counter("libnvmmio_bg_checkpoints_total").inc()

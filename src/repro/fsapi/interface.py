@@ -127,7 +127,7 @@ class FileSystem(abc.ABC):
         self.timing = timing or OptaneTiming()
         self.device = device or NvmDevice(device_size, timing=self.timing)
         self.recorder = TraceRecorder(self.timing)
-        self.device.tracer = self.recorder
+        self.device.attach(self.recorder)
         layout = VolumeLayout.for_device(self.device.size, log_fraction=self.log_fraction)
         self.volume = Volume(self.device, layout)
         self.api = ApiStats()

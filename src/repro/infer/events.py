@@ -1,7 +1,7 @@
 """Persistence-event collection for invariant inference.
 
-The collector is a second consumer of the same ``device.analysis_tap``
-observer the :class:`repro.analysis.analyzer.TraceAnalyzer` uses, with
+The collector is a tap on the same device observer list the
+:class:`repro.analysis.analyzer.TraceAnalyzer` attaches to, with
 the same event indexing discipline: every ``on_store`` / ``on_flush`` /
 ``on_fence`` callback consumes exactly one index, and ``on_drain``
 resets the counter to zero. Because crashsweep's census counts the same
@@ -57,8 +57,8 @@ class Trace:
 
 
 class EventCollector:
-    """``analysis_tap`` observer + ``AnalysisRecorder`` analyzer duck
-    type: records every persistence event with region/op context."""
+    """Device tap + ``AnalysisRecorder`` listener: records every
+    persistence event with region/op context."""
 
     def __init__(self, regions=None, max_events: Optional[int] = None) -> None:
         self.regions = regions
@@ -84,7 +84,7 @@ class EventCollector:
             return "device"
         return self.regions.classify(offset)
 
-    # -- device.analysis_tap -----------------------------------------------
+    # -- device tap ---------------------------------------------------------
 
     def on_store(self, offset: int, length: int, kind: str) -> None:
         idx = self._next_index()
@@ -136,6 +136,6 @@ def attach_collector(system, regions=None, max_events: Optional[int] = None) -> 
     from repro.analysis.analyzer import AnalysisRecorder
 
     collector = EventCollector(regions=regions, max_events=max_events)
-    system.device.analysis_tap = collector
+    system.device.attach(collector)
     system.recorder = AnalysisRecorder(system.recorder, collector)
     return collector

@@ -291,29 +291,24 @@ class StoreBuffer:
             self.dirty.remove(start, end)
         return nlines
 
-    def flush_v(self, ranges: Sequence[Tuple[int, int]]) -> Tuple[int, int]:
-        """Bulk :meth:`flush`; returns (total lines, redundant calls) —
-        a call is redundant when every covered line was already clean."""
-        lines = 0
-        redundant = 0
+    def flush_v(self, ranges: Sequence[Tuple[int, int]]) -> List[int]:
+        """Bulk :meth:`flush`; returns the lines flushed per range (0 for
+        a redundant call: every covered line was already clean)."""
+        flushed: List[int] = []
         dirty = self.dirty
         plog = self._pending_log
         for offset, length in ranges:
-            if not dirty:
-                redundant += 1
-                continue
-            start = offset & _LINE_MASK
-            end = (offset + length + _LINE - 1) & _LINE_MASK
             nlines = 0
-            for s, e in dirty.iter_intersect(start, end):
-                plog.append((s, e))
-                nlines += (e - s) >> _LINE_SHIFT
-            if nlines:
-                dirty.remove(start, end)
-                lines += nlines
-            else:
-                redundant += 1
-        return lines, redundant
+            if dirty:
+                start = offset & _LINE_MASK
+                end = (offset + length + _LINE - 1) & _LINE_MASK
+                for s, e in dirty.iter_intersect(start, end):
+                    plog.append((s, e))
+                    nlines += (e - s) >> _LINE_SHIFT
+                if nlines:
+                    dirty.remove(start, end)
+            flushed.append(nlines)
+        return flushed
 
     def fence(self) -> None:
         """sfence: everything previously flushed becomes durable."""

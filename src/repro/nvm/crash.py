@@ -1,8 +1,9 @@
 """Crash injection.
 
-A :class:`CrashPlan` attached to a device counts persistence events
-(stores, flushes, fences) and raises :class:`~repro.errors.CrashRequested`
-when the configured event index is reached. Tests catch the exception,
+A :class:`CrashPlan` attached to a device (``device.attach(plan)``)
+counts persistence events (stores, flushes, fences) and raises
+:class:`~repro.errors.CrashRequested` when the configured event index
+is reached. Tests catch the exception,
 compose a crash image, and run recovery against it.
 
 :func:`count_events` enumerates the crash points a workload exposes and
@@ -61,11 +62,26 @@ class CrashPlan:
             self.fired_kind = kind
             raise CrashRequested(f"crash injected after {self.crash_after} events")
 
+    def on_batch(self, n: int, kinds) -> bool:
+        """Consume *n* events of each kind in *kinds* with one addition
+        (a negative *n* hands a batch back). False — and nothing is
+        consumed — when the crash point lies inside the batch: the
+        device then replays it per element through :meth:`on_event`."""
+        if self.fired:
+            return True
+        total = 0
+        for kind in kinds:
+            if kind in self.kinds:
+                total += n
+        if self.count + total > self.crash_after:
+            return False
+        self.count += total
+        return True
 
-#: A plan that counts every event but never fires: attach it during a
-#: census run so the workload takes the *same* device code paths as an
-#: armed run (some batched entry points specialize on ``crash_plan is
-#: None``) while ``plan.count`` records the exact number of crash points.
+
+#: A plan that counts every event but never fires: a census run's
+#: ``plan.count`` is the exact number of crash points, tallied by the
+#: same hooks an armed run fires in.
 def counting_plan(kinds: Optional[Set[str]] = None) -> CrashPlan:
     return CrashPlan(crash_after=(1 << 62), kinds=kinds)
 

@@ -1,14 +1,13 @@
-"""The simulated NVM DIMM: store buffer + traffic counters + crash hooks."""
+"""The simulated NVM DIMM: store buffer + traffic counters + one observer seam."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import OutOfRangeError, TornWriteError
 from repro.nvm.cache import StoreBuffer
-from repro.nvm.crash import CrashPlan
 from repro.nvm.timing import OptaneTiming, TimingModel
 from repro.util import CACHE_LINE
 
@@ -55,70 +54,36 @@ class DeviceStats:
         )
 
 
-class TapFanout:
-    """Dispatch ``analysis_tap`` callbacks to several observers in order.
-
-    ``device.analysis_tap`` is a single slot; the analyzer, the event
-    collector, and the flight recorder all want it. Composing them
-    through a fan-out keeps every observer's view identical to what it
-    would see alone — same callbacks, same order, same per-logical-op
-    granularity — so index parity holds for each of them independently.
-    """
-
-    __slots__ = ("taps",)
-
-    def __init__(self, taps=()) -> None:
-        self.taps = list(taps)
-
-    def on_store(self, offset: int, length: int, kind: str) -> None:
-        for tap in self.taps:
-            tap.on_store(offset, length, kind)
-
-    def on_flush(self, offset: int, length: int, nlines: int) -> None:
-        for tap in self.taps:
-            tap.on_flush(offset, length, nlines)
-
-    def on_fence(self) -> None:
-        for tap in self.taps:
-            tap.on_fence()
-
-    def on_drain(self) -> None:
-        for tap in self.taps:
-            tap.on_drain()
-
-
-def add_tap(device: "NvmDevice", tap) -> object:
-    """Attach *tap* to the device, composing with any existing observer
-    via :class:`TapFanout`. Returns *tap*."""
-    current = device.analysis_tap
-    if current is None:
-        device.analysis_tap = tap
-    elif isinstance(current, TapFanout):
-        current.taps.append(tap)
-    else:
-        device.analysis_tap = TapFanout([current, tap])
-    return tap
-
-
-def remove_tap(device: "NvmDevice", tap) -> None:
-    """Detach *tap*; collapses a one-element fan-out back to a bare slot."""
-    current = device.analysis_tap
-    if current is tap:
-        device.analysis_tap = None
-    elif isinstance(current, TapFanout) and tap in current.taps:
-        current.taps.remove(tap)
-        if len(current.taps) == 1:
-            device.analysis_tap = current.taps[0]
-        elif not current.taps:
-            device.analysis_tap = None
+#: The hooks an observer may implement — any subset, duck-typed. Which
+#: ones it has decides its role:
+#:
+#: - a *crash plan* (:class:`repro.nvm.crash.CrashPlan`): ``on_event(kind)``
+#:   before each store / clwb call / fence is applied, with
+#:   ``on_batch(n, kinds)`` to consume a whole ``_v`` batch at once;
+#: - a *cost recorder* (:class:`repro.sim.trace.TraceRecorder`): the
+#:   ``io_*`` hooks, pricing each media operation once it is applied;
+#: - a *tap* (analyzer, event collector, flight recorder): ``on_store`` /
+#:   ``on_flush`` / ``on_fence`` once per persistence event, ``on_drain``.
+_PRICING_HOOKS = ("io_cached", "io_write", "io_read", "io_flush", "io_fence")
+_EVENT_HOOKS = ("on_event", "on_store", "on_flush", "on_fence", "on_drain")
 
 
 class NvmDevice:
     """Byte-addressable persistent device with explicit persistence ops.
 
-    A ``tracer`` (duck-typed, see :class:`repro.sim.trace.TraceRecorder`)
-    may be attached; every media operation reports its cost segment so
-    file-system code does not have to price device traffic by hand.
+    Everything that watches the device is an entry of one ordered list,
+    :attr:`observers`. Per event the order is fixed: crash plans are
+    asked before the event is applied; once it is, cost recorders price
+    it and then taps see it — so a tap that reads the virtual clock
+    reads the cost of the event it is told about. Within a role,
+    observers run in attach order.
+
+    The ``_v`` entry points apply a whole batch through the buffer's
+    validate-then-mutate bulk calls and then notify per element in that
+    same order, so every observer sees the event stream, indices and
+    trace segments of the equivalent loop of single-op calls. That loop
+    itself runs only for a batch a crash plan must stop inside, and to
+    reproduce the exact partial state of a batch with a bad element.
     """
 
     def __init__(
@@ -132,259 +97,253 @@ class NvmDevice:
         self.timing = timing or OptaneTiming()
         self.buffer = StoreBuffer(size)
         self.stats = DeviceStats()
-        self.tracer = None  # duck-typed: io_write / io_read / io_flush / io_fence
-        #: duck-typed persistence-event observer (see
-        #: :class:`repro.analysis.analyzer.TraceAnalyzer`): on_store /
-        #: on_flush / on_fence / on_drain, fired once per logical op —
-        #: per element inside the vectorized entry points, mirroring the
-        #: crash-plan event enumeration exactly.
-        self.analysis_tap = None
-        self.crash_plan: Optional[CrashPlan] = None
+        self.observers: List[object] = []
+        self._repriced = None
+        self._bind()
+
+    # -- the observer seam --------------------------------------------------
+
+    def attach(self, observer):
+        """Append *observer* to the list; returns it."""
+        self.observers.append(observer)
+        self._bind()
+        return observer
+
+    def detach(self, observer) -> None:
+        """Remove *observer*; a no-op when it is not attached."""
+        if observer in self.observers:
+            self.observers.remove(observer)
+            self._bind()
+
+    def reprice(self, recorder) -> None:
+        """Price media operations on *recorder* alone — a background
+        stream's drain — until ``reprice(None)`` hands pricing back to
+        the attached cost recorders. Crash plans and taps see every
+        event throughout."""
+        self._repriced = recorder
+        self._bind()
+
+    def _bind(self) -> None:
+        """Resolve each hook to the bound methods that implement it, so
+        an event costs one call per interested observer and nothing for
+        the rest."""
+        observers = self.observers
+        pricing = observers if self._repriced is None else (self._repriced,)
+        for hooks, sources in ((_PRICING_HOOKS, pricing), (_EVENT_HOOKS, observers)):
+            for hook in hooks:
+                setattr(self, "_" + hook, tuple(
+                    getattr(obs, hook) for obs in sources if hasattr(obs, hook)))
+        self._plans = tuple(obs for obs in observers if hasattr(obs, "on_event"))
+
+    def _admit(self, n: int, *kinds: str) -> bool:
+        """Offer every crash plan a batch of *n* events of each of
+        *kinds*. False when a crash point lies inside it: nothing is
+        consumed and the caller replays the batch per element."""
+        plans = self._plans
+        for i, plan in enumerate(plans):
+            if not plan.on_batch(n, kinds):
+                for earlier in plans[:i]:
+                    earlier.on_batch(-n, kinds)
+                return False
+        return True
 
     # -- persistence primitives -------------------------------------------
 
     def store(self, offset: int, data: bytes) -> None:
         """Cached store: visible immediately, durable only after persist."""
-        if self.crash_plan is not None:
-            self.crash_plan.on_event("store")
+        for gate in self._on_event:
+            gate("store")
         self.buffer.store(offset, data)
+        size = len(data)
         self.stats.stores += 1
-        self.stats.stored_bytes += len(data)
-        if self.tracer is not None:
-            self.tracer.io_cached(len(data))
-        if self.analysis_tap is not None:
-            self.analysis_tap.on_store(offset, len(data), "store")
+        self.stats.stored_bytes += size
+        for price in self._io_cached:
+            price(size)
+        for tap in self._on_store:
+            tap(offset, size, "store")
 
     def nt_store(self, offset: int, data: bytes) -> None:
         """Non-temporal store: bypasses the cache (store + clwb in one);
         still requires a fence to be ordered-durable."""
-        if self.crash_plan is not None:
-            self.crash_plan.on_event("store")
+        for gate in self._on_event:
+            gate("store")
         # analysis: allow(unfenced-nt-store) -- this *is* the primitive; ordering is the caller's contract
         flushed = self.buffer.nt_store(offset, data)
+        size = len(data)
         self.stats.stores += 1
-        self.stats.stored_bytes += len(data)
+        self.stats.stored_bytes += size
         self.stats.flushed_lines += flushed
-        if self.tracer is not None:
-            self.tracer.io_write(len(data))
-        if self.analysis_tap is not None:
-            self.analysis_tap.on_store(offset, len(data), "nt")
-
-    # -- scatter-gather entry points ---------------------------------------
-    #
-    # One Python call issues a whole interval list. Accounting stays per
-    # logical op: every element still counts one store (and one crash-plan
-    # event, and one tracer segment), so DeviceStats, trace costs, and
-    # crash-point enumeration are byte-for-byte identical to a loop of
-    # single-op calls — the batching only removes interpreter overhead.
-    # Batch totals are committed in ``finally`` blocks so that a
-    # CrashRequested fired *inside* a batch leaves the counters exactly
-    # where the equivalent unbatched sequence would.
-
-    def store_v(self, writes: Sequence[Tuple[int, bytes]]) -> None:
-        """Vectorized cached store of (offset, data) pairs.
-
-        With no observer attached, the whole batch is one bulk buffer
-        call (identical per-element state transitions, no per-element
-        Python dispatch). The bulk path validates *before* mutating, so
-        on a bad element we fall through to the per-element loop to
-        reproduce exact partial-application semantics: same prefix
-        applied, same counters, same exception.
-        """
-        crash_plan = self.crash_plan
-        buffer = self.buffer
-        stats = self.stats
-        tracer = self.tracer
-        tap = self.analysis_tap
-        if crash_plan is None and tracer is None and tap is None:
-            try:
-                total = buffer.store_v(writes)
-            except OutOfRangeError:
-                pass  # replay per-element below for exact partial state
-            else:
-                stats.stores += len(writes)
-                stats.stored_bytes += total
-                return
-        total = 0
-        try:
-            for offset, data in writes:
-                if crash_plan is not None:
-                    crash_plan.on_event("store")
-                buffer.store(offset, data)
-                stats.stores += 1
-                total += len(data)
-                if tracer is not None:
-                    tracer.io_cached(len(data))
-                if tap is not None:
-                    tap.on_store(offset, len(data), "store")
-        finally:
-            stats.stored_bytes += total
-
-    def nt_store_v(self, writes: Sequence[Tuple[int, bytes]]) -> None:
-        """Vectorized non-temporal store of (offset, data) pairs.
-
-        Same bulk/fallback structure as :meth:`store_v`.
-        """
-        crash_plan = self.crash_plan
-        buffer = self.buffer
-        stats = self.stats
-        tracer = self.tracer
-        tap = self.analysis_tap
-        if crash_plan is None and tracer is None and tap is None:
-            try:
-                # analysis: allow(unfenced-nt-store) -- this *is* the primitive; ordering is the caller's contract
-                total, lines = buffer.nt_store_v(writes)
-            except OutOfRangeError:
-                pass  # replay per-element below for exact partial state
-            else:
-                stats.stores += len(writes)
-                stats.stored_bytes += total
-                stats.flushed_lines += lines
-                return
-        total = 0
-        lines = 0
-        try:
-            for offset, data in writes:
-                if crash_plan is not None:
-                    crash_plan.on_event("store")
-                # analysis: allow(unfenced-nt-store) -- this *is* the primitive; ordering is the caller's contract
-                lines += buffer.nt_store(offset, data)
-                stats.stores += 1
-                total += len(data)
-                if tracer is not None:
-                    tracer.io_write(len(data))
-                if tap is not None:
-                    tap.on_store(offset, len(data), "nt")
-        finally:
-            stats.stored_bytes += total
-            stats.flushed_lines += lines
-
-    def store_word_v(self, words: Sequence[Tuple[int, int]]) -> None:
-        """Vectorized ``atomic_store_u64 + flush`` of (offset, value)
-        pairs — the metadata-word commit pattern.
-
-        With a crash plan or tracer attached this delegates to the exact
-        two-step primitives so crash-event enumeration and trace
-        segments stay byte-identical. Otherwise the pair is fused
-        through the buffer's non-temporal store: the net effect on
-        working/dirty/pending/touched state and on DeviceStats is
-        provably the same (the just-stored line is always dirty, so the
-        flush always queues exactly that one line). The fused call
-        validates *before* mutating, so on a bad word we fall through to
-        the per-element loop to reproduce exact partial-application
-        semantics: same prefix applied, same counters, same exception —
-        an observer attached after the failure reads the identical
-        device state either way.
-        """
-        if (
-            self.crash_plan is not None
-            or self.tracer is not None
-            or self.analysis_tap is not None
-        ):
-            for offset, value in words:
-                self.atomic_store_u64(offset, value)
-                self.flush(offset, 8)
-            return
-        n = len(words)
-        try:
-            # analysis: allow(unfenced-nt-store) -- this *is* the primitive; ordering is the caller's contract
-            self.buffer.nt_store_words(words)
-        except (TornWriteError, OutOfRangeError):
-            for offset, value in words:  # replay per-element for exact partial state
-                self.atomic_store_u64(offset, value)
-                self.flush(offset, 8)
-            return
-        stats = self.stats
-        stats.stores += n
-        stats.stored_bytes += 8 * n
-        stats.flushed_lines += n
-        stats.flush_calls += n
-
-    def flush_v(self, ranges: Sequence[Tuple[int, int]]) -> None:
-        """Vectorized clwb of (offset, length) ranges."""
-        crash_plan = self.crash_plan
-        buffer = self.buffer
-        stats = self.stats
-        tracer = self.tracer
-        tap = self.analysis_tap
-        if crash_plan is None and tracer is None and tap is None:
-            lines, redundant = buffer.flush_v(ranges)
-            stats.flushed_lines += lines
-            stats.flush_calls += len(ranges)
-            stats.redundant_flushes += redundant
-            return
-        lines = 0
-        calls = 0
-        redundant = 0
-        try:
-            for offset, length in ranges:
-                if crash_plan is not None:
-                    crash_plan.on_event("flush")
-                nlines = buffer.flush(offset, length)
-                lines += nlines
-                calls += 1
-                if nlines == 0:
-                    redundant += 1
-                if tracer is not None:
-                    tracer.io_flush(nlines)
-                if tap is not None:
-                    tap.on_flush(offset, length, nlines)
-        finally:
-            stats.flushed_lines += lines
-            stats.flush_calls += calls
-            stats.redundant_flushes += redundant
+        for price in self._io_write:
+            price(size)
+        for tap in self._on_store:
+            tap(offset, size, "nt")
 
     def atomic_store_u64(self, offset: int, value: int) -> None:
-        if self.crash_plan is not None:
-            self.crash_plan.on_event("store")
+        for gate in self._on_event:
+            gate("store")
         self.buffer.atomic_store_u64(offset, value)
         self.stats.stores += 1
         self.stats.stored_bytes += 8
-        if self.tracer is not None:
-            self.tracer.io_cached(8)
-        if self.analysis_tap is not None:
-            self.analysis_tap.on_store(offset, 8, "atomic")
+        for price in self._io_cached:
+            price(8)
+        for tap in self._on_store:
+            tap(offset, 8, "atomic")
 
     def load(self, offset: int, length: int) -> bytes:
         data = self.buffer.load(offset, length)
         self.stats.loads += 1
         self.stats.loaded_bytes += length
-        if self.tracer is not None:
-            self.tracer.io_read(length)
+        for price in self._io_read:
+            price(length)
         return data
 
     def load_u64(self, offset: int) -> int:
         return int.from_bytes(self.load(offset, 8), "little")
 
     def flush(self, offset: int, length: int) -> None:
-        if self.crash_plan is not None:
-            self.crash_plan.on_event("flush")
+        for gate in self._on_event:
+            gate("flush")
         self.stats.flush_calls += 1
         nlines = self.buffer.flush(offset, length)
         self.stats.flushed_lines += nlines
         if nlines == 0:
             self.stats.redundant_flushes += 1
-        if self.tracer is not None:
-            self.tracer.io_flush(nlines)
-        if self.analysis_tap is not None:
-            self.analysis_tap.on_flush(offset, length, nlines)
+        for price in self._io_flush:
+            price(nlines)
+        for tap in self._on_flush:
+            tap(offset, length, nlines)
 
     def fence(self) -> None:
-        if self.crash_plan is not None:
-            self.crash_plan.on_event("fence")
+        for gate in self._on_event:
+            gate("fence")
         if not self.buffer.has_pending():
             self.stats.redundant_fences += 1
         self.buffer.fence()
         self.stats.fences += 1
-        if self.tracer is not None:
-            self.tracer.io_fence()
-        if self.analysis_tap is not None:
-            self.analysis_tap.on_fence()
+        for price in self._io_fence:
+            price()
+        for tap in self._on_fence:
+            tap()
 
     def persist(self, offset: int, length: int) -> None:
         """flush + fence of one range (pmem_persist)."""
         self.flush(offset, length)
         self.fence()
+
+    # -- scatter-gather entry points ---------------------------------------
+    #
+    # One Python call issues a whole interval list. Accounting stays per
+    # logical op: every element still counts one store (and one crash-plan
+    # event, one cost segment, one tap event), so DeviceStats, trace costs
+    # and crash-point enumeration are byte-for-byte those of a loop of
+    # single-op calls — the batching only removes interpreter overhead.
+
+    def store_v(self, writes: Sequence[Tuple[int, bytes]]) -> None:
+        """Vectorized cached store of (offset, data) pairs."""
+        n = len(writes)
+        if not self._plans or self._admit(n, "store"):
+            try:
+                total = self.buffer.store_v(writes)
+            except OutOfRangeError:
+                self._admit(-n, "store")  # handed back: replayed below
+            else:
+                self.stats.stores += n
+                self.stats.stored_bytes += total
+                prices, taps = self._io_cached, self._on_store
+                if prices or taps:
+                    for offset, data in writes:
+                        size = len(data)
+                        for price in prices:
+                            price(size)
+                        for tap in taps:
+                            tap(offset, size, "store")
+                return
+        for offset, data in writes:
+            self.store(offset, data)
+
+    def nt_store_v(self, writes: Sequence[Tuple[int, bytes]]) -> None:
+        """Vectorized non-temporal store of (offset, data) pairs."""
+        n = len(writes)
+        if not self._plans or self._admit(n, "store"):
+            try:
+                # analysis: allow(unfenced-nt-store) -- this *is* the primitive; ordering is the caller's contract
+                total, lines = self.buffer.nt_store_v(writes)
+            except OutOfRangeError:
+                self._admit(-n, "store")  # handed back: replayed below
+            else:
+                stats = self.stats
+                stats.stores += n
+                stats.stored_bytes += total
+                stats.flushed_lines += lines
+                prices, taps = self._io_write, self._on_store
+                if prices or taps:
+                    for offset, data in writes:
+                        size = len(data)
+                        for price in prices:
+                            price(size)
+                        for tap in taps:
+                            tap(offset, size, "nt")
+                return
+        for offset, data in writes:
+            self.nt_store(offset, data)
+
+    def store_word_v(self, words: Sequence[Tuple[int, int]]) -> None:
+        """Vectorized ``atomic_store_u64 + flush`` of (offset, value)
+        pairs — the metadata-word commit pattern — fused through the
+        buffer's non-temporal word store: the net effect on
+        working/dirty/pending/touched state and on DeviceStats is
+        provably that of the two-step primitives (the just-stored line
+        is always dirty, so the flush always queues exactly that one
+        line), and observers are told of a store and a one-line flush
+        per word."""
+        n = len(words)
+        if not self._plans or self._admit(n, "store", "flush"):
+            try:
+                # analysis: allow(unfenced-nt-store) -- this *is* the primitive; ordering is the caller's contract
+                self.buffer.nt_store_words(words)
+            except (TornWriteError, OutOfRangeError):
+                self._admit(-n, "store", "flush")  # handed back: replayed below
+            else:
+                stats = self.stats
+                stats.stores += n
+                stats.stored_bytes += 8 * n
+                stats.flushed_lines += n
+                stats.flush_calls += n
+                cached, flushed = self._io_cached, self._io_flush
+                stored, flush_taps = self._on_store, self._on_flush
+                if cached or flushed or stored or flush_taps:
+                    for offset, _value in words:
+                        for price in cached:
+                            price(8)
+                        for tap in stored:
+                            tap(offset, 8, "atomic")
+                        for price in flushed:
+                            price(1)
+                        for tap in flush_taps:
+                            tap(offset, 8, 1)
+                return
+        for offset, value in words:
+            self.atomic_store_u64(offset, value)
+            self.flush(offset, 8)
+
+    def flush_v(self, ranges: Sequence[Tuple[int, int]]) -> None:
+        """Vectorized clwb of (offset, length) ranges."""
+        if self._plans and not self._admit(len(ranges), "flush"):
+            for offset, length in ranges:
+                self.flush(offset, length)
+            return
+        flushed = self.buffer.flush_v(ranges)
+        stats = self.stats
+        stats.flushed_lines += sum(flushed)
+        stats.flush_calls += len(ranges)
+        stats.redundant_flushes += flushed.count(0)
+        prices, taps = self._io_flush, self._on_flush
+        if prices or taps:
+            for (offset, length), nlines in zip(ranges, flushed):
+                for price in prices:
+                    price(nlines)
+                for tap in taps:
+                    tap(offset, length, nlines)
 
     # -- crash / recovery ---------------------------------------------------
 
@@ -403,8 +362,8 @@ class NvmDevice:
     def drain(self) -> None:
         """Orderly shutdown: everything written becomes durable."""
         self.buffer.drain()
-        if self.analysis_tap is not None:
-            self.analysis_tap.on_drain()
+        for tap in self._on_drain:
+            tap()
 
     @classmethod
     def from_image(

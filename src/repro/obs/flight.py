@@ -54,7 +54,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.nvm.device import add_tap
+from repro.obs.spans import clock_reader, system_clocks
+from repro.sim.trace import TappedRecorder
 
 
 class NullFlightRecorder:
@@ -131,14 +132,14 @@ class FlightRecorder:
         self.capacity = capacity
         self.regions = regions
         self._ring = deque() if capacity == 0 else deque(maxlen=capacity)
-        self.dropped = 0
         self.recorded = 0
         #: crashsweep-parity device-event index (see module docstring)
         self.event_index = 0
-        self._clocks: Tuple[object, ...] = ()
         #: rendered lock key -> mode, in acquisition order
         self.held_locks: Dict[str, str] = {}
-        self._span_stack: List[str] = []
+        #: open span names, innermost last; rebuilt when a span opens or
+        #: closes, so a device event records it without copying
+        self._spans: Tuple[str, ...] = ()
         self.op: Optional[str] = None
         self.op_seq = -1
 
@@ -146,52 +147,52 @@ class FlightRecorder:
 
     def bind(self, clocks: Sequence[object]) -> None:
         """Set the virtual-time source: recorders exposing ``clock_ns``."""
-        self._clocks = tuple(clocks)
+        self.now = clock_reader(clocks)
 
     def now(self) -> float:
-        return sum(clock.clock_ns for clock in self._clocks)
+        """Virtual time (:meth:`bind` installs the reader; 0 unbound)."""
+        return 0.0
 
     # -- ring ---------------------------------------------------------------
 
+    @property
+    def dropped(self) -> int:
+        """Entries the bounded ring has evicted."""
+        return self.recorded - len(self._ring)
+
     def _append(self, entry: tuple) -> None:
-        ring = self._ring
-        if ring.maxlen is not None and len(ring) == ring.maxlen:
-            self.dropped += 1
-        ring.append(entry)
+        self._ring.append(entry)
         self.recorded += 1
 
     def events_list(self) -> List[tuple]:
         return list(self._ring)
 
-    # -- device.analysis_tap (index parity with EventCollector) -------------
-
-    def _next_index(self) -> int:
-        idx = self.event_index
-        self.event_index += 1
-        return idx
+    # -- device tap (index parity with EventCollector) ----------------------
 
     def on_store(self, offset: int, length: int, kind: str) -> None:
-        self._append(
-            ("store", self._next_index(), self.now(), offset, length, kind,
-             self.op, tuple(self._span_stack))
-        )
+        idx = self.event_index
+        self.event_index = idx + 1
+        self._ring.append(
+            ("store", idx, self.now(), offset, length, kind, self.op, self._spans))
+        self.recorded += 1
 
     def on_flush(self, offset: int, length: int, nlines: int) -> None:
-        self._append(
-            ("flush", self._next_index(), self.now(), offset, length, nlines,
-             self.op, tuple(self._span_stack))
-        )
+        idx = self.event_index
+        self.event_index = idx + 1
+        self._ring.append(
+            ("flush", idx, self.now(), offset, length, nlines, self.op, self._spans))
+        self.recorded += 1
 
     def on_fence(self) -> None:
-        self._append(
-            ("fence", self._next_index(), self.now(), self.op, tuple(self._span_stack))
-        )
+        idx = self.event_index
+        self.event_index = idx + 1
+        self._ring.append(("fence", idx, self.now(), self.op, self._spans))
+        self.recorded += 1
 
     def on_drain(self) -> None:
         """Setup boundary: pre-history is discarded and indices restart,
         exactly like the collector and the census baseline."""
         self._ring.clear()
-        self.dropped = 0
         self.recorded = 0
         self.event_index = 0
 
@@ -219,17 +220,24 @@ class FlightRecorder:
     # -- telemetry span hooks -----------------------------------------------
 
     def on_span_open(self, name: str, t_ns: float) -> None:
-        self._span_stack.append(name)
-        self._append(("span-open", t_ns, name))
+        self._spans += (name,)
+        self._ring.append(("span-open", t_ns, name))
+        self.recorded += 1
 
     def on_span_close(self, name: str, t_ns: float, dur_ns: float) -> None:
-        # Self-healing parity with Telemetry.span_end: frames abandoned
-        # by an exception unwind never see a close, so pop through them.
-        stack = self._span_stack
-        while stack:
-            if stack.pop() == name:
-                break
-        self._append(("span-close", t_ns, name, dur_ns))
+        spans = self._spans
+        if spans and spans[-1] == name:
+            self._spans = spans[:-1]
+        else:
+            # Self-healing parity with Telemetry.span_end: frames
+            # abandoned by an exception unwind never see a close, so pop
+            # through them.
+            depth = len(spans)
+            while depth and spans[depth - 1] != name:
+                depth -= 1
+            self._spans = spans[:max(depth - 1, 0)]
+        self._ring.append(("span-close", t_ns, name, dur_ns))
+        self.recorded += 1
 
     # -- protocol-step markers ----------------------------------------------
 
@@ -252,94 +260,19 @@ class FlightRecorder:
         }
 
 
-class FlightRecorderWrapper:
-    """A conforming ``Recorder`` that feeds op boundaries and lock
-    events to the flight recorder; everything else forwards. Mirrors
-    :class:`repro.analysis.analyzer.AnalysisRecorder` so the two can
-    stack in either order."""
-
-    def __init__(self, inner, flight: FlightRecorder) -> None:
-        self.inner = inner
-        self.flight = flight
-
-    @property
-    def timing(self):
-        return self.inner.timing
-
-    @property
-    def enabled(self) -> bool:
-        return self.inner.enabled
-
-    @enabled.setter
-    def enabled(self, value: bool) -> None:
-        self.inner.enabled = value
-
-    @property
-    def clock_ns(self) -> float:
-        return self.inner.clock_ns
-
-    # -- op lifecycle ------------------------------------------------------
-
-    def begin_op(self, name: str) -> None:
-        self.inner.begin_op(name)
-        self.flight.on_op_begin(name)
-
-    def end_op(self):
-        trace = self.inner.end_op()
-        self.flight.on_op_end(trace.name)
-        return trace
-
-    def take_completed(self):
-        return self.inner.take_completed()
-
-    # -- explicit costs ----------------------------------------------------
-
-    def compute(self, ns: float) -> None:
-        self.inner.compute(ns)
-
-    def lock(self, key, mode) -> None:
-        self.inner.lock(key, mode)
-        self.flight.on_lock(key, mode)
-
-    def unlock(self, key) -> None:
-        self.inner.unlock(key)
-        self.flight.on_unlock(key)
-
-    # -- device tracer interface -------------------------------------------
-
-    def io_write(self, nbytes: int) -> None:
-        self.inner.io_write(nbytes)
-
-    def io_cached(self, nbytes: int) -> None:
-        self.inner.io_cached(nbytes)
-
-    def io_read(self, nbytes: int) -> None:
-        self.inner.io_read(nbytes)
-
-    def io_flush(self, nlines: int) -> None:
-        self.inner.io_flush(nlines)
-
-    def io_fence(self) -> None:
-        self.inner.io_fence()
-
-
 def attach_flight(system, capacity: int = 256, telemetry=None, regions=None) -> FlightRecorder:
     """Attach a flight recorder to a workload system (a mounted file
     system or a crashsweep ``RawSystem``).
 
-    Composes with any observer already on ``device.analysis_tap`` via
-    the fan-out, wraps the foreground recorder for op/lock events, and
-    — when telemetry is live (attach it first) — hooks span open/close
-    through ``Telemetry.flight``.
+    Joins the device's observer list as a tap, wraps the foreground
+    recorder for op/lock events, and — when telemetry is live — hooks
+    span open/close through ``Telemetry.flight``. Telemetry attached
+    afterwards finds the recorder on the device, so either order works.
     """
     flight = FlightRecorder(capacity=capacity, regions=regions)
-    clocks = [system.recorder]
-    bg = getattr(system, "bg_recorder", None)
-    if bg is not None:
-        clocks.append(bg)
-    flight.bind(clocks)
-    add_tap(system.device, flight)
-    system.recorder = FlightRecorderWrapper(system.recorder, flight)
+    flight.bind(system_clocks(system))
+    system.device.attach(flight)
+    system.recorder = TappedRecorder(system.recorder, flight)
     tel = telemetry if telemetry is not None else getattr(system, "obs", None)
     if tel is not None and getattr(tel, "enabled", False):
         tel.flight = flight

@@ -27,9 +27,38 @@ crash-replay safe.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import Callable, Dict, Hashable, List, Optional, Sequence
 
 from repro.obs.registry import MetricsRegistry
+
+
+def clock_reader(clocks: Sequence[object]) -> Callable[[], float]:
+    """``now()`` over recorders exposing ``clock_ns``: total virtual work
+    priced so far across the streams. One and two streams (foreground,
+    foreground + background) read the attributes directly; the sums are
+    the same floats ``sum()`` produces."""
+    if len(clocks) == 1:
+        (only,) = clocks
+        return lambda: only.clock_ns
+    if len(clocks) == 2:
+        first, second = clocks
+        return lambda: first.clock_ns + second.clock_ns
+    clocks = tuple(clocks)
+    return lambda: sum(clock.clock_ns for clock in clocks)
+
+
+def system_clocks(system) -> List[object]:
+    """The cost recorders of a workload system (foreground, plus
+    ``bg_recorder`` where one exists), unwrapped to the recorders that
+    own the clocks."""
+    clocks = []
+    for recorder in (system.recorder, getattr(system, "bg_recorder", None)):
+        if recorder is not None:
+            while hasattr(recorder, "inner"):
+                recorder = recorder.inner
+            clocks.append(recorder)
+    return clocks
 
 
 class NullSink:
@@ -45,14 +74,14 @@ class NullSink:
     def now(self) -> float:
         return 0.0
 
-    def span_begin(self, name: str, **labels):
+    def span_begin(self, name: str):
         return None
 
     def span_end(self, frame) -> None:
         pass
 
     @contextmanager
-    def span(self, name: str, **labels):
+    def span(self, name: str):
         yield
 
     def lock_wait(self, key: Hashable, ns: float) -> None:
@@ -66,11 +95,10 @@ NULL_SINK = NullSink()
 class _Frame:
     """One open span on the stack (identity is the close token)."""
 
-    __slots__ = ("name", "labels", "start_ns", "start_bytes", "child_ns", "child_bytes")
+    __slots__ = ("name", "start_ns", "start_bytes", "child_ns", "child_bytes")
 
-    def __init__(self, name: str, labels, start_ns: float, start_bytes: int) -> None:
+    def __init__(self, name: str, start_ns: float, start_bytes: int) -> None:
         self.name = name
-        self.labels = labels
         self.start_ns = start_ns
         self.start_bytes = start_bytes
         self.child_ns = 0.0
@@ -90,6 +118,10 @@ class SpanStats:
         self.total_bytes = 0
 
 
+#: the byte meter of a sink bound to no device: nothing is ever stored
+_NO_DEVICE = SimpleNamespace(stored_bytes=0)
+
+
 class Telemetry:
     """The live sink: span accounting + a metrics registry.
 
@@ -105,19 +137,24 @@ class Telemetry:
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._clocks: Tuple[object, ...] = ()
-        self._device = None
+        #: the byte meter: the bound device's ``DeviceStats``
+        self._stats = _NO_DEVICE
         self._stack: List[_Frame] = []
         self.spans: Dict[str, SpanStats] = {}
+        #: span name -> (SpanStats, span_calls_total, span_ns), resolved
+        #: at the first close of that name
+        self._handles: Dict[str, tuple] = {}
         #: lock key -> [blocked acquires, total wait ns] (replay engine)
         self.lock_waits: Dict[Hashable, List[float]] = {}
+        self._lock_wait_meters: Optional[tuple] = None
         self._clock0 = 0.0
         self._bytes0 = 0
         self._root_ns = 0.0
         self._root_bytes = 0
         #: optional :class:`repro.obs.flight.FlightRecorder` fed span
-        #: open/close events (set by ``attach_flight``; None when no
-        #: recorder is attached — one attribute check on the span path)
+        #: open/close events (set by ``attach_flight``/``attach_telemetry``,
+        #: whichever runs second; None when no recorder is attached — one
+        #: attribute check on the span path)
         self.flight = None
 
     # -- binding -----------------------------------------------------------
@@ -126,20 +163,20 @@ class Telemetry:
         """Set the meters: *clocks* are recorders exposing ``clock_ns``
         (foreground + any background stream), *device* supplies
         ``stats.stored_bytes``. Zeroes the baselines at the bind point."""
-        self._clocks = tuple(clocks)
-        self._device = device
+        self.now = clock_reader(clocks)
+        self._stats = device.stats if device is not None else _NO_DEVICE
         self._clock0 = self.now()
         self._bytes0 = self.stored_bytes()
 
     # -- meters ------------------------------------------------------------
 
     def now(self) -> float:
-        """Total virtual work priced so far, across all bound streams."""
-        return sum(clock.clock_ns for clock in self._clocks)
+        """Total virtual work priced so far, across all bound streams
+        (:meth:`bind` installs the reader; unbound, nothing is priced)."""
+        return 0.0
 
     def stored_bytes(self) -> int:
-        device = self._device
-        return device.stats.stored_bytes if device is not None else 0
+        return self._stats.stored_bytes
 
     def total_ns(self) -> float:
         """Virtual nanoseconds elapsed since :meth:`bind`."""
@@ -158,8 +195,8 @@ class Telemetry:
 
     # -- spans -------------------------------------------------------------
 
-    def span_begin(self, name: str, **labels) -> _Frame:
-        frame = _Frame(name, labels, self.now(), self.stored_bytes())
+    def span_begin(self, name: str) -> _Frame:
+        frame = _Frame(name, self.now(), self._stats.stored_bytes)
         self._stack.append(frame)
         if self.flight is not None:
             self.flight.on_span_open(name, frame.start_ns)
@@ -170,16 +207,26 @@ class Telemetry:
         never closed (an exception unwound past their span_end) are
         discarded — their time folds into *frame*'s self time."""
         stack = self._stack
-        try:
-            idx = stack.index(frame)
-        except ValueError:
-            return  # already healed away by an outer span_end
-        del stack[idx:]
+        if stack and stack[-1] is frame:
+            del stack[-1]
+        else:
+            try:
+                idx = stack.index(frame)
+            except ValueError:
+                return  # already healed away by an outer span_end
+            del stack[idx:]
+        name = frame.name
         ns = self.now() - frame.start_ns
-        nbytes = self.stored_bytes() - frame.start_bytes
-        agg = self.spans.get(frame.name)
-        if agg is None:
-            agg = self.spans[frame.name] = SpanStats()
+        nbytes = self._stats.stored_bytes - frame.start_bytes
+        try:
+            agg, calls, hist = self._handles[name]
+        except KeyError:
+            reg = self.registry
+            agg, calls, hist = self._handles[name] = (
+                self.spans.setdefault(name, SpanStats()),
+                reg.counter("span_calls_total", span=name),
+                reg.histogram("span_ns", span=name),
+            )
         agg.count += 1
         agg.total_ns += ns
         agg.total_bytes += nbytes
@@ -192,20 +239,19 @@ class Telemetry:
         else:
             self._root_ns += ns
             self._root_bytes += nbytes
-        reg = self.registry
-        reg.counter("span_calls_total", span=frame.name, **frame.labels).inc()
-        reg.histogram("span_ns", span=frame.name).observe(ns)
+        calls.value += 1.0
+        hist.observe(ns)
         if self.flight is not None:
-            self.flight.on_span_close(frame.name, frame.start_ns + ns, ns)
+            self.flight.on_span_close(name, frame.start_ns + ns, ns)
 
     @contextmanager
-    def span(self, name: str, **labels):
+    def span(self, name: str):
         """Context-manager form for cold paths::
 
             with fs.obs.span("recovery.writeback"):
                 ...
         """
-        frame = self.span_begin(name, **labels)
+        frame = self.span_begin(name)
         try:
             yield frame
         finally:
@@ -219,8 +265,13 @@ class Telemetry:
             entry = self.lock_waits[key] = [0, 0.0]
         entry[0] += 1
         entry[1] += ns
-        self.registry.counter("lock_waits_total").inc()
-        self.registry.histogram("lock_wait_ns").observe(ns)
+        meters = self._lock_wait_meters
+        if meters is None:  # created at the first wait, so an uncontended run exports neither
+            reg = self.registry
+            meters = self._lock_wait_meters = (
+                reg.counter("lock_waits_total"), reg.histogram("lock_wait_ns"))
+        meters[0].value += 1.0
+        meters[1].observe(ns)
 
 
 def attach_telemetry(fs, registry: Optional[MetricsRegistry] = None,
@@ -230,16 +281,17 @@ def attach_telemetry(fs, registry: Optional[MetricsRegistry] = None,
     Binds a :class:`Telemetry` to the filesystem's cost recorders
     (foreground plus ``bg_recorder`` where one exists) and its device,
     then points ``fs.obs`` — and the protocol objects that keep their
-    own reference (``fs.mgl``, ``fs.metalog``) — at the live sink.
+    own reference (``fs.mgl``, ``fs.metalog``) — at the live sink. A
+    flight recorder already on the device gets the span events, as it
+    would had it been attached second.
     Attach **before** opening handles: per-handle protocol state (e.g.
     ``MgspFile.shadow``) snapshots ``fs.obs`` at handle creation.
     """
     tel = telemetry if telemetry is not None else Telemetry(registry)
-    clocks = [fs.recorder]
-    bg = getattr(fs, "bg_recorder", None)
-    if bg is not None:
-        clocks.append(bg)
-    tel.bind(clocks, fs.device)
+    tel.bind(system_clocks(fs), fs.device)
+    for observer in fs.device.observers:
+        if hasattr(observer, "on_span_open"):
+            tel.flight = observer
     fs.obs = tel
     for attr in ("mgl", "metalog"):
         obj = getattr(fs, attr, None)

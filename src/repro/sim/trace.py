@@ -7,10 +7,10 @@ A segment is a small tuple-like record; four kinds exist:
 - ``("lock", key, mode)`` — acquire *key* in MGL mode ``IR/IW/R/W``.
 - ``("unlock", key)`` — release.
 
-The recorder also implements the duck-typed device-tracer interface
-(io_write / io_read / io_flush / io_fence) so that attaching it to an
-:class:`~repro.nvm.device.NvmDevice` prices all media traffic
-automatically.
+The recorder also implements the device's cost-recorder hooks
+(io_write / io_cached / io_read / io_flush / io_fence), so attaching it
+to an :class:`~repro.nvm.device.NvmDevice` (``device.attach(recorder)``)
+prices all media traffic automatically.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ Segment = Tuple  # ("compute", ns) | ("io", ns) | ("lock", key, mode) | ("unlock
 @runtime_checkable
 class Recorder(Protocol):
     """The formal surface shared by :class:`TraceRecorder` and
-    :class:`NullRecorder` (and any wrapper, e.g. the analysis tap's
-    :class:`~repro.analysis.analyzer.AnalysisRecorder`).
+    :class:`NullRecorder` (and the :class:`TappedRecorder` wrapper).
 
     File-system code talks to its recorder only through these members,
     so a conforming wrapper can be swapped in without isinstance checks.
@@ -51,7 +50,7 @@ class Recorder(Protocol):
     def lock(self, key: Hashable, mode: str) -> None: ...
     def unlock(self, key: Hashable) -> None: ...
 
-    # -- device tracer interface ---------------------------------------
+    # -- device cost-recorder hooks ------------------------------------
     def io_write(self, nbytes: int) -> None: ...
     def io_cached(self, nbytes: int) -> None: ...
     def io_read(self, nbytes: int) -> None: ...
@@ -151,7 +150,7 @@ class TraceRecorder:
     def unlock(self, key: Hashable) -> None:
         self._emit(("unlock", key))
 
-    # -- device tracer interface ----------------------------------------------
+    # -- device cost-recorder hooks -------------------------------------------
 
     def io_write(self, nbytes: int) -> None:
         visible = self.timing.media_write_ns(nbytes)
@@ -220,3 +219,51 @@ class NullRecorder:
 
     def io_fence(self) -> None:
         pass
+
+
+class TappedRecorder:
+    """A conforming :class:`Recorder` that tells a *listener* of op
+    boundaries (``on_op_begin`` / ``on_op_end``) and, where the listener
+    has the hooks, of lock events (``on_lock`` / ``on_unlock``), each
+    after the wrapped recorder has handled it. Costs go straight to the
+    wrapped recorder: the pricing members are its own bound methods, so
+    wrapping adds no frame to them. Wrappers stack in any order."""
+
+    def __init__(self, inner, listener) -> None:
+        self.inner = inner
+        self.listener = listener
+        self.timing = inner.timing
+        for name in ("take_completed", "compute", "io_write", "io_cached",
+                     "io_read", "io_flush", "io_fence"):
+            setattr(self, name, getattr(inner, name))
+        if not hasattr(listener, "on_lock"):
+            self.lock, self.unlock = inner.lock, inner.unlock
+
+    @property
+    def enabled(self) -> bool:
+        return self.inner.enabled
+
+    @enabled.setter
+    def enabled(self, value: bool) -> None:
+        self.inner.enabled = value
+
+    @property
+    def clock_ns(self) -> float:
+        return self.inner.clock_ns
+
+    def begin_op(self, name: str) -> None:
+        self.inner.begin_op(name)
+        self.listener.on_op_begin(name)
+
+    def end_op(self) -> OpTrace:
+        trace = self.inner.end_op()
+        self.listener.on_op_end(trace.name)
+        return trace
+
+    def lock(self, key: Hashable, mode: str) -> None:
+        self.inner.lock(key, mode)
+        self.listener.on_lock(key, mode)
+
+    def unlock(self, key: Hashable) -> None:
+        self.inner.unlock(key)
+        self.listener.on_unlock(key)

@@ -241,7 +241,7 @@ def test_analysis_recorder_satisfies_protocol_and_forwards():
 def test_attach_analyzer_wraps_live_mount():
     fs = make_fs()
     analyzer = attach_analyzer(fs, perf=False)
-    assert fs.device.analysis_tap is analyzer
+    assert analyzer in fs.device.observers
     assert isinstance(fs.recorder, AnalysisRecorder)
     f = fs.create("a", capacity=1 << 16)
     f.write(0, b"hello" * 100)

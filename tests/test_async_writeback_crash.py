@@ -31,7 +31,7 @@ def build_crashed_state(crash_after, seed=33):
     rng = random.Random(seed)
     ref = bytearray(CAP)
     pending = None
-    fs.device.crash_plan = CrashPlan(crash_after)
+    fs.device.attach(CrashPlan(crash_after))
     try:
         for _ in range(10_000):
             off = rng.randrange(0, CAP - 2048)

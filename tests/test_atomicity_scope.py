@@ -29,7 +29,7 @@ def run_two_page_commit(crash_after, use_txn: bool):
     f.write(0, b"A0" * 2048)  # page 0, version 0
     f.write(4096, b"B0" * 2048)  # page 1, version 0
     fs.device.drain()
-    fs.device.crash_plan = CrashPlan(crash_after)
+    fs.device.attach(CrashPlan(crash_after))
     try:
         if use_txn:
             with fs.begin_transaction(f) as txn:
@@ -95,7 +95,7 @@ def test_ablations_keep_single_write_atomicity(name, cfg):
         rng = random.Random(7)
         ref = bytearray(256 * 1024)
         pending = None
-        fs.device.crash_plan = CrashPlan(crash_after)
+        fs.device.attach(CrashPlan(crash_after))
         try:
             for _ in range(10_000):
                 off = rng.randrange(0, 250_000)

@@ -71,7 +71,7 @@ class TestEnumerationParity:
     def test_count_events_equals_events_fired(self):
         device = NvmDevice(SIZE)
         plan = counting_plan()
-        device.crash_plan = plan
+        device.attach(plan)
         base = device.stats.snapshot()
         run_ops(device)
         assert plan.count == count_events(device, since=base)
@@ -80,15 +80,15 @@ class TestEnumerationParity:
         for kind in ("store", "flush", "fence"):
             device = NvmDevice(SIZE)
             plan = counting_plan(kinds={kind})
-            device.crash_plan = plan
+            device.attach(plan)
             run_ops(device)
             assert plan.count == count_events(device, kinds={kind}), kind
 
     def test_unarmed_run_produces_identical_counters(self):
-        """store_word_v specializes on crash_plan is None; the census
-        must still see the same DeviceStats either way."""
+        """A counting plan consumes whole batches; the census must
+        still see the same DeviceStats as an unarmed run."""
         armed, unarmed = NvmDevice(SIZE), NvmDevice(SIZE)
-        armed.crash_plan = counting_plan()
+        armed.attach(counting_plan())
         run_ops(armed)
         run_ops(unarmed)
         assert stats_tuple(armed) == stats_tuple(unarmed)
@@ -97,20 +97,20 @@ class TestEnumerationParity:
 
     def test_every_enumerated_point_fires(self):
         census_device = NvmDevice(SIZE)
-        census_device.crash_plan = counting_plan()
+        census = census_device.attach(counting_plan())
         run_ops(census_device)
         events = count_events(census_device)
-        assert events == census_device.crash_plan.count
+        assert events == census.count
         for crash_after in range(events):
             device = NvmDevice(SIZE)
-            device.crash_plan = CrashPlan(crash_after)
+            device.attach(CrashPlan(crash_after))
             with pytest.raises(CrashRequested):
                 run_ops(device)
         # One past the end must NOT fire.
         device = NvmDevice(SIZE)
-        device.crash_plan = CrashPlan(events)
+        plan = device.attach(CrashPlan(events))
         run_ops(device)
-        assert not device.crash_plan.fired
+        assert not plan.fired
 
 
 def batched_vs_unbatched(batched_ops, unbatched_ops, crash_after):
@@ -119,7 +119,7 @@ def batched_vs_unbatched(batched_ops, unbatched_ops, crash_after):
     for ops in (batched_ops, unbatched_ops):
         device = NvmDevice(SIZE)
         device.store(0, b"seed" * 16)  # some pre-existing dirty state
-        device.crash_plan = CrashPlan(crash_after)
+        device.attach(CrashPlan(crash_after))
         try:
             ops(device)
             crashed = False
@@ -195,7 +195,7 @@ class TestPartialBatchEquivalence:
 
     def test_store_word_v_fused_path_matches_delegated_stats(self):
         armed, unarmed = NvmDevice(SIZE), NvmDevice(SIZE)
-        armed.crash_plan = counting_plan()
+        armed.attach(counting_plan())
         armed.store_word_v(WORDS)
         unarmed.store_word_v(WORDS)
         assert stats_tuple(armed) == stats_tuple(unarmed)

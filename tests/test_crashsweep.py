@@ -197,16 +197,16 @@ class TestRecoveryIdempotence:
             # Census the recovery itself, then crash it at a few points.
             census_device = NvmDevice.from_image(image)
             plan = CrashPlan(1 << 62)
-            census_device.crash_plan = plan
+            census_device.attach(plan)
             recover(census_device, config=MgspConfig(degree=16))
             events = count_events(census_device)
             assert events == plan.count
             for crash_at in sorted({1, events // 3, events // 2, events - 1}):
                 device = NvmDevice.from_image(image)
-                device.crash_plan = CrashPlan(crash_at)
+                plan = device.attach(CrashPlan(crash_at))
                 with pytest.raises(CrashRequested):
                     recover(device, config=MgspConfig(degree=16))
-                device.crash_plan = None
+                device.detach(plan)
                 for seed in (0, 1):
                     interrupted = compose_image(device, CrashPolicy.RANDOM, seed=seed)
                     assert self.final_image(interrupted) == reference, (

@@ -231,7 +231,7 @@ class TestDatabaseCrashOnMgsp:
             t = db.create_table("t")
             t.insert((0,), ("base",))
             fs.device.drain()
-            fs.device.crash_plan = CrashPlan(crash_after)
+            fs.device.attach(CrashPlan(crash_after))
             crashed = False
             try:
                 db.begin()

@@ -174,11 +174,10 @@ class TestBulkPathParity:
     def test_tracer_segments_match(self, ops):
         batched = NvmDevice(SIZE)
         reference = NvmDevice(SIZE)
-        batched.tracer = RecordingTracer()
-        reference.tracer = RecordingTracer()
+        tracers = (batched.attach(RecordingTracer()), reference.attach(RecordingTracer()))
         apply_batched(batched, ops)
         apply_op_by_op(reference, ops)
-        assert batched.tracer.events == reference.tracer.events
+        assert tracers[0].events == tracers[1].events
         assert full_stats(batched) == full_stats(reference)
 
     @given(ops_strategy)
@@ -186,11 +185,10 @@ class TestBulkPathParity:
     def test_analysis_tap_events_match(self, ops):
         batched = NvmDevice(SIZE)
         reference = NvmDevice(SIZE)
-        batched.analysis_tap = RecordingTap()
-        reference.analysis_tap = RecordingTap()
+        taps = (batched.attach(RecordingTap()), reference.attach(RecordingTap()))
         apply_batched(batched, ops)
         apply_op_by_op(reference, ops)
-        assert batched.analysis_tap.events == reference.analysis_tap.events
+        assert taps[0].events == taps[1].events
         assert full_stats(batched) == full_stats(reference)
 
 
@@ -200,8 +198,8 @@ class TestPartialBatchCrashParity:
     def test_mid_batch_crash_leaves_identical_state(self, ops, crash_after):
         batched = NvmDevice(SIZE)
         reference = NvmDevice(SIZE)
-        batched.crash_plan = CrashPlan(crash_after)
-        reference.crash_plan = CrashPlan(crash_after)
+        batched.attach(CrashPlan(crash_after))
+        reference.attach(CrashPlan(crash_after))
         fired_b = fired_r = False
         try:
             apply_batched(batched, ops)

@@ -1,24 +1,23 @@
-"""Bulk fast-path gate audit (ISSUE 8): observers attached mid-run.
+"""Bulk device paths (ISSUE 8, 12): observers attached mid-run.
 
-The PR-7 ``_v`` entry points take a bulk buffer path only when no crash
-plan, tracer, or analysis tap is attached.  The gating contract is that
-the bulk path leaves *identical device state* behind, so an observer
-attached between batched ops — mid-run — sees an event/trace stream
-that could not distinguish which path the earlier ops took.
+The ``_v`` entry points apply a batch through the buffer's bulk calls
+whatever is attached. The contract is that they leave *identical device
+state* behind, so an observer attached between batched ops — mid-run —
+sees an event/trace stream that could not tell the batches from the
+per-element loops of ``device_oracle``.
 
 Two suites:
 
 - mid-run attach parity: run a randomized batched op sequence, attach a
-  recording tap (and tracer) at an arbitrary point, and assert the
+  recording tap (or cost recorder) at an arbitrary point, and assert the
   post-attach event stream, DeviceStats, unfenced-word candidates, and
-  seeded crash image all match a device that ran the exact per-element
-  loop throughout (forced by a null tracer).
-- error-path parity (the bug this issue fixed): a ``store_word_v``
-  batch failing mid-way used to leave the applied prefix *uncounted* in
+  seeded crash image all match a device that ran the per-element oracle
+  throughout.
+- error-path parity (the bug ISSUE 8 fixed): a ``store_word_v`` batch
+  failing mid-way used to leave the applied prefix *uncounted* in
   ``DeviceStats`` on the fused path — the per-element loop counts it —
   so anything reading stats deltas afterwards (obs attribution, write
-  amplification, bench exports) diverged based on whether an observer
-  happened to be attached.
+  amplification, bench exports) diverged.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ import random
 
 import pytest
 
+from device_oracle import PER_ELEMENT
 from repro.errors import OutOfRangeError, TornWriteError
 from repro.nvm.device import NvmDevice
 
@@ -68,25 +68,6 @@ class RecordingTracer:
 
     def io_fence(self):
         self.segments.append(("fence",))
-
-
-class NullTracer:
-    """Forces the per-element loop without recording anything."""
-
-    def io_cached(self, n):
-        pass
-
-    def io_write(self, n):
-        pass
-
-    def io_read(self, n):
-        pass
-
-    def io_flush(self, n):
-        pass
-
-    def io_fence(self):
-        pass
 
 
 def _gen_ops(rng, n):
@@ -131,35 +112,37 @@ def _gen_ops(rng, n):
     return ops
 
 
-def _apply(device, op):
+def _apply(device, op, batched=True):
     kind, arg = op
     if kind == "fence":
         device.fence()
     elif kind == "flush":
         device.flush(*arg)
-    else:
+    elif batched:
         getattr(device, kind)(arg)
+    else:
+        PER_ELEMENT[kind](device, arg)
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_midrun_tap_attach_event_parity(seed):
     """A tap attached between batched ops sees the same events, stats,
-    and crash-image candidates whether the earlier ops took the bulk
-    path or the per-element loop."""
+    and crash-image candidates as on a device driven by the per-element
+    oracle throughout."""
     rng = random.Random(seed)
     ops = _gen_ops(rng, 40)
     attach_at = rng.randrange(0, len(ops))
 
-    bulk = NvmDevice(SIZE)  # bulk fast path until attach
+    bulk = NvmDevice(SIZE)
     slow = NvmDevice(SIZE)
-    slow.tracer = NullTracer()  # per-element loop throughout
     taps = (RecordingTap(), RecordingTap())
 
     for i, op in enumerate(ops):
         if i == attach_at:
-            bulk.analysis_tap, slow.analysis_tap = taps
+            bulk.attach(taps[0])
+            slow.attach(taps[1])
         _apply(bulk, op)
-        _apply(slow, op)
+        _apply(slow, op, batched=False)
 
     assert taps[0].events == taps[1].events
     assert vars(bulk.stats) == vars(slow.stats)
@@ -169,24 +152,26 @@ def test_midrun_tap_attach_event_parity(seed):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_midrun_tracer_attach_segment_parity(seed):
-    """Same as above for a tracer attached mid-run: identical post-attach
-    cost segments regardless of which path the prefix took."""
+    """Same as above for a cost recorder attached mid-run (with a tap
+    on from the start): identical post-attach cost segments."""
     rng = random.Random(1000 + seed)
     ops = _gen_ops(rng, 30)
     attach_at = rng.randrange(0, len(ops))
 
     bulk = NvmDevice(SIZE)
     slow = NvmDevice(SIZE)
-    slow.analysis_tap = RecordingTap()  # any observer forces per-element
+    taps = (bulk.attach(RecordingTap()), slow.attach(RecordingTap()))
     tracers = (RecordingTracer(), RecordingTracer())
 
     for i, op in enumerate(ops):
         if i == attach_at:
-            bulk.tracer, slow.tracer = tracers
+            bulk.attach(tracers[0])
+            slow.attach(tracers[1])
         _apply(bulk, op)
-        _apply(slow, op)
+        _apply(slow, op, batched=False)
 
     assert tracers[0].segments == tracers[1].segments
+    assert taps[0].events == taps[1].events
     assert vars(bulk.stats) == vars(slow.stats)
 
 
@@ -200,17 +185,17 @@ def test_midrun_tracer_attach_segment_parity(seed):
 )
 def test_store_word_v_error_path_parity(words, exc):
     """Regression (ISSUE 8): a store_word_v batch failing mid-way must
-    leave identical DeviceStats and buffer state on both paths.  The
-    fused path used to apply the prefix to the medium but commit *no*
-    stats, so a tap/tracer attached after the failure read diverging
-    counters depending on the pre-attach path."""
+    leave the DeviceStats and buffer state of the per-element oracle.
+    The fused path used to apply the prefix to the medium but commit
+    *no* stats, so a tap/tracer attached after the failure read
+    diverging counters."""
     bulk = NvmDevice(SIZE)
     slow = NvmDevice(SIZE)
-    slow.tracer = NullTracer()
 
-    for device in (bulk, slow):
-        with pytest.raises(exc):
-            device.store_word_v(words)
+    with pytest.raises(exc):
+        bulk.store_word_v(words)
+    with pytest.raises(exc):
+        PER_ELEMENT["store_word_v"](slow, words)
 
     assert vars(bulk.stats) == vars(slow.stats)
     assert bulk.buffer.working == slow.buffer.working
@@ -218,10 +203,10 @@ def test_store_word_v_error_path_parity(words, exc):
     assert bulk.unfenced_words() == slow.unfenced_words()
 
     # a tap attached after the failed batch sees identical follow-on events
-    taps = (RecordingTap(), RecordingTap())
-    bulk.analysis_tap, slow.analysis_tap = taps
+    taps = (bulk.attach(RecordingTap()), slow.attach(RecordingTap()))
+    bulk.store_word_v([(256, 9)])
+    PER_ELEMENT["store_word_v"](slow, [(256, 9)])
     for device in (bulk, slow):
-        device.store_word_v([(256, 9)])
         device.fence()
     assert taps[0].events == taps[1].events
     assert vars(bulk.stats) == vars(slow.stats)
@@ -234,10 +219,10 @@ def test_store_v_error_path_parity(vec):
     writes = [(0, b"x" * 16), (4096, b"y" * 16), (SIZE - 4, b"z" * 16), (8192, b"w" * 8)]
     bulk = NvmDevice(SIZE)
     slow = NvmDevice(SIZE)
-    slow.tracer = NullTracer()
-    for device in (bulk, slow):
-        with pytest.raises(OutOfRangeError):
-            getattr(device, vec)(writes)
+    with pytest.raises(OutOfRangeError):
+        getattr(bulk, vec)(writes)
+    with pytest.raises(OutOfRangeError):
+        PER_ELEMENT[vec](slow, writes)
     assert vars(bulk.stats) == vars(slow.stats)
     assert bulk.buffer.working == slow.buffer.working
     assert bulk.unfenced_words() == slow.unfenced_words()

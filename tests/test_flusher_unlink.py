@@ -97,7 +97,7 @@ def test_close_of_unlinked_handle_leaves_reused_slot_alone():
 def _build_crashed(crash_after):
     fs = _fs()
     fs.device.drain()
-    fs.device.crash_plan = CrashPlan(crash_after)
+    fs.device.attach(CrashPlan(crash_after))
     try:
         _run_unlink_reuse_workload(fs)
     except CrashRequested:

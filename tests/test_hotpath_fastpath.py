@@ -96,8 +96,8 @@ def test_fast_path_read_after_write_identical_bytes():
 def _run_sequence(fast_path: bool, detach_tracer: bool):
     fs, f = make_fs(leaf_fast_path=fast_path)
     if detach_tracer:
+        fs.device.detach(fs.recorder)
         fs.recorder = NullRecorder()
-        fs.device.tracer = None
     rng = random.Random(99)
     for i in range(250):
         size = rng.choice([8, 64, 100, 128, 2048, 4096, 6000])

@@ -73,7 +73,7 @@ def run_crashy_workload(crash_after, seed, persist_probability):
     rng = random.Random(seed)
     ref = bytearray(CAP)
     pending = None
-    fs.device.crash_plan = CrashPlan(crash_after)
+    fs.device.attach(CrashPlan(crash_after))
     try:
         for _ in range(10_000):
             off = rng.randrange(0, CAP - 1)
@@ -123,7 +123,7 @@ def test_crash_during_recovery_is_recoverable():
 
     # First recovery attempt crashes partway through.
     device = NvmDevice.from_image(image)
-    device.crash_plan = CrashPlan(crash_after=30)
+    device.attach(CrashPlan(crash_after=30))
     try:
         recover(device, config=MgspConfig(degree=16))
     except CrashRequested:
@@ -144,7 +144,7 @@ def test_torn_metalog_entry_means_op_never_happened():
     fs.device.drain()
     # Crash on the second fence of the op (the metalog commit fence) and
     # persist NOTHING unfenced: the entry cannot be durable.
-    fs.device.crash_plan = CrashPlan(crash_after=1, kinds={"fence"})
+    fs.device.attach(CrashPlan(crash_after=1, kinds={"fence"}))
     try:
         f.write(100, b"NEW" * 2000)
     except CrashRequested:

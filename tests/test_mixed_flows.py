@@ -94,7 +94,7 @@ class TestInterleavings:
         fs.device.drain()
         with fs.begin_transaction(f) as txn:
             txn.write(0, b"txn-committed")
-        fs.device.crash_plan = CrashPlan(crash_after=3)
+        fs.device.attach(CrashPlan(crash_after=3))
         try:
             f.write(50_000, b"maybe")
         except CrashRequested:

@@ -49,7 +49,7 @@ class TestCounters:
 class TestTracer:
     def test_media_ops_priced_through_tracer(self, device):
         recorder = TraceRecorder(OptaneTiming())
-        device.tracer = recorder
+        device.attach(recorder)
         recorder.begin_op("x")
         device.nt_store(0, b"a" * 4096)
         device.fence()
@@ -61,7 +61,7 @@ class TestTracer:
 
     def test_cached_store_is_cheap(self, device):
         recorder = TraceRecorder(OptaneTiming())
-        device.tracer = recorder
+        device.attach(recorder)
         recorder.begin_op("x")
         device.store(0, b"a" * 4096)
         cached = recorder.end_op().duration_ns()
@@ -73,20 +73,20 @@ class TestTracer:
 
 class TestCrashPlan:
     def test_fires_after_n_events(self, device):
-        device.crash_plan = CrashPlan(crash_after=2, kinds={"store"})
+        device.attach(CrashPlan(crash_after=2, kinds={"store"}))
         device.store(0, b"a")
         device.store(8, b"b")
         with pytest.raises(CrashRequested):
             device.store(16, b"c")
 
     def test_fires_once(self, device):
-        device.crash_plan = CrashPlan(crash_after=0, kinds={"store"})
+        device.attach(CrashPlan(crash_after=0, kinds={"store"}))
         with pytest.raises(CrashRequested):
             device.store(0, b"a")
         device.store(8, b"b")  # plan already fired: no second crash
 
     def test_other_kinds_ignored(self, device):
-        device.crash_plan = CrashPlan(crash_after=0, kinds={"fence"})
+        device.attach(CrashPlan(crash_after=0, kinds={"fence"}))
         device.store(0, b"a")
         device.flush(0, 1)
         with pytest.raises(CrashRequested):

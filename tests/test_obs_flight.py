@@ -1,4 +1,4 @@
-"""Flight recorder: determinism gate, ring semantics, tap fan-out.
+"""Flight recorder: determinism gate, ring semantics, attach order.
 
 The load-bearing property is **non-perturbation**: attaching the
 recorder (and telemetry) to a workload must leave crash images,
@@ -13,7 +13,7 @@ import pytest
 
 from repro.crashsweep.workloads import get_workload
 from repro.nvm.crash import CrashPlan, count_events
-from repro.nvm.device import NvmDevice, TapFanout, add_tap, remove_tap
+from repro.nvm.device import NvmDevice
 from repro.obs.flight import (
     NULL_FLIGHT,
     FlightRecorder,
@@ -66,20 +66,24 @@ def test_null_flight_is_inert():
 
 
 def test_tap_fanout_add_remove():
+    """Two taps on the observer list see the same stream, in attach
+    order; a detached one sees nothing further."""
     device = NvmDevice(1 << 20)
     a, b = _CountingTap(), _CountingTap()
-    add_tap(device, a)
-    assert device.analysis_tap is a  # single tap stays bare
-    add_tap(device, b)
-    assert isinstance(device.analysis_tap, TapFanout)
+    device.attach(a)
+    device.attach(b)
+    assert device.observers == [a, b]
     device.store(0, b"\xaa" * 8)
     assert a.calls and a.calls == b.calls
-    remove_tap(device, b)
-    assert device.analysis_tap is a  # collapses back to the bare slot
+    device.detach(b)
+    assert device.observers == [a]
     device.fence()
     assert a.calls[-1] == ("fence",) and ("fence",) not in b.calls
-    remove_tap(device, a)
-    assert device.analysis_tap is None
+    device.detach(a)
+    device.detach(a)  # not attached: a no-op
+    assert device.observers == []
+    device.fence()
+    assert a.calls[-1] == ("fence",) and a.calls.count(("fence",)) == 1
 
 
 def test_flight_attach_is_non_perturbing():
@@ -150,6 +154,48 @@ def test_drain_resets_ring_and_index():
     flight.on_drain()
     assert flight.event_index == 0
     assert flight.events_list() == []
+
+
+def test_span_close_heals_through_abandoned_spans():
+    """A close pops through frames an exception unwound past, exactly
+    like Telemetry.span_end; an unknown name empties the stack."""
+    flight = FlightRecorder(capacity=0)
+    for name in ("op.write", "write.log", "mgl.acquire"):
+        flight.on_span_open(name, 0.0)
+    flight.on_span_close("write.log", 1.0, 1.0)  # mgl.acquire was abandoned
+    flight.on_fence()
+    assert flight.events_list()[-1][-1] == ("op.write",)
+    flight.on_span_close("never-opened", 2.0, 0.0)
+    flight.on_fence()
+    assert flight.events_list()[-1][-1] == ()
+
+
+def _attach_unbounded_flight(system):
+    return attach_flight(system, capacity=0)
+
+
+@pytest.mark.parametrize("config", ["sync", "async"])
+def test_either_attach_order_gives_the_same_ring(config):
+    """attach_flight before attach_telemetry used to leave
+    Telemetry.flight unset: no span events in the ring and an empty
+    ``spans`` tuple on every device event."""
+    seen = {}
+    for flight_first in (False, True):
+        attached = []
+        order = (_attach_unbounded_flight, attach_telemetry)[::1 if flight_first else -1]
+
+        def instrument(system):
+            attached.extend(attach(system) for attach in order)
+
+        get_workload("txn-mixed").run(config, instrument=instrument)
+        flight, telemetry = sorted(attached, key=lambda obj: isinstance(obj, FlightRecorder),
+                                   reverse=True)
+        events = flight.events_list()
+        assert sum(e[0] == "span-open" for e in events) == sum(
+            stats.count for stats in telemetry.spans.values()) > 0
+        assert any(e[0] == "store" and e[-1] for e in events)  # spans ride on device events
+        seen[flight_first] = (flight.snapshot(), telemetry.registry.snapshot())
+    assert seen[True] == seen[False]
 
 
 @pytest.mark.parametrize("config", ["sync", "async"])

@@ -28,7 +28,7 @@ class TestRecoveryCorners:
         fs.device.drain()
         # Crash immediately after the metalog fence (fence #2): the op is
         # committed but the size field may not be durable.
-        fs.device.crash_plan = CrashPlan(crash_after=2, kinds={"fence"})
+        fs.device.attach(CrashPlan(crash_after=2, kinds={"fence"}))
         with pytest.raises(CrashRequested):
             f.write(500_000, b"tail-data")
             f.write(600_000, b"x")  # force a second op if the first survived
@@ -59,7 +59,7 @@ class TestRecoveryCorners:
         f = fs.create("w", capacity=MB)
         fs.device.drain()
         rng = random.Random(6)
-        fs.device.crash_plan = CrashPlan(crash_after=400)
+        fs.device.attach(CrashPlan(crash_after=400))
         try:
             while True:
                 f.write(rng.randrange(200) * 4096, b"d" * 4096)
@@ -81,7 +81,7 @@ class TestRecoveryCorners:
             f.write(i * 4096, bytes([i + 1]) * 4096)
         image = crash_image(fs, seed=2)
         device = NvmDevice.from_image(image)
-        device.crash_plan = CrashPlan(crash_after=100)
+        device.attach(CrashPlan(crash_after=100))
         try:
             recover(device, config=MgspConfig(degree=16))
         except CrashRequested:
@@ -110,7 +110,7 @@ class TestRecoveryCorners:
         fs = MgspFilesystem(device_size=64 * MB, config=MgspConfig(degree=16))
         f = fs.create("k", capacity=MB)
         fs.device.drain()
-        fs.device.crash_plan = CrashPlan(crash_after=333)
+        fs.device.attach(CrashPlan(crash_after=333))
         ref = bytearray(MB)
         rng = random.Random(13)
         pending = None

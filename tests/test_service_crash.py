@@ -78,7 +78,7 @@ def _build(crash_after):
     for shard, tenant in ((1, t1), (0, t0)):
         fs = service.shards[shard]
         if shard == 0:
-            fs.device.crash_plan = CrashPlan(crash_after)
+            fs.device.attach(CrashPlan(crash_after))
         try:
             for name, req in service.schedulers[shard].drain():
                 assert name == tenant

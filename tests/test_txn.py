@@ -153,7 +153,7 @@ class TestTxnCrashAtomicity:
         for i in range(n_writes):
             off = rng.randrange(0, 60_000)
             writes.append((off, bytes([0xA0 + i]) * 500))
-        fs.device.crash_plan = CrashPlan(crash_after)
+        fs.device.attach(CrashPlan(crash_after))
         crashed = False
         try:
             txn = fs.begin_transaction(f)
@@ -197,7 +197,7 @@ class TestTxnCrashAtomicity:
         for i in range(40):  # enough for several chained entries
             txn.write(i * 4096, bytes([i + 1]) * 100)
         # Crash inside commit, right after the first member entry's fence.
-        fs.device.crash_plan = CrashPlan(crash_after=0, kinds={"fence"})
+        fs.device.attach(CrashPlan(crash_after=0, kinds={"fence"}))
         with pytest.raises(CrashRequested):
             txn.commit()
         image = fs.device.crash_image(rng=random.Random(1), persist_probability=1.0)
