@@ -1,7 +1,9 @@
 """Benchmark-suite plumbing.
 
-Every module regenerates one table or figure from the paper's evaluation
-(see DESIGN.md's per-experiment index). The pytest-benchmark fixture
+Every module checks one table or figure from the paper's evaluation
+(see DESIGN.md's per-experiment index); the table itself is built by
+``repro.bench.figures.EXPERIMENTS`` — the same function ``python -m
+repro.bench`` prints — never by a copy here. The pytest-benchmark fixture
 times the *simulation run* (wall clock); the scientifically meaningful
 numbers are the simulated metrics, which are printed as a table (run
 with ``-s``) and attached to ``benchmark.extra_info``.
@@ -14,20 +16,6 @@ documents the expected deviations).
 from __future__ import annotations
 
 import pytest
-
-FS_SET = ("Ext4-DAX", "Libnvmmio", "NOVA", "MGSP")
-
-#: file size for FIO-style runs (paper: 1 GB; scaled for simulation)
-FSIZE = 16 << 20
-NOPS = 300
-
-
-def run_and_report(benchmark, fn, report=None):
-    """Run *fn* once under pytest-benchmark and print its result table."""
-    result = benchmark.pedantic(fn, rounds=1, iterations=1)
-    if report is not None:
-        report(result)
-    return result
 
 
 @pytest.fixture

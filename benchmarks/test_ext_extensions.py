@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from benchmarks.conftest import FS_SET
+from repro.bench.figures import FS_SET
 from repro.bench.harness import Table
 from repro.bench.registry import make_fs
 from repro.core import MgspConfig, MgspFilesystem

@@ -8,24 +8,13 @@ every operation is already synchronized and atomic.
 
 from __future__ import annotations
 
-from benchmarks.conftest import FSIZE, NOPS
-from repro.bench.harness import Table, run_one
-from repro.workloads.fio import FioJob
+from repro.bench.figures import EXPERIMENTS
 
 SYSTEMS = ("Ext4-wb", "Ext4-ordered", "Ext4-journal", "Ext4-DAX", "Libnvmmio", "MGSP")
 
 
-def run_experiment() -> Table:
-    table = Table(title="Fig 1 — 4KB write MB/s (no sync vs fsync per op)")
-    for name in SYSTEMS:
-        for label, fsync in (("no-sync", 0), ("sync", 1)):
-            job = FioJob(op="write", bs=4096, fsize=FSIZE, fsync=fsync, nops=NOPS)
-            table.set(name, label, run_one(name, job).throughput_mb_s)
-    return table
-
-
 def test_fig01(bench_table):
-    table = bench_table(run_experiment)
+    table = bench_table(EXPERIMENTS["fig01"])
 
     def v(row, col):
         return table.value(row, col)

@@ -12,32 +12,14 @@ throughput cost (the drains contend for NVM channels).
 
 from __future__ import annotations
 
-from benchmarks.conftest import FSIZE, NOPS
-from repro.bench.harness import Table, run_one
-from repro.core import MgspConfig
+from repro.bench.figures import ASYNC_CONFIG, EXPERIMENTS, FSIZE
 from repro.workloads.fio import FioJob
 
-INTERVALS = ((1, "fsync-1"), (10, "fsync-10"), (100, "fsync-100"), (0, "no-sync"))
-SYSTEMS = ("Ext4-DAX", "Libnvmmio", "NOVA", "MGSP")
-
-ASYNC_CONFIG = MgspConfig(async_writeback=True, writeback_epoch_bytes=256 << 10)
-
-
-def run_experiment() -> Table:
-    table = Table(title="Fig 7 — 4KB seq write MB/s vs sync interval")
-    for name in SYSTEMS:
-        for interval, label in INTERVALS:
-            job = FioJob(op="write", bs=4096, fsize=FSIZE, fsync=interval, nops=NOPS)
-            table.set(name, label, run_one(name, job).throughput_mb_s)
-    for interval, label in INTERVALS:
-        job = FioJob(op="write", bs=4096, fsize=FSIZE, fsync=interval, nops=NOPS)
-        result = run_one("MGSP", job, mgsp_config=ASYNC_CONFIG)
-        table.set("MGSP-async", label, result.throughput_mb_s)
-    return table
+NOPS = 300  # fig07's default
 
 
 def test_fig07(bench_table):
-    table = bench_table(run_experiment)
+    table = bench_table(EXPERIMENTS["fig07"])
     v = table.value
 
     # MGSP nearly flat: <= ~25% spread between fsync-1 and no-sync.
@@ -52,7 +34,7 @@ def test_fig07(bench_table):
     for name in ("Ext4-DAX", "Libnvmmio"):
         assert v("MGSP", "fsync-1") > 2 * v(name, "fsync-1")
     # Async epochs keep most of the synchronous throughput and stay flat.
-    for _, label in INTERVALS:
+    for label in table.columns:
         assert v("MGSP-async", label) > 0.5 * v("MGSP", label)
     assert v("MGSP-async", "fsync-1") > 0.7 * v("MGSP-async", "no-sync")
 

@@ -17,23 +17,12 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import FSIZE, FS_SET, NOPS
-from repro.bench.harness import Table, run_one
+from repro.bench.figures import EXPERIMENTS
+from repro.bench.harness import Table
 from repro.util import fmt_size
-from repro.workloads.fio import FioJob
 
 FINE = (512, 1024, 2048)
 COARSE = (4096, 16384, 65536)
-SIZES = FINE + COARSE
-
-
-def run_matrix(op: str) -> Table:
-    table = Table(title=f"Fig 8 — {op} MB/s by block size (fsync per op)")
-    for bs in SIZES:
-        job = FioJob(op=op, bs=bs, fsize=FSIZE, fsync=1, nops=NOPS)
-        for name in FS_SET:
-            table.set(name, fmt_size(bs), run_one(name, job).throughput_mb_s)
-    return table
 
 
 def ratios(table: Table, base: str):
@@ -42,39 +31,39 @@ def ratios(table: Table, base: str):
     }
 
 
-@pytest.mark.parametrize("op", ["write", "randwrite"])
-def test_fig08_writes(bench_table, op):
-    table = bench_table(lambda: run_matrix(op))
+@pytest.mark.parametrize("key", ["fig08-write", "fig08-randwrite"])
+def test_fig08_writes(bench_table, key):
+    table = bench_table(EXPERIMENTS[key])
     vs_dax = ratios(table, "Ext4-DAX")
     vs_lib = ratios(table, "Libnvmmio")
     vs_nova = ratios(table, "NOVA")
 
     for bs in FINE:
         col = fmt_size(bs)
-        assert 2.4 <= vs_dax[col] <= 4.8, (op, col, vs_dax[col])
-        assert 2.8 <= vs_lib[col] <= 5.2, (op, col, vs_lib[col])
-        assert 1.3 <= vs_nova[col] <= 2.6, (op, col, vs_nova[col])
+        assert 2.4 <= vs_dax[col] <= 4.8, (key, col, vs_dax[col])
+        assert 2.8 <= vs_lib[col] <= 5.2, (key, col, vs_lib[col])
+        assert 1.3 <= vs_nova[col] <= 2.6, (key, col, vs_nova[col])
     for bs in COARSE:
         col = fmt_size(bs)
-        assert 0.85 <= vs_dax[col] <= 3.2, (op, col, vs_dax[col])
-        assert 2.6 <= vs_lib[col] <= 5.0, (op, col, vs_lib[col])
-        assert 0.85 <= vs_nova[col] <= 1.6, (op, col, vs_nova[col])
+        assert 0.85 <= vs_dax[col] <= 3.2, (key, col, vs_dax[col])
+        assert 2.6 <= vs_lib[col] <= 5.0, (key, col, vs_lib[col])
+        assert 0.85 <= vs_nova[col] <= 1.6, (key, col, vs_nova[col])
     # Fine-grained advantage shrinks as block size grows (write-amp story).
     assert vs_dax[fmt_size(512)] > vs_dax[fmt_size(16384)] > vs_dax[fmt_size(65536)]
 
 
-@pytest.mark.parametrize("op", ["read", "randread"])
-def test_fig08_reads(bench_table, op):
-    table = bench_table(lambda: run_matrix(op))
+@pytest.mark.parametrize("key", ["fig08-read", "fig08-randread"])
+def test_fig08_reads(bench_table, key):
+    table = bench_table(EXPERIMENTS[key])
     vs_dax = ratios(table, "Ext4-DAX")
     vs_lib = ratios(table, "Libnvmmio")
 
     for bs in FINE:
         col = fmt_size(bs)
-        assert 1.6 <= vs_dax[col] <= 3.2, (op, col, vs_dax[col])
-        assert 0.9 <= vs_lib[col] <= 1.3, (op, col, vs_lib[col])
+        assert 1.6 <= vs_dax[col] <= 3.2, (key, col, vs_dax[col])
+        assert 0.9 <= vs_lib[col] <= 1.3, (key, col, vs_lib[col])
     for bs in COARSE:
         col = fmt_size(bs)
-        assert 1.0 <= vs_dax[col] <= 2.0, (op, col, vs_dax[col])
+        assert 1.0 <= vs_dax[col] <= 2.0, (key, col, vs_dax[col])
     # Reads gain less than writes: MGSP is not designed for reads.
     assert vs_dax[fmt_size(1024)] < 3.5

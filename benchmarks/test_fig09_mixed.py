@@ -7,31 +7,13 @@ Ext4-DAX once writes reach 50%; NOVA holds +58.7~92.2%; MGSP holds
 
 from __future__ import annotations
 
-from benchmarks.conftest import FSIZE, FS_SET, NOPS
-from repro.bench.harness import Table, run_one
-from repro.workloads.fio import FioJob
+from repro.bench.figures import EXPERIMENTS
 
 RATIOS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 
-def run_experiment() -> Table:
-    table = Table(title="Fig 9 — 4KB mixed rw, throughput normalized to Ext4-DAX")
-    for ratio in RATIOS:
-        col = f"{int(ratio * 100)}%w"
-        base = None
-        for name in FS_SET:
-            job = FioJob(
-                op="randrw", bs=4096, fsize=FSIZE, fsync=1, write_ratio=ratio, nops=NOPS
-            )
-            mbps = run_one(name, job).throughput_mb_s
-            if name == "Ext4-DAX":
-                base = mbps
-            table.set(name, col, mbps / base)
-    return table
-
-
 def test_fig09(bench_table):
-    table = bench_table(run_experiment)
+    table = bench_table(EXPERIMENTS["fig09"])
     v = table.value
 
     for ratio in RATIOS:

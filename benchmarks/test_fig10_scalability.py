@@ -10,29 +10,16 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import FSIZE, FS_SET
-from repro.bench.harness import Table, run_one
-from repro.util import fmt_size
-from repro.workloads.fio import FioJob
+from repro.bench.figures import EXPERIMENTS, fig10
 
 THREADS = (1, 2, 4, 8, 16)
-OPS_PER_THREAD = 150
 
 
-def run_matrix(op: str, bs: int) -> Table:
-    table = Table(title=f"Fig 10 — {op} bs={fmt_size(bs)} MB/s by thread count")
-    for name in FS_SET:
-        for t in THREADS:
-            job = FioJob(
-                op=op, bs=bs, fsize=FSIZE, fsync=1, threads=t, nops=OPS_PER_THREAD * t
-            )
-            table.set(name, f"t{t}", run_one(name, job).throughput_mb_s)
-    return table
-
-
-@pytest.mark.parametrize("op", ["write", "randwrite"])
-def test_fig10_fine_grained_1k(bench_table, op):
-    table = bench_table(lambda: run_matrix(op, 1024))
+@pytest.mark.parametrize(
+    "run", [EXPERIMENTS["fig10-1k"], lambda: fig10("randwrite", 1024)], ids=["write", "randwrite"]
+)
+def test_fig10_fine_grained_1k(bench_table, run):
+    table = bench_table(run)
     v = table.value
     # MGSP scales: 16 threads at least 3.5x its single thread.
     assert v("MGSP", "t16") > 3.5 * v("MGSP", "t1")
@@ -49,9 +36,11 @@ def test_fig10_fine_grained_1k(bench_table, op):
     assert 1.4 <= min(nova_ratios) and max(nova_ratios) <= 7.0
 
 
-@pytest.mark.parametrize("op", ["write", "randwrite"])
-def test_fig10_4k(bench_table, op):
-    table = bench_table(lambda: run_matrix(op, 4096))
+@pytest.mark.parametrize(
+    "run", [EXPERIMENTS["fig10-4k"], lambda: fig10("randwrite", 4096)], ids=["write", "randwrite"]
+)
+def test_fig10_4k(bench_table, run):
+    table = bench_table(run)
     v = table.value
     ratios = [v("MGSP", f"t{t}") / v("Ext4-DAX", f"t{t}") for t in THREADS]
     # Paper: 2.56-3.76x (seq) / 2.13-3.51x (rand) across the sweep.
@@ -59,7 +48,7 @@ def test_fig10_4k(bench_table, op):
 
 
 def test_fig10_16k_converges(bench_table):
-    table = bench_table(lambda: run_matrix("write", 16384))
+    table = bench_table(EXPERIMENTS["fig10-16k"])
     v = table.value
     # Coarse-grained writes: hardware-limited; MGSP ~ Ext4-DAX ~ NOVA.
     for t in (8, 16):

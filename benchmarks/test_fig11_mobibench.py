@@ -10,34 +10,20 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import FS_SET
-from repro.bench.harness import Table
-from repro.bench.registry import make_fs
-from repro.workloads.mobibench import run_mobibench
+from repro.bench.figures import EXPERIMENTS
 
 MODES = ("insert", "update", "delete")
-TXNS = 150
 
 
-def run_matrix(journal_mode: str) -> Table:
-    table = Table(title=f"Fig 11 — Mobibench tx/s (SQLite journal={journal_mode})")
-    for name in FS_SET:
-        for mode in MODES:
-            fs = make_fs(name, device_size=96 << 20)
-            result = run_mobibench(fs, mode=mode, journal_mode=journal_mode, transactions=TXNS)
-            table.set(name, mode, result.tx_per_sec)
-    return table
-
-
-@pytest.mark.parametrize("journal_mode", ["wal", "off"])
-def test_fig11(bench_table, journal_mode):
-    table = bench_table(lambda: run_matrix(journal_mode))
+@pytest.mark.parametrize("key", ["fig11-wal", "fig11-off"])
+def test_fig11(bench_table, key):
+    table = bench_table(EXPERIMENTS[key])
     v = table.value
     for mode in MODES:
         mgsp = v("MGSP", mode)
         # MGSP ahead of Ext4-DAX by a 5-60% margin (paper: 8-33%).
         gain_dax = mgsp / v("Ext4-DAX", mode) - 1
-        assert 0.05 <= gain_dax <= 0.60, (journal_mode, mode, gain_dax)
+        assert 0.05 <= gain_dax <= 0.60, (key, mode, gain_dax)
         # MGSP ahead of Libnvmmio.
         assert mgsp > v("Libnvmmio", mode)
         # NOVA sits between MGSP and Ext4-DAX.

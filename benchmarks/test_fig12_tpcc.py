@@ -9,27 +9,11 @@ MGSP >= NOVA > Ext4-DAX > Libnvmmio.
 
 from __future__ import annotations
 
-import pytest
-
-from benchmarks.conftest import FS_SET
-from repro.bench.harness import Table
-from repro.bench.registry import make_fs
-from repro.workloads.tpcc import run_tpcc
-
-TXNS = 120
-
-
-def run_matrix(journal_mode: str) -> Table:
-    table = Table(title=f"Fig 12 — TPC-C transactions/min (journal={journal_mode})")
-    for name in FS_SET:
-        fs = make_fs(name, device_size=192 << 20)
-        result = run_tpcc(fs, journal_mode=journal_mode, transactions=TXNS)
-        table.set(name, "tpm", result.tpm)
-    return table
+from repro.bench.figures import EXPERIMENTS
 
 
 def test_fig12_wal_similar(bench_table):
-    table = bench_table(lambda: run_matrix("wal"))
+    table = bench_table(EXPERIMENTS["fig12-wal"])
     v = table.value
     # WAL mode: MGSP ~ Ext4-DAX ~ NOVA ("performs similarly").
     assert 0.95 <= v("MGSP", "tpm") / v("Ext4-DAX", "tpm") <= 1.25
@@ -39,7 +23,7 @@ def test_fig12_wal_similar(bench_table):
 
 
 def test_fig12_off_mgsp_wins(bench_table):
-    table = bench_table(lambda: run_matrix("off"))
+    table = bench_table(EXPERIMENTS["fig12-off"])
     v = table.value
     mgsp = v("MGSP", "tpm")
     # Ordering matches the paper: MGSP >= NOVA > Ext4-DAX > Libnvmmio.

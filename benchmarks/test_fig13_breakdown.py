@@ -14,51 +14,13 @@ We stack the techniques cumulatively:
 
 from __future__ import annotations
 
-import pytest
-
-from repro.bench.harness import Table, run_one
-from repro.core.config import MgspConfig
-from repro.util import fmt_size
-from repro.workloads.fio import FioJob
-
-CASES = ((1024, 1), (2048, 2), (4096, 4))
-
-STACK = (
-    ("base", MgspConfig.baseline()),
-    ("+shadow", MgspConfig.baseline().with_shadow_logging()),
-    ("+multigran", MgspConfig.baseline().with_shadow_logging().with_multi_granularity()),
-    (
-        "+finelock",
-        MgspConfig.baseline().with_shadow_logging().with_multi_granularity().with_fine_locking(),
-    ),
-    (
-        "+opts",
-        MgspConfig.baseline()
-        .with_shadow_logging()
-        .with_multi_granularity()
-        .with_fine_locking()
-        .with_optimizations(),
-    ),
-)
-
-
-def run_experiment() -> Table:
-    table = Table(title="Fig 13 — technique stack, speedup over Ext4-DAX")
-    for bs, threads in CASES:
-        col = f"{fmt_size(bs)}/{threads}t"
-        job = FioJob(op="write", bs=bs, fsize=16 << 20, fsync=1, threads=threads, nops=200 * threads)
-        base = run_one("Ext4-DAX", job).throughput_mb_s
-        for label, config in STACK:
-            mbps = run_one("MGSP", job, mgsp_config=config).throughput_mb_s
-            table.set(label, col, f"{mbps / base:.2f}")
-    return table
+from repro.bench.figures import EXPERIMENTS
 
 
 def test_fig13(bench_table):
-    table = bench_table(run_experiment)
+    table = bench_table(EXPERIMENTS["fig13"])
     v = table.value
-    for bs, threads in CASES:
-        col = f"{fmt_size(bs)}/{threads}t"
+    for col in table.columns:
         # Shadow logging removes the double write: the largest single jump.
         assert v("+shadow", col) > 1.3 * v("base", col), col
         # Every added technique helps (or at worst is neutral).

@@ -12,57 +12,19 @@ bound, and that the written-back bytes never exceed the file size.
 
 from __future__ import annotations
 
-import random
+from repro.bench.figures import EXPERIMENTS
 
-from repro.core import MgspConfig, MgspFilesystem, recover
-from repro.errors import CrashRequested
-from repro.nvm.crash import CrashPlan
-from repro.nvm.device import NvmDevice
-
-FILE_SIZE = 64 << 20
 PAPER_FILE_SIZE = 1 << 30
 
 
-def run_experiment():
-    config = MgspConfig()
-    fs = MgspFilesystem(device_size=256 << 20, config=config)
-    f = fs.create("big.dat", capacity=FILE_SIZE)
-    fs.device.buffer.store(f.inode.base, b"\x11" * FILE_SIZE)
-    fs.device.buffer.drain()
-    fs.volume.set_size(f.inode, FILE_SIZE)
-
-    rng = random.Random(17)
-    fs.device.attach(CrashPlan(crash_after=60_000))
-    writes = 0
-    try:
-        while True:
-            off = rng.randrange(0, FILE_SIZE // 4096) * 4096
-            f.write(off, b"\x22" * 4096)
-            writes += 1
-    except CrashRequested:
-        pass
-
-    image = fs.device.crash_image(rng=random.Random(3))
-    device = NvmDevice.from_image(bytes(image))
-    fs2, stats = recover(device, config=config)
-    return {
-        "writes_before_crash": writes,
-        "entries_replayed": stats.entries_replayed,
-        "log_bytes_written_back": stats.log_bytes_written_back,
-        "recovery_ms": stats.elapsed_ns / 1e6,
-        "extrapolated_1g_ms": stats.elapsed_ns / 1e6 * (PAPER_FILE_SIZE / FILE_SIZE)
-        * (stats.log_bytes_written_back / max(1, FILE_SIZE)),
-    }
-
-
 def test_recovery_time(bench_table):
-    stats = bench_table(run_experiment)
+    stats = bench_table(EXPERIMENTS["recovery"])
     # Logs written back never exceed the file size (paper's bound).
-    assert stats["log_bytes_written_back"] <= FILE_SIZE
+    assert stats.log_bytes_written_back <= stats.file_size
     # Virtual recovery of the scaled file is a few-hundred-ms affair at
     # most; the paper's 1 GB bound of ~1 s must hold when scaled.
-    per_byte_ms = stats["recovery_ms"] / max(1, stats["log_bytes_written_back"])
+    per_byte_ms = stats.recovery_ms / max(1, stats.log_bytes_written_back)
     worst_case_1g_ms = per_byte_ms * PAPER_FILE_SIZE
     assert worst_case_1g_ms < 1000, worst_case_1g_ms
     # The interrupted operation (if any) was rolled forward.
-    assert stats["entries_replayed"] <= 1
+    assert stats.entries_replayed <= 1

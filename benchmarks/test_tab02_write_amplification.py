@@ -13,18 +13,7 @@ Paper (device bytes / API bytes):
 
 from __future__ import annotations
 
-from benchmarks.conftest import FSIZE, NOPS
-from repro.bench.harness import Table, run_one
-from repro.util import fmt_size
-from repro.workloads.fio import FioJob
-
-CONFIGS = (
-    ("Libnvmmio", 1, "Libnvmmio"),
-    ("Libnvmmio", 100, "Libnvmmio-100"),
-    ("Libnvmmio", 0, "Libnvmmio-wo-sync"),
-    ("MGSP", 1, "MGSP"),
-)
-SIZES = (1024, 4096, 16384)
+from repro.bench.figures import EXPERIMENTS
 
 PAPER = {
     ("Libnvmmio", "1K"): 2.048, ("Libnvmmio", "4K"): 2.013, ("Libnvmmio", "16K"): 2.002,
@@ -34,18 +23,8 @@ PAPER = {
 }
 
 
-def run_experiment() -> Table:
-    table = Table(title="Table II — random-write amplification (device/API bytes)")
-    for bs in SIZES:
-        for fs_name, fsync, row in CONFIGS:
-            job = FioJob(op="randwrite", bs=bs, fsize=FSIZE, fsync=fsync, nops=NOPS)
-            result = run_one(fs_name, job)
-            table.set(row, fmt_size(bs), f"{result.write_amplification:.3f}")
-    return table
-
-
 def test_tab02(bench_table):
-    table = bench_table(run_experiment)
+    table = bench_table(EXPERIMENTS["tab02"])
     for (row, col), paper in PAPER.items():
         measured = table.value(row, col)
         # Within 6% of the paper's measured ratio — the closest-matching

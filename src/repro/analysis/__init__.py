@@ -14,7 +14,6 @@ from repro.analysis.analyzer import (
     ERROR,
     PERF,
     RULES,
-    AnalysisRecorder,
     Finding,
     RegionMap,
     TraceAnalyzer,
@@ -36,7 +35,6 @@ __all__ = [
     "ERROR",
     "PERF",
     "RULES",
-    "AnalysisRecorder",
     "AnalysisReport",
     "Finding",
     "ProgramCtx",

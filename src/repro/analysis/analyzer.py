@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.fsapi.layout import VolumeLayout
-from repro.sim.trace import TappedRecorder
 from repro.util import CACHE_LINE
 
 ERROR = "error"
@@ -126,9 +125,10 @@ class TraceAnalyzer:
 
     Attach with :func:`repro.analysis.harness.attach_analyzer` (or
     ``device.attach(analyzer)`` by hand and feed op boundaries through
-    :class:`AnalysisRecorder`). ``on_drain`` resets both line state and
-    the event counter — aligned with the sweep's drain-then-arm
-    sequence, so reported indices match ``--at`` reproducer indices.
+    :class:`~repro.sim.trace.TappedRecorder`). ``on_drain`` resets both
+    line state and the event counter — aligned with the sweep's
+    drain-then-arm sequence, so reported indices match ``--at``
+    reproducer indices.
     """
 
     def __init__(
@@ -258,7 +258,7 @@ class TraceAnalyzer:
         self.event_index = 0
         self.saturated = False
 
-    # -- op boundaries (fed by AnalysisRecorder) ---------------------------
+    # -- op boundaries (fed by TappedRecorder) ---------------------------
 
     def on_op_begin(self, name: str) -> None:
         self._op = name
@@ -292,8 +292,3 @@ class TraceAnalyzer:
                 f"op {name!r} returned with {len(fresh)} dirty line(s) at "
                 f"offset(s) {shown}{more} and async write-back is off",
             )
-
-
-#: the name this package exports for the recorder wrapper that feeds op
-#: boundaries to an analyzer (or any listener with the same two hooks)
-AnalysisRecorder = TappedRecorder

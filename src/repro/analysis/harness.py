@@ -18,9 +18,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.analyzer import AnalysisRecorder, Finding, RegionMap, TraceAnalyzer
+from repro.analysis.analyzer import Finding, RegionMap, TraceAnalyzer
 from repro.nvm.crash import count_events
 from repro.nvm.device import NvmDevice
+from repro.sim.trace import TappedRecorder
 
 #: CLI-friendly aliases -> registry names
 WORKLOAD_ALIASES: Dict[str, str] = {
@@ -56,7 +57,7 @@ def attach_analyzer(
         max_events=max_events,
     )
     fs.device.attach(analyzer)
-    fs.recorder = AnalysisRecorder(fs.recorder, analyzer)
+    fs.recorder = TappedRecorder(fs.recorder, analyzer)
     return analyzer
 
 

@@ -41,28 +41,21 @@ class MgspConfig:
     min_search_tree: bool = True
     lazy_intention_locks: bool = True
     greedy_locking: bool = True
-    #: leaf fast path: writes contained in one leaf skip the radix
-    #: descent and plan against the handle's cached ancestor chain
-    leaf_fast_path: bool = True
 
     # -- asynchronous write-back epochs --------------------------------------
 
     #: drain fresh log bytes back into files on epoch boundaries instead
     #: of only at close (bounds log usage and recovery time online)
     async_writeback: bool = False
-    #: epoch boundary: fresh log bytes accumulated per file (0 = off)
+    #: epoch boundary: fresh log bytes accumulated per file
     writeback_epoch_bytes: int = 1 << 20
-    #: epoch boundary: writes accumulated per file (0 = off)
-    writeback_epoch_ops: int = 0
 
     #: metadata-log entries (paper: 4 KB area -> 32 x 128 B entries)
     metalog_entries: int = 32
 
     def __post_init__(self) -> None:
-        if self.async_writeback and (
-            self.writeback_epoch_bytes <= 0 and self.writeback_epoch_ops <= 0
-        ):
-            raise ValueError("async_writeback needs a bytes or ops epoch threshold")
+        if self.async_writeback and self.writeback_epoch_bytes <= 0:
+            raise ValueError("async_writeback needs a positive writeback_epoch_bytes")
         if not is_power_of_two(self.degree):
             raise ValueError(f"degree must be a power of two, got {self.degree}")
         if not is_power_of_two(self.leaf_size):

@@ -166,45 +166,35 @@ class MgspFile(FileHandle):
             )
         if not data:
             return 0
-        # An op needing more metadata slots than one entry holds is split
-        # into independently-atomic sub-writes.
         self._ensure_height(offset + len(data))
-        if self.config.leaf_fast_path:
-            leaf_index = offset // self.config.leaf_size
-            if offset + len(data) <= (leaf_index + 1) * self.config.leaf_size:
-                # Fully inside one leaf: exactly one terminal, so the
-                # slot-budget split question is settled by geometry and
-                # the planner can replay the handle's cached root->leaf
-                # chain instead of descending.
-                try:
-                    self._write_atomic(offset, data, leaf_index)
-                except AllocationError:
-                    self.checkpoint()
-                    self._write_atomic(offset, data, leaf_index)
-                self._note_write(len(data))
-                return len(data)
-        if self._terminal_count(offset, len(data), MAX_SLOTS) > MAX_SLOTS:
-            mid = align_down(offset + len(data) // 2, self.config.sub_block)
-            if mid <= offset:
-                mid = offset + len(data) // 2
-            self.write(offset, data[: mid - offset])
-            self.write(mid, data[mid - offset :])
-            return len(data)  # sub-writes already notified the flusher
+        # A write fully inside one leaf has exactly one terminal: the
+        # slot budget is settled by geometry and the planner replays the
+        # handle's cached root->leaf chain instead of descending. Any
+        # other write (leaf_index None) is planned by descent, and one
+        # needing more metadata slots than an entry holds is split into
+        # independently-atomic sub-writes.
+        leaf_index: Optional[int] = offset // self.config.leaf_size
+        if offset + len(data) > (leaf_index + 1) * self.config.leaf_size:
+            leaf_index = None
+            if self._terminal_count(offset, len(data), MAX_SLOTS) > MAX_SLOTS:
+                mid = align_down(offset + len(data) // 2, self.config.sub_block)
+                if mid <= offset:
+                    mid = offset + len(data) // 2
+                self.write(offset, data[: mid - offset])
+                self.write(mid, data[mid - offset :])
+                return len(data)  # sub-writes already notified the flusher
         try:
-            self._write_atomic(offset, data)
+            self._write_atomic(offset, data, leaf_index)
         except AllocationError:
             # Log area exhausted: reclaim it by writing the logs back
             # (the paper reclaims at close; long-running writers need it
             # online), then retry once.
             self.checkpoint()
-            self._write_atomic(offset, data)
-        self._note_write(len(data))
-        return len(data)
-
-    def _note_write(self, nbytes: int) -> None:
+            self._write_atomic(offset, data, leaf_index)
         flusher = self.fs.flusher
         if flusher is not None:
-            flusher.note_write(self, nbytes)
+            flusher.note_write(self, len(data))
+        return len(data)
 
     def _leaf_path(self, leaf_index: int):
         """Resolve (leaf, root->parent ancestor chain), cached per handle.
@@ -245,9 +235,7 @@ class MgspFile(FileHandle):
             if self.tree.grow_to(end):
                 self.fs.device.fence()
 
-    def _write_atomic(
-        self, offset: int, data: bytes, leaf_index: Optional[int] = None
-    ) -> None:
+    def _write_atomic(self, offset: int, data: bytes, leaf_index: Optional[int]) -> None:
         fs = self.fs
         rec = fs.recorder
         timing = fs.timing
@@ -255,20 +243,17 @@ class MgspFile(FileHandle):
         obs = fs.obs
         frame = obs.span_begin("op.write") if obs.enabled else None
         # Inlined fs.op("write") bracket (hot path: no contextmanager).
-        enabled = rec.enabled
-        if enabled:
-            rec.begin_op("write")
-            rec.compute(timing.syscall_ns if fs.kernel_space else timing.user_call_ns)
+        rec.begin_op("write")
+        rec.compute(timing.syscall_ns if fs.kernel_space else timing.user_call_ns)
         try:
             # 1. Claim a private metadata-log entry (hash + CAS probing).
-            entry = fs.metalog.claim(thread, rec if enabled else None)
+            entry = fs.metalog.claim(thread, rec)
             try:
                 self._write_locked(entry, offset, data, leaf_index)
             finally:
                 fs.metalog.release(entry)
         finally:
-            if enabled:
-                rec.end_op()
+            rec.end_op()
             if frame is not None:
                 # Also heals any phase frame left open by an exception.
                 obs.span_end(frame)
@@ -276,7 +261,7 @@ class MgspFile(FileHandle):
         fs.api.bytes_written += len(data)
 
     def _write_locked(
-        self, entry: int, offset: int, data: bytes, leaf_index: Optional[int] = None
+        self, entry: int, offset: int, data: bytes, leaf_index: Optional[int]
     ) -> None:
         fs = self.fs
         rec = fs.recorder
@@ -297,8 +282,7 @@ class MgspFile(FileHandle):
         else:
             plan = self.shadow.plan_write(offset, data, gen)
             covering = self._covering_node(offset, len(data))
-        if rec.enabled:
-            rec.compute(timing.tree_node_ns * max(1, plan.nodes_visited - saved))
+        rec.compute(timing.tree_node_ns * max(1, plan.nodes_visited - saved))
         if frame is not None:
             obs.span_end(frame)
 
@@ -318,9 +302,8 @@ class MgspFile(FileHandle):
         self.tree.store_words(plan.refreshes)
         if plan.new_logs:
             self.tree.store_log_ptrs(plan.new_logs)
-            if rec.enabled:
-                # per-size free-list pop
-                rec.compute(timing.block_alloc_ns * 0.2 * len(plan.new_logs))
+            # per-size free-list pop
+            rec.compute(timing.block_alloc_ns * 0.2 * len(plan.new_logs))
         if frame is not None:
             obs.span_end(frame)
             frame = obs.span_begin("write.data")
@@ -454,19 +437,25 @@ class MgspFile(FileHandle):
         fence, and a crash mid-checkpoint just recovers the logs again.
         """
         self._check_open()
-        fs = self.fs
-        with fs.op("checkpoint"):
-            copied = self.shadow.write_back()
-            freed = [
-                (node.log_off, node.size)
-                for node in self.tree.nodes.values()
-                if node.log_off
-            ]
-            self.tree.clear_table()  # zeroes words, then pointers, durably
-            for log_off, size in freed:
-                fs.logs.free(log_off, size)
-            fs.volume.persist_size(self.inode)
+        with self.fs.op("checkpoint"):
+            copied = self._reclaim_logs()
             self._mst = None
+        return copied
+
+    def _reclaim_logs(self) -> int:
+        """Write all logs back to the file and release log space;
+        returns bytes copied."""
+        fs = self.fs
+        copied = self.shadow.write_back()
+        freed = [
+            (node.log_off, node.size)
+            for node in self.tree.nodes.values()
+            if node.log_off
+        ]
+        self.tree.clear_table()  # zeroes words, then pointers, durably
+        for log_off, size in freed:
+            fs.logs.free(log_off, size)
+        fs.volume.persist_size(self.inode)
         return copied
 
     def close(self) -> None:
@@ -475,16 +464,7 @@ class MgspFile(FileHandle):
             return
         fs = self.fs
         with fs.op("close"):
-            self.shadow.write_back()
-            freed = [
-                (node.log_off, node.size)
-                for node in self.tree.nodes.values()
-                if node.log_off
-            ]
-            self.tree.clear_table()  # zeroes words, then pointers, durably
-            for log_off, size in freed:
-                fs.logs.free(log_off, size)
-            fs.volume.persist_size(self.inode)
+            self._reclaim_logs()
         super().close()
         if fs.flusher is not None:
             fs.flusher.forget(self.inode.id)

@@ -6,9 +6,9 @@ recovery and eventually exhausts the log area, forcing a synchronous
 stop-the-world checkpoint *inside* a write. With
 ``MgspConfig.async_writeback`` the scheduler drains files proactively at
 *epoch boundaries*: once a file has accumulated ``writeback_epoch_bytes``
-fresh log bytes (or ``writeback_epoch_ops`` writes) since its last
-drain, its logs are written back on the filesystem's background trace
-stream (``MgspFilesystem.bg_recorder``). In the simulated timeline those
+fresh log bytes since its last drain, its logs are written back on the
+filesystem's background trace stream
+(``MgspFilesystem.bg_recorder``). In the simulated timeline those
 traces replay as a dedicated flusher thread competing for NVM channels
 (see ``ReplayEngine.run(background=...)``); the foreground write that
 crossed the boundary pays only the hand-off.
@@ -27,12 +27,10 @@ from typing import Dict
 class WritebackScheduler:
     """Per-file fresh-log accounting + epoch-boundary drains."""
 
-    def __init__(self, fs, epoch_bytes: int, epoch_ops: int) -> None:
+    def __init__(self, fs, epoch_bytes: int) -> None:
         self.fs = fs
         self.epoch_bytes = epoch_bytes
-        self.epoch_ops = epoch_ops
         self._fresh_bytes: Dict[int, int] = {}
-        self._fresh_ops: Dict[int, int] = {}
         # observability
         self.epochs = 0
         self.bytes_drained = 0
@@ -42,12 +40,8 @@ class WritebackScheduler:
         """Record one completed synchronized write; drain on boundary."""
         key = handle.inode.id
         fresh = self._fresh_bytes.get(key, 0) + nbytes
-        ops = self._fresh_ops.get(key, 0) + 1
         self._fresh_bytes[key] = fresh
-        self._fresh_ops[key] = ops
-        if (self.epoch_bytes and fresh >= self.epoch_bytes) or (
-            self.epoch_ops and ops >= self.epoch_ops
-        ):
+        if fresh >= self.epoch_bytes:
             self.drain(handle)
 
     def drain(self, handle) -> int:
@@ -58,7 +52,6 @@ class WritebackScheduler:
             # forget() already dropped, leaking one dict slot per
             # close/unlink cycle in a long-running service.
             self._fresh_bytes.pop(key, None)
-            self._fresh_ops.pop(key, None)
             return 0
         txn = handle._open_txn
         if txn is not None and txn.open:
@@ -78,7 +71,6 @@ class WritebackScheduler:
             fs.recorder = fg_recorder
             fs.device.reprice(None)
         self._fresh_bytes[key] = 0
-        self._fresh_ops[key] = 0
         self.epochs += 1
         self.bytes_drained += copied
         if frame is not None:
@@ -92,4 +84,3 @@ class WritebackScheduler:
     def forget(self, inode_id: int) -> None:
         """Drop accounting for a closed file (its logs are gone)."""
         self._fresh_bytes.pop(inode_id, None)
-        self._fresh_ops.pop(inode_id, None)

@@ -124,8 +124,6 @@ class MetadataLog:
     # -- claim / release (lock-free via hash + CAS in the real system) -------
 
     def claim(self, thread_id: int, recorder=None) -> int:
-        if recorder is not None and not recorder.enabled:
-            recorder = None
         if recorder is not None:
             recorder.compute(recorder.timing.hash_ns)
         start = hash(thread_id) % self.entries

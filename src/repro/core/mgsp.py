@@ -51,11 +51,7 @@ class MgspFilesystem(FileSystem):
         land on ``bg_recorder`` and replay as a flusher thread."""
         self.bg_recorder = TraceRecorder(self.timing)
         self.flusher = (
-            WritebackScheduler(
-                self,
-                self.config.writeback_epoch_bytes,
-                self.config.writeback_epoch_ops,
-            )
+            WritebackScheduler(self, self.config.writeback_epoch_bytes)
             if self.config.async_writeback
             else None
         )

@@ -328,45 +328,6 @@ class ShadowLog:
         log_delta = node.log_off - node.start
         anc_delta = last_base - last_start
 
-        if s1 - s0 == 1:
-            # Single touched sub-block (the small-write hot case): one
-            # run, one target, both RMW fills read the same source.
-            bit = (mask >> s0) & 1
-            if shadow and bit:
-                stats.undo_commits += 1
-                target_delta = anc_delta
-            else:
-                stats.redo_commits += 1
-                target_delta = log_delta
-            fill_delta = log_delta if bit else anc_delta
-            run_start = node.start + s0 * sub
-            run_end = run_start + sub
-            payload = data[off - data_base : end - data_base]
-            if off > run_start:
-                head = self._read_clipped(run_start + fill_delta, off - run_start)
-                stats.rmw_fill_bytes += off - run_start
-                payload = head + payload
-            if end < run_end:
-                payload = payload + self._read_clipped(end + fill_delta, run_end - end)
-                stats.rmw_fill_bytes += run_end - end
-            target = run_start + target_delta
-            limit = self._target_limit_base(target)
-            if limit - target < len(payload):
-                payload = payload[: max(0, limit - target)]
-            if payload:
-                plan.data_writes.append((target, payload))
-            new_mask = mask ^ covered if shadow else mask | covered
-            plan.commits.append(
-                (node, bitmap.pack_leaf(new_mask, plan.gen),
-                 MetaSlot(_ordinal(self.tree, node), True, False, new_mask))
-            )
-            if not shadow:
-                for rs, re_ in bitmap.iter_mask_runs(new_mask, nbits):
-                    src = node.log_off + rs * sub
-                    dst = last_base + (node.start + rs * sub - last_start)
-                    plan.checkpoints.append((node, src, dst, (re_ - rs) * sub))
-            return
-
         pieces = []  # (target, [payload chunks])
         i = s0
         while i < s1:
@@ -393,12 +354,12 @@ class ShadowLog:
             # last valid ancestor's slot.
             if lo > run_start:  # prefix fill (first touched sub-block)
                 delta = log_delta if bit else anc_delta
-                chunks.append(self._read_clipped(run_start + delta, lo - run_start))
+                chunks.append(self._read_fill(run_start, delta, lo - run_start))
                 stats.rmw_fill_bytes += lo - run_start
             chunks.append(data[lo - data_base : hi - data_base])
             if hi < run_end:  # suffix fill (last touched sub-block)
                 delta = log_delta if (mask >> (j - 1)) & 1 else anc_delta
-                chunks.append(self._read_clipped(hi + delta, run_end - hi))
+                chunks.append(self._read_fill(hi, delta, run_end - hi))
                 stats.rmw_fill_bytes += run_end - hi
             if pieces and pieces[-1][0] + pieces[-1][1] == target:
                 prev = pieces[-1]
@@ -449,6 +410,18 @@ class ShadowLog:
             length = min(length, self.inode.base + self.inode.capacity - dev_off)
         data = self.device.load(dev_off, length) if length > 0 else b""
         return data.ljust(length, b"\0")
+
+    def _read_fill(self, file_off: int, delta: int, length: int) -> bytes:
+        """RMW fill for file bytes [file_off, file_off + length), read at
+        device offset ``file_off + delta``. Bytes at or past EOF are zero
+        whatever the device holds there: a rolled-back transaction or a
+        crashed undo-style write leaves its bytes in the file extent,
+        and write-back (clipped at the size) never overwrites them."""
+        data = self._read_clipped(file_off + delta, length)
+        keep = self.inode.size - file_off
+        if keep < length:
+            data = data[: max(0, keep)].ljust(length, b"\0")
+        return data
 
     # ----------------------------------------------------------- transactions
 
@@ -550,9 +523,9 @@ class ShadowLog:
                 fill_src = last_base + (bs - last_start)
             buf = bytearray(sub)
             if lo > bs:
-                buf[: lo - bs] = self._read_clipped(fill_src, lo - bs)
+                buf[: lo - bs] = self._read_fill(bs, fill_src - bs, lo - bs)
             if hi < be:
-                buf[hi - bs :] = self._read_clipped(fill_src + (hi - bs), be - hi)
+                buf[hi - bs :] = self._read_fill(hi, fill_src - bs, be - hi)
             buf[lo - bs : hi - bs] = data[lo - data_base : hi - data_base]
             limit = self._target_limit_base(target)
             payload = bytes(buf[: max(0, limit - target)])

@@ -138,16 +138,17 @@ class MgspTransaction:
             entries: List[int] = []
             try:
                 # Member entries first, the commit-flagged one last: its
-                # persistence is the atomic commit point.
+                # persistence is the atomic commit point. Claim keys are
+                # integers: the slot must not depend on PYTHONHASHSEED.
                 for chunk in chunks[:-1]:
-                    idx = fs.metalog.claim(("txn", txn_id, len(entries)), fs.recorder)
+                    idx = fs.metalog.claim(txn_id + len(entries), fs.recorder)
                     entries.append(idx)
                     fs.metalog.write(
                         idx, handle.inode.id, max(1, self.writes), gen,
                         txn_id, self._new_size, chunk, flags=TXN_MEMBER,
                         recorder=fs.recorder,
                     )
-                idx = fs.metalog.claim(("txn", txn_id, "commit"), fs.recorder)
+                idx = fs.metalog.claim(txn_id + len(entries), fs.recorder)
                 entries.append(idx)
                 fs.metalog.write(
                     idx, handle.inode.id, max(1, self.writes), gen,

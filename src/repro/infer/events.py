@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.sim.trace import TappedRecorder
+
 #: event kinds, matching the census accounting exactly
 STORE = "store"
 FLUSH = "flush"
@@ -57,7 +59,7 @@ class Trace:
 
 
 class EventCollector:
-    """Device tap + ``AnalysisRecorder`` listener: records every
+    """Device tap + ``TappedRecorder`` listener: records every
     persistence event with region/op context."""
 
     def __init__(self, regions=None, max_events: Optional[int] = None) -> None:
@@ -115,7 +117,7 @@ class EventCollector:
         self.event_index = 0
         self.saturated = False
 
-    # -- AnalysisRecorder op hooks -----------------------------------------
+    # -- TappedRecorder op hooks -------------------------------------------
 
     def on_op_begin(self, name: str) -> None:
         self.op_seq += 1
@@ -130,12 +132,10 @@ def attach_collector(system, regions=None, max_events: Optional[int] = None) -> 
     collector; pass as ``SweepWorkload.run(..., instrument=...)`` body.
 
     Same shape as ``repro.analysis.harness.attach_analyzer``: the tap
-    observes device-level events, an ``AnalysisRecorder`` wrapper feeds
+    observes device-level events, a ``TappedRecorder`` wrapper feeds
     op boundaries.
     """
-    from repro.analysis.analyzer import AnalysisRecorder
-
     collector = EventCollector(regions=regions, max_events=max_events)
     system.device.attach(collector)
-    system.recorder = AnalysisRecorder(system.recorder, collector)
+    system.recorder = TappedRecorder(system.recorder, collector)
     return collector

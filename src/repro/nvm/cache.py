@@ -142,27 +142,12 @@ class StoreBuffer:
         self._uw_cache = None
 
     def store_v(self, writes: Sequence[Tuple[int, bytes]]) -> int:
-        """Bulk :meth:`store`: identical per-element state transitions,
-        shared attribute lookups. Validates every element up front and
-        raises before mutating anything, so a caller can fall back to
-        the per-element path for exact partial-application semantics.
-        Returns total bytes stored."""
-        size = self.size
-        for offset, data in writes:
-            if offset < 0 or offset + len(data) > size:
-                end = offset + len(data)
-                raise OutOfRangeError(f"store [{offset}, {end}) outside device of {size}")
-        working = self.working
-        dirty = self.dirty
-        tlog = self._touched_log
+        """One :meth:`store` per (offset, data) pair; returns total bytes
+        stored."""
         total = 0
         for offset, data in writes:
-            end = offset + len(data)
-            working[offset:end] = data
-            dirty.add(offset & _LINE_MASK, (end + _LINE - 1) & _LINE_MASK)
-            tlog.append((offset & _WORD_MASK, (end + ATOMIC_UNIT - 1) & _WORD_MASK))
-            total += end - offset
-        self._uw_cache = None
+            self.store(offset, data)
+            total += len(data)
         return total
 
     def nt_store(self, offset: int, data) -> int:
@@ -186,8 +171,11 @@ class StoreBuffer:
         return (aend - start) >> _LINE_SHIFT
 
     def nt_store_v(self, writes: Sequence[Tuple[int, bytes]]) -> Tuple[int, int]:
-        """Bulk :meth:`nt_store`; validates up front (see
-        :meth:`store_v`). Returns (total bytes, total lines queued)."""
+        """Bulk :meth:`nt_store`: identical per-element state transitions,
+        shared attribute lookups. Validates every element up front and
+        raises before mutating anything, so a caller can fall back to
+        the per-element path for exact partial-application semantics.
+        Returns (total bytes, total lines queued)."""
         size = self.size
         for offset, data in writes:
             if offset < 0 or offset + len(data) > size:
@@ -215,26 +203,13 @@ class StoreBuffer:
         return total, lines
 
     def nt_store_word(self, offset: int, value: int) -> None:
-        """:meth:`nt_store` specialized for one aligned 8-byte word (the
-        metadata-commit pattern): same state transitions, one line."""
-        if offset % ATOMIC_UNIT != 0:
-            raise TornWriteError(f"atomic store at unaligned offset {offset}")
-        if offset < 0 or offset + 8 > self.size:
-            raise OutOfRangeError(f"store at {offset} outside device of {self.size}")
-        self.working[offset : offset + 8] = value.to_bytes(8, "little")
-        line = offset & _LINE_MASK
-        if self.dirty:
-            self.dirty.remove(line, line + _LINE)
-        self._pending_log.append((line, line + _LINE))
-        self._touched_log.append((offset, offset + 8))
-        self._uw_cache = None
+        """:meth:`nt_store_words` of one word."""
+        self.nt_store_words(((offset, value),))
 
     def nt_store_words(self, words) -> None:
-        """Batch of :meth:`nt_store_word` calls: identical per-word state
-        transitions, shared attribute lookups across the batch. Validates
-        every word up front and raises before mutating anything (see
-        :meth:`store_v`), so a caller can fall back to the per-element
-        path for exact partial-application semantics."""
+        """:meth:`nt_store_v` specialized for aligned 8-byte words (the
+        metadata-commit pattern): one line per word, validated up front
+        the same way."""
         working = self.working
         size = self.size
         for offset, _value in words:
@@ -292,23 +267,9 @@ class StoreBuffer:
         return nlines
 
     def flush_v(self, ranges: Sequence[Tuple[int, int]]) -> List[int]:
-        """Bulk :meth:`flush`; returns the lines flushed per range (0 for
-        a redundant call: every covered line was already clean)."""
-        flushed: List[int] = []
-        dirty = self.dirty
-        plog = self._pending_log
-        for offset, length in ranges:
-            nlines = 0
-            if dirty:
-                start = offset & _LINE_MASK
-                end = (offset + length + _LINE - 1) & _LINE_MASK
-                for s, e in dirty.iter_intersect(start, end):
-                    plog.append((s, e))
-                    nlines += (e - s) >> _LINE_SHIFT
-                if nlines:
-                    dirty.remove(start, end)
-            flushed.append(nlines)
-        return flushed
+        """One :meth:`flush` per (offset, length) range; returns the
+        lines flushed per range (0 for a redundant call)."""
+        return [self.flush(offset, length) for offset, length in ranges]
 
     def fence(self) -> None:
         """sfence: everything previously flushed becomes durable."""
@@ -396,20 +357,6 @@ class StoreBuffer:
                 self._diff_words(start, end, words)
             self._uw_cache = words
         return list(self._uw_cache)
-
-    def _unfenced_words_full_scan(self) -> List[int]:
-        """Reference implementation: re-walk every dirty/pending word.
-
-        Kept for regression tests asserting the incremental tracker
-        reports the identical word set.
-        """
-        words: List[int] = []
-        for line_bitmap in (self.dirty, self._consolidate_pending()):
-            for start, end in line_bitmap.runs():
-                for off in range(start, end, ATOMIC_UNIT):
-                    if self.working[off : off + 8] != self.durable[off : off + 8]:
-                        words.append(off)
-        return sorted(set(words))
 
     def crash_image(
         self,

@@ -9,7 +9,6 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from repro.errors import OutOfRangeError, TornWriteError
 from repro.nvm.cache import StoreBuffer
 from repro.nvm.timing import OptaneTiming, TimingModel
-from repro.util import CACHE_LINE
 
 
 @dataclass
@@ -78,12 +77,14 @@ class NvmDevice:
     reads the cost of the event it is told about. Within a role,
     observers run in attach order.
 
-    The ``_v`` entry points apply a whole batch through the buffer's
-    validate-then-mutate bulk calls and then notify per element in that
-    same order, so every observer sees the event stream, indices and
-    trace segments of the equivalent loop of single-op calls. That loop
-    itself runs only for a batch a crash plan must stop inside, and to
-    reproduce the exact partial state of a batch with a bad element.
+    ``nt_store_v`` and ``store_word_v`` apply a whole batch through the
+    buffer's validate-then-mutate bulk calls and then notify per element
+    in that same order, so every observer sees the event stream, indices
+    and trace segments of the equivalent loop of single-op calls. That
+    loop itself runs only for a batch a crash plan must stop inside, and
+    to reproduce the exact partial state of a batch with a bad element.
+    ``store_v`` and ``flush_v`` have no caller on a hot path and are
+    that loop.
     """
 
     def __init__(
@@ -239,25 +240,7 @@ class NvmDevice:
     # single-op calls — the batching only removes interpreter overhead.
 
     def store_v(self, writes: Sequence[Tuple[int, bytes]]) -> None:
-        """Vectorized cached store of (offset, data) pairs."""
-        n = len(writes)
-        if not self._plans or self._admit(n, "store"):
-            try:
-                total = self.buffer.store_v(writes)
-            except OutOfRangeError:
-                self._admit(-n, "store")  # handed back: replayed below
-            else:
-                self.stats.stores += n
-                self.stats.stored_bytes += total
-                prices, taps = self._io_cached, self._on_store
-                if prices or taps:
-                    for offset, data in writes:
-                        size = len(data)
-                        for price in prices:
-                            price(size)
-                        for tap in taps:
-                            tap(offset, size, "store")
-                return
+        """Cached store of (offset, data) pairs, one :meth:`store` each."""
         for offset, data in writes:
             self.store(offset, data)
 
@@ -327,23 +310,9 @@ class NvmDevice:
             self.flush(offset, 8)
 
     def flush_v(self, ranges: Sequence[Tuple[int, int]]) -> None:
-        """Vectorized clwb of (offset, length) ranges."""
-        if self._plans and not self._admit(len(ranges), "flush"):
-            for offset, length in ranges:
-                self.flush(offset, length)
-            return
-        flushed = self.buffer.flush_v(ranges)
-        stats = self.stats
-        stats.flushed_lines += sum(flushed)
-        stats.flush_calls += len(ranges)
-        stats.redundant_flushes += flushed.count(0)
-        prices, taps = self._io_flush, self._on_flush
-        if prices or taps:
-            for (offset, length), nlines in zip(ranges, flushed):
-                for price in prices:
-                    price(nlines)
-                for tap in taps:
-                    tap(offset, length, nlines)
+        """clwb of (offset, length) ranges, one :meth:`flush` each."""
+        for offset, length in ranges:
+            self.flush(offset, length)
 
     # -- crash / recovery ---------------------------------------------------
 
@@ -376,9 +345,6 @@ class NvmDevice:
         return device
 
     # -- derived accounting --------------------------------------------------
-
-    def line_of(self, offset: int) -> int:
-        return offset // CACHE_LINE
 
     def write_amplification(self, api_bytes: int, since: Optional[DeviceStats] = None) -> float:
         """Device bytes written / API bytes, optionally since a snapshot."""

@@ -117,7 +117,6 @@ class ReplayEngine:
         per_thread_traces: Sequence[Sequence[OpTrace]],
         record_timeline: bool = False,
         background: int = 0,
-        batch_ops: bool = True,
         start_times: Sequence[float] = None,
     ) -> ReplayResult:
         """Replay the streams; the last *background* streams are daemon
@@ -133,20 +132,17 @@ class ReplayEngine:
         thread competes for channels and locks exactly like one that
         started at zero; an empty stream simply finishes on arrival.
 
-        With ``batch_ops`` (the default), runs of consecutive compute
-        segments are coalesced into single dispatches at flatten time
-        (see :func:`_batch_segments`); disabled automatically when a
-        timeline is recorded, since the timeline wants one entry per
-        original segment. Pass ``batch_ops=False`` to force the
-        segment-at-a-time loop (the differential-testing reference).
+        Runs of consecutive compute segments are coalesced into single
+        dispatches at flatten time (see :func:`_batch_segments`), except
+        when a timeline is recorded: the timeline wants one entry per
+        original segment, so that run takes the segment-at-a-time loop.
         """
-        batch = batch_ops and not record_timeline
         threads = []
         for tid, traces in enumerate(per_thread_traces):
             segments: List[Segment] = []
             for trace in traces:
                 segments.extend(trace.segments)
-            if batch:
+            if not record_timeline:
                 segments = _batch_segments(segments)
             thread = _Thread(tid, segments)
             thread.stats.ops = len(traces)

@@ -25,16 +25,15 @@ Segment = Tuple  # ("compute", ns) | ("io", ns) | ("lock", key, mode) | ("unlock
 
 @runtime_checkable
 class Recorder(Protocol):
-    """The formal surface shared by :class:`TraceRecorder` and
-    :class:`NullRecorder` (and the :class:`TappedRecorder` wrapper).
+    """The formal surface shared by :class:`TraceRecorder` and the
+    :class:`TappedRecorder` wrapper.
 
     File-system code talks to its recorder only through these members,
     so a conforming wrapper can be swapped in without isinstance checks.
-    ``enabled`` gates cost emission; ``timing`` prices media operations.
+    ``timing`` prices media operations.
     """
 
     timing: TimingModel
-    enabled: bool
     #: accumulated uncontended virtual time (the telemetry clock):
     #: every priced segment advances it by exactly what
     #: :meth:`OpTrace.duration_ns` would charge for that segment.
@@ -96,7 +95,6 @@ class TraceRecorder:
         self.timing = timing
         self.current: Optional[OpTrace] = None
         self.completed: List[OpTrace] = []
-        self.enabled = True
         self.clock_ns = 0.0
 
     # -- op lifecycle ------------------------------------------------------
@@ -124,8 +122,6 @@ class TraceRecorder:
         return out
 
     def _emit(self, segment: Segment) -> None:
-        if not self.enabled:
-            return
         # Advance the telemetry clock by the uncontended cost of this
         # segment — the same pricing OpTrace.duration_ns applies, so the
         # clock always equals the sum over every recorded trace.
@@ -178,49 +174,6 @@ class TraceRecorder:
         self._emit(("compute", self.timing.fence_ns))
 
 
-class NullRecorder:
-    """Recorder that ignores everything (for correctness-only runs)."""
-
-    clock_ns = 0.0  # never advances: nothing is priced
-
-    def __init__(self, timing: Optional[TimingModel] = None) -> None:
-        self.timing = timing or TimingModel()
-        self.enabled = False
-
-    def io_cached(self, nbytes: int) -> None:
-        pass
-
-    def begin_op(self, name: str) -> None:  # pragma: no cover - trivial
-        pass
-
-    def end_op(self) -> OpTrace:
-        return OpTrace()
-
-    def take_completed(self) -> List[OpTrace]:
-        return []
-
-    def compute(self, ns: float) -> None:
-        pass
-
-    def lock(self, key: Hashable, mode: str) -> None:
-        pass
-
-    def unlock(self, key: Hashable) -> None:
-        pass
-
-    def io_write(self, nbytes: int) -> None:
-        pass
-
-    def io_read(self, nbytes: int) -> None:
-        pass
-
-    def io_flush(self, nlines: int) -> None:
-        pass
-
-    def io_fence(self) -> None:
-        pass
-
-
 class TappedRecorder:
     """A conforming :class:`Recorder` that tells a *listener* of op
     boundaries (``on_op_begin`` / ``on_op_end``) and, where the listener
@@ -238,14 +191,6 @@ class TappedRecorder:
             setattr(self, name, getattr(inner, name))
         if not hasattr(listener, "on_lock"):
             self.lock, self.unlock = inner.lock, inner.unlock
-
-    @property
-    def enabled(self) -> bool:
-        return self.inner.enabled
-
-    @enabled.setter
-    def enabled(self, value: bool) -> None:
-        self.inner.enabled = value
 
     @property
     def clock_ns(self) -> float:

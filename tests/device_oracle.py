@@ -1,13 +1,16 @@
-"""The reference the device's ``_v`` entry points are held to.
+"""The references the device core is held to.
 
-Each batch is, by contract, indistinguishable from the loop of single-op
-calls below — same images, same ``DeviceStats``, same crash points, same
-cost segments and the same event stream for every observer. The loops
-lived in ``repro.nvm.device`` as a second code path; they are the test
-oracle now.
+Each ``_v`` batch is, by contract, indistinguishable from the loop of
+single-op calls below — same images, same ``DeviceStats``, same crash
+points, same cost segments and the same event stream for every observer.
+The loops lived in ``repro.nvm.device`` as a second code path; they are
+the test oracle now. So is :func:`unfenced_words_full_scan`, the
+reference for ``StoreBuffer.unfenced_words``.
 """
 
 from __future__ import annotations
+
+from repro.util import ATOMIC_UNIT
 
 
 def store_v(device, writes) -> None:
@@ -45,3 +48,15 @@ def apply(device, entry: str, items, batched: bool) -> None:
         getattr(device, entry)(items)
     else:
         PER_ELEMENT[entry](device, items)
+
+
+def unfenced_words_full_scan(buf) -> list:
+    """Re-walk every dirty/pending word of a ``StoreBuffer``: the word
+    set its incremental (touched-range + memo) tracker must report."""
+    words = []
+    for line_bitmap in (buf.dirty, buf.pending_set()):
+        for start, end in line_bitmap.runs():
+            for off in range(start, end, ATOMIC_UNIT):
+                if buf.working[off : off + 8] != buf.durable[off : off + 8]:
+                    words.append(off)
+    return sorted(set(words))

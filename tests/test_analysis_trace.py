@@ -6,7 +6,6 @@ import pytest
 
 from repro.analysis import (
     RULES,
-    AnalysisRecorder,
     RegionMap,
     TraceAnalyzer,
     attach_analyzer,
@@ -16,7 +15,7 @@ from repro.analysis import (
 from repro.core import MgspConfig, MgspFilesystem
 from repro.nvm.crash import count_events
 from repro.nvm.timing import TimingModel
-from repro.sim.trace import NullRecorder, Recorder, TraceRecorder
+from repro.sim.trace import Recorder, TappedRecorder, TraceRecorder
 
 
 def rules_of(findings):
@@ -217,15 +216,14 @@ def test_drain_resets_counter_and_state():
     assert ctx.analyzer.findings == []
 
 
-# -- AnalysisRecorder ------------------------------------------------------
+# -- TappedRecorder --------------------------------------------------------
 
 
 def test_analysis_recorder_satisfies_protocol_and_forwards():
     analyzer = TraceAnalyzer(RegionMap.for_device(4 << 20))
     inner = TraceRecorder(TimingModel())
-    rec = AnalysisRecorder(inner, analyzer)
+    rec = TappedRecorder(inner, analyzer)
     assert isinstance(rec, Recorder)
-    assert isinstance(NullRecorder(), Recorder)
     rec.begin_op("write")
     rec.compute(10.0)
     rec.io_write(64)
@@ -234,15 +232,13 @@ def test_analysis_recorder_satisfies_protocol_and_forwards():
     trace = rec.end_op()
     assert trace.name == "write"
     assert rec.take_completed() == [trace]
-    rec.enabled = False
-    assert inner.enabled is False
 
 
 def test_attach_analyzer_wraps_live_mount():
     fs = make_fs()
     analyzer = attach_analyzer(fs, perf=False)
     assert analyzer in fs.device.observers
-    assert isinstance(fs.recorder, AnalysisRecorder)
+    assert isinstance(fs.recorder, TappedRecorder)
     f = fs.create("a", capacity=1 << 16)
     f.write(0, b"hello" * 100)
     f.fsync()

@@ -13,7 +13,10 @@ from repro.bench.harness import Table, run_one, sweep_fio
 from repro.bench.registry import FS_NAMES, device_size_for, make_fs
 from repro.workloads.fio import FioJob
 
-EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES = ROOT / "examples"
+#: the paper-shape assertion modules: benchmarks/ without e2e/
+SHAPE_MODULES = sorted((ROOT / "benchmarks").glob("*.py"))
 
 
 class TestRegistry:
@@ -83,6 +86,24 @@ class TestFigures:
     def test_unknown_experiment(self):
         with pytest.raises(KeyError):
             list(run_all(["fig99"]))
+
+    def test_every_experiment_is_asserted_on_by_a_benchmarks_module(self):
+        consumers = [
+            text for text in (path.read_text() for path in SHAPE_MODULES)
+            if "repro.bench.figures import" in text
+        ]
+        unchecked = [
+            key for key in EXPERIMENTS
+            if not any(f'"{key}"' in text for text in consumers)
+        ]
+        assert not unchecked, unchecked
+
+    def test_benchmarks_modules_build_no_table_of_their_own(self):
+        copies = [
+            path.name for path in SHAPE_MODULES
+            if any(name in path.read_text() for name in ("def run_experiment", "def run_matrix"))
+        ]
+        assert not copies, copies
 
     def test_tab02_quick(self):
         table = tab02(nops=60)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from device_oracle import unfenced_words_full_scan
 from repro.errors import CrashRequested, OutOfRangeError
 from repro.nvm.crash import CrashPlan
 from repro.nvm.device import NvmDevice
@@ -167,7 +168,7 @@ class TestBulkPathParity:
         words = device.unfenced_words()
         assert words == sorted(words)
         assert len(words) == len(set(words))
-        assert words == device.buffer._unfenced_words_full_scan()
+        assert words == unfenced_words_full_scan(device.buffer)
 
     @given(ops_strategy)
     @settings(max_examples=25, deadline=None)

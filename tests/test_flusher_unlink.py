@@ -68,7 +68,6 @@ def test_unlink_forgets_writeback_accounting():
     assert fs.flusher._fresh_bytes.get(key) == 4096
     fs.unlink("a")
     assert key not in fs.flusher._fresh_bytes
-    assert key not in fs.flusher._fresh_ops
 
 
 def test_drain_on_closed_handle_does_not_resurrect_counters():
@@ -80,7 +79,6 @@ def test_drain_on_closed_handle_does_not_resurrect_counters():
     assert key not in fs.flusher._fresh_bytes
     fs.flusher.drain(a)  # late drain of a closed handle: must stay a no-op
     assert key not in fs.flusher._fresh_bytes
-    assert key not in fs.flusher._fresh_ops
 
 
 def test_close_of_unlinked_handle_leaves_reused_slot_alone():

@@ -1,9 +1,9 @@
 """Leaf fast path: invalidation edges, slow-vs-fast differential, and
 the incremental unfenced-word tracker.
 
-The fast path (``MgspConfig.leaf_fast_path``, on by default) replays a
-cached root->leaf chain instead of descending for writes fully contained
-in one leaf. These tests pin down the cases where the cache must NOT be
+The fast path replays a cached root->leaf chain instead of descending
+for writes fully contained in one leaf (geometry alone selects it; there
+is no switch). These tests pin down the cases where the cache must NOT be
 trusted — height growth, checkpoint/epoch bumps, open transactions — and
 assert the planner is observably identical to the generic descent.
 """
@@ -14,10 +14,11 @@ import random
 
 import pytest
 
+from device_oracle import unfenced_words_full_scan
 from repro.core import MgspConfig, MgspFilesystem
+from repro.core.file import MgspFile
 from repro.errors import TransactionError
 from repro.nvm.cache import StoreBuffer
-from repro.sim.trace import NullRecorder
 
 CAP = 4 << 20
 
@@ -93,11 +94,10 @@ def test_fast_path_read_after_write_identical_bytes():
 # ---------------------------------------------------------------- differential
 
 
-def _run_sequence(fast_path: bool, detach_tracer: bool):
-    fs, f = make_fs(leaf_fast_path=fast_path)
+def _run_sequence(detach_tracer: bool):
+    fs, f = make_fs()
     if detach_tracer:
         fs.device.detach(fs.recorder)
-        fs.recorder = NullRecorder()
     rng = random.Random(99)
     for i in range(250):
         size = rng.choice([8, 64, 100, 128, 2048, 4096, 6000])
@@ -112,13 +112,21 @@ def _run_sequence(fast_path: bool, detach_tracer: bool):
 
 
 @pytest.mark.parametrize("detach_tracer", [False, True])
-def test_fast_and_slow_planner_differential(detach_tracer):
+def test_fast_and_slow_planner_differential(detach_tracer, monkeypatch):
     """Same randomized sequence through both planners: identical device
     images AND identical DeviceStats (write amplification unchanged) —
-    with the tracer attached (exact per-op fallback) and detached
-    (fused batched path)."""
-    fast = _run_sequence(True, detach_tracer)
-    slow = _run_sequence(False, detach_tracer)
+    with the cost recorder observing the device and with no observer
+    attached at all."""
+    fast = _run_sequence(detach_tracer)
+    # The general planner, forced from here: every write is planned by
+    # descent, as if none were contained in one leaf.
+    write_atomic = MgspFile._write_atomic
+    monkeypatch.setattr(
+        MgspFile,
+        "_write_atomic",
+        lambda self, offset, data, leaf_index: write_atomic(self, offset, data, None),
+    )
+    slow = _run_sequence(detach_tracer)
     assert fast[0] == slow[0]  # working image
     assert fast[1] == slow[1]  # durable image
     assert fast[2] == slow[2]  # DeviceStats
@@ -153,9 +161,9 @@ def test_unfenced_words_matches_full_scan():
                 for _ in range(rng.randrange(1, 5))
             ]
             buf.nt_store_words(words)
-        assert buf.unfenced_words() == buf._unfenced_words_full_scan(), f"step {step}"
+        assert buf.unfenced_words() == unfenced_words_full_scan(buf), f"step {step}"
     buf.drain()
-    assert buf.unfenced_words() == [] == buf._unfenced_words_full_scan()
+    assert buf.unfenced_words() == [] == unfenced_words_full_scan(buf)
 
 
 def test_unfenced_words_memo_invalidated_by_mutation():

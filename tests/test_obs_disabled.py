@@ -63,16 +63,3 @@ def test_telemetry_on_async_runs_are_reproducible():
     a = run_workload("txn", "mgsp-async")
     b = run_workload("txn", "mgsp-async")
     assert to_json(a.telemetry) == to_json(b.telemetry)
-
-
-def test_null_recorder_never_advances_clock():
-    from repro.nvm.timing import TimingModel
-    from repro.sim.trace import NullRecorder, TraceRecorder
-
-    timing = TimingModel()
-    rec = TraceRecorder(timing)
-    rec.enabled = False
-    rec.begin_op("noop")
-    rec.compute(500.0)
-    assert rec.clock_ns == 0.0  # disabled recorders price nothing
-    assert NullRecorder().clock_ns == 0.0

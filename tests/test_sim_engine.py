@@ -174,13 +174,14 @@ class TestReplayBasics:
 
 
 class TestBatchedReplayDifferential:
-    """batch_ops=True must be invisible: identical ReplayResult to the
-    segment-at-a-time loop on real recorded workloads."""
+    """Compute-run batching must be invisible: identical ReplayResult to
+    the segment-at-a-time loop (the ``record_timeline=True`` run) on real
+    recorded workloads."""
 
     def _compare(self, streams, background=0, lock_ns=0.0, channels=4):
         engine = ReplayEngine(timing(channels=channels, lock_ns=lock_ns))
-        batched = engine.run(streams, background=background, batch_ops=True)
-        reference = engine.run(streams, background=background, batch_ops=False)
+        batched = engine.run(streams, background=background)
+        reference = engine.run(streams, background=background, record_timeline=True)
         assert batched.makespan_ns == reference.makespan_ns
         assert batched.threads == reference.threads
         assert batched.total_lock_wait_ns == reference.total_lock_wait_ns
@@ -193,9 +194,9 @@ class TestBatchedReplayDifferential:
         captured = []
         orig_run = engine_mod.ReplayEngine.run
 
-        def capture(self, streams, record_timeline=False, background=0, batch_ops=True):
+        def capture(self, streams, record_timeline=False, background=0):
             captured.append((list(streams), background))
-            return orig_run(self, streams, record_timeline, background, batch_ops)
+            return orig_run(self, streams, record_timeline, background)
 
         monkeypatch.setattr(engine_mod.ReplayEngine, "run", capture)
         run_fio(
@@ -226,7 +227,7 @@ class TestBatchedReplayDifferential:
         segs = [("compute", 5.0), ("compute", 7.0), ("io", 10.0)]
         streams = [[OpTrace(name="t", segments=segs)]]
         engine = ReplayEngine(timing())
-        result = engine.run(streams, record_timeline=True, batch_ops=True)
+        result = engine.run(streams, record_timeline=True)
         # One timeline entry per original compute segment.
         computes = [ev for ev in result.timeline if ev[3] == "compute"]
         assert len(computes) == 2
@@ -237,7 +238,7 @@ class TestBatchedReplayDifferential:
         vals = [0.1, 0.2, 0.3, 1e-9, 7.7]
         streams = [[OpTrace(name="t", segments=[("compute", v) for v in vals])]]
         engine = ReplayEngine(timing())
-        batched = engine.run(streams, batch_ops=True)
-        reference = engine.run(streams, batch_ops=False)
+        batched = engine.run(streams)
+        reference = engine.run(streams, record_timeline=True)
         assert batched.makespan_ns == reference.makespan_ns
         assert batched.threads[0].compute_ns == reference.threads[0].compute_ns

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.nvm.timing import OptaneTiming, TimingModel
-from repro.sim.trace import NullRecorder, OpTrace, TraceRecorder
+from repro.sim.trace import OpTrace, TraceRecorder
 
 
 class TestOpTrace:
@@ -45,13 +45,6 @@ class TestRecorder:
         assert [t.name for t in traces] == ["ambient", "write"]
         assert traces[0].duration_ns() == 50
 
-    def test_disabled_recorder_drops_segments(self):
-        rec = TraceRecorder(OptaneTiming())
-        rec.enabled = False
-        rec.begin_op("x")
-        rec.compute(100)
-        assert rec.end_op().segments == []
-
     def test_io_write_carries_occupancy(self):
         rec = TraceRecorder(OptaneTiming())
         rec.begin_op("x")
@@ -75,21 +68,6 @@ class TestRecorder:
         rec = TraceRecorder(OptaneTiming())
         rec.begin_op("x")
         rec.compute(0)
-        assert rec.end_op().segments == []
-
-
-class TestNullRecorder:
-    def test_accepts_everything_silently(self):
-        rec = NullRecorder()
-        rec.begin_op("x")
-        rec.compute(10)
-        rec.lock("k", "W")
-        rec.unlock("k")
-        rec.io_write(10)
-        rec.io_cached(10)
-        rec.io_read(10)
-        rec.io_flush(1)
-        rec.io_fence()
         assert rec.end_op().segments == []
 
 

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -205,3 +209,31 @@ class TestTxnCrashAtomicity:
         got = fs2.open("t").read(0, 64 * 1024)
         assert got == b"\x10" * 64 * 1024  # fully rolled back
         assert stats.entries_discarded >= 0
+
+
+_IMAGE_DIGEST_SNIPPET = """
+import hashlib
+from repro.core import MgspFilesystem
+fs = MgspFilesystem(device_size=16 << 20)
+f = fs.create("t", capacity=1 << 20)
+for i in range(5):
+    with fs.begin_transaction(f) as txn:
+        txn.write(i * 8192, b"a" * 100)
+        txn.write(i * 8192 + 4096, b"b" * 100)
+print(hashlib.sha256(fs.device.buffer.working).hexdigest())
+"""
+
+
+def test_nvm_image_after_transactions_ignores_hash_seed():
+    """The metadata-log slot a commit claims is part of the NVM image;
+    it must come from integer keys, never from a str-bearing hash()."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = set()
+    for seed in ("1", "2"):
+        out = subprocess.run(
+            [sys.executable, "-c", _IMAGE_DIGEST_SNIPPET],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1, digests
