@@ -1,13 +1,13 @@
-"""Persistence-order analysis: trace analyzer + protocol linter.
+"""Persistence-order analysis: one dynamic engine, one static engine.
 
 - ``repro.analysis.analyzer`` — the dynamic engine: an event tap on
   :class:`~repro.nvm.device.NvmDevice` that checks the MGSP ordering
   protocol over the live store/flush/fence stream.
-- ``repro.analysis.lint`` — the static engine: AST rules over
-  ``src/repro`` (``python -m repro.analysis.lint``).
+- ``repro.analysis.flow`` — the static engine: AST, CFG and call-graph
+  rules over ``src/repro`` (``python -m repro.analysis.flow``).
 - ``repro.analysis.harness`` — attach the tap to a mounted fs, replay
   crash-sweep workloads, execute violation-corpus programs.
-- ``python -m repro.analysis`` — the CLI; see ``--help``.
+- ``python -m repro.analysis`` — the dynamic CLI; see ``--help``.
 """
 
 from repro.analysis.analyzer import (
@@ -26,10 +26,6 @@ from repro.analysis.harness import (
     run_program,
     run_workload,
 )
-
-# NOTE: repro.analysis.lint is intentionally NOT imported here so that
-# ``python -m repro.analysis.lint`` does not trip runpy's already-in-
-# sys.modules warning; import it explicitly where needed.
 
 __all__ = [
     "ERROR",

@@ -17,46 +17,11 @@ must produce zero findings of any severity).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional, Sequence
 
+from repro.analysis.corpus import run_corpus, run_fixture
 from repro.analysis.harness import run_program, run_workload
-
-
-def _run_one_program(path: str) -> int:
-    findings, expect = run_program(path)
-    print(f"program {path}: {len(findings)} finding(s); EXPECT={expect}")
-    for finding in findings:
-        print("  " + finding.format())
-    if expect:
-        missing = [rule for rule in expect if rule not in {f.rule for f in findings}]
-        if missing:
-            print(f"  MISSING expected rule(s): {missing}")
-            return 2
-    return 1 if findings else 0
-
-
-def _run_corpus(directory: str) -> int:
-    """Violating programs at the top level must trip their EXPECT rules;
-    everything under ``clean/`` must produce zero findings."""
-    status = 0
-    top = sorted(
-        f for f in os.listdir(directory) if f.endswith(".py") and f != "__init__.py"
-    )
-    for name in top:
-        rc = _run_one_program(os.path.join(directory, name))
-        if rc != 1:  # violating programs are *supposed* to exit 1
-            print(f"  UNEXPECTED: {name} exited {rc} (wanted findings matching EXPECT)")
-            status = 2
-    clean_dir = os.path.join(directory, "clean")
-    if os.path.isdir(clean_dir):
-        for name in sorted(f for f in os.listdir(clean_dir) if f.endswith(".py")):
-            rc = _run_one_program(os.path.join(clean_dir, name))
-            if rc != 0:
-                print(f"  UNEXPECTED: clean/{name} produced findings")
-                status = 2
-    return status
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -97,9 +62,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.program:
-        return _run_one_program(args.program)
+        return run_fixture(args.program, run_program)
     if args.corpus:
-        return _run_corpus(args.corpus)
+        return run_corpus(args.corpus, run_program)
     if not args.workload:
         parser.error("one of --workload, --program, --corpus is required")
 

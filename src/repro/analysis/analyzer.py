@@ -157,10 +157,6 @@ class TraceAnalyzer:
     def errors(self) -> List[Finding]:
         return [f for f in self.findings if f.severity == ERROR]
 
-    @property
-    def perf_findings(self) -> List[Finding]:
-        return [f for f in self.findings if f.severity == PERF]
-
     def _crashed(self) -> bool:
         observers = getattr(self.device, "observers", ())
         return any(getattr(observer, "fired", False) for observer in observers)

@@ -1,12 +1,13 @@
-"""Flow-sensitive static persistence & concurrency checker.
+"""The static persistence & concurrency checker (the one static engine).
 
-The static half of the correctness tooling got a dataflow engine: CFGs
-per function (:mod:`.cfg`), a worklist abstract interpreter
-(:mod:`.dataflow`), a whole-program index with call resolution and
-summary fixpoints (:mod:`.callgraph`), and three analyses on top —
-persist-state (:mod:`.persist`), exception-path audit (:mod:`.audit`)
-and lock order (:mod:`.lockorder`). ``python -m repro.analysis.flow``
-is the CLI; see docs/analysis.md for domains and soundness caveats.
+Every file is parsed once into a whole-program index with call
+resolution and summary fixpoints (:mod:`.callgraph`); CFGs per function
+(:mod:`.cfg`) and a worklist abstract interpreter (:mod:`.dataflow`)
+sit on top of it. The rule passes: persist-state (:mod:`.persist`),
+the structural audits — exception paths and the single-file AST rules —
+(:mod:`.audit`) and lock order (:mod:`.lockorder`); :mod:`.driver` runs
+them all and decides pragmas. ``python -m repro.analysis.flow`` is the
+CLI; see docs/analysis.md for domains and soundness caveats.
 """
 
 from repro.analysis.flow.callgraph import FunctionInfo, ProgramIndex

@@ -1,4 +1,5 @@
-"""CLI: flow-sensitive static checking over the source tree.
+"""CLI: the static checker (AST, CFG and call-graph rules) over the
+source tree.
 
 Examples::
 
@@ -8,8 +9,12 @@ Examples::
     python -m repro.analysis.flow --corpus tests/analysis_corpus/flow
 
 Exit status: 0 clean, 1 findings, 2 corpus/EXPECT mismatch. ``--strict``
-is accepted for symmetry with the other CLIs; the flow checker always
-treats every finding (including ``stale-pragma``) as fatal.
+is accepted for symmetry with the other CLIs; the checker always treats
+every finding (including ``invalid-pragma`` / ``stale-pragma``) as
+fatal. Suppress a finding with a justified pragma on the flagged line
+(or the line above)::
+
+    something.nt_store(off, data)  # analysis: allow(unfenced-nt-store) -- caller fences
 
 Corpus fixtures are analyzed *as if* they lived in a protocol module
 (``repro/core/<name>``) and declare their expectation inline::
@@ -22,9 +27,9 @@ from __future__ import annotations
 import argparse
 import ast
 import os
-import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
+from repro.analysis.corpus import run_corpus, run_fixture
 from repro.analysis.flow.driver import analyze_files, run_flow
 from repro.analysis.flow.report import FlowFinding, to_json, to_sarif
 
@@ -59,44 +64,10 @@ def analyze_fixture(path: str) -> Tuple[List[FlowFinding], List[str]]:
     return findings, parse_expect(text) or []
 
 
-def _run_fixture(path: str) -> int:
-    findings, expect = analyze_fixture(path)
-    print(f"fixture {path}: {len(findings)} finding(s); EXPECT={expect}")
-    for finding in findings:
-        print("  " + finding.format())
-    fired = {f.rule for f in findings}
-    missing = [rule for rule in expect if rule not in fired]
-    if missing:
-        print(f"  MISSING expected rule(s): {missing}")
-        return 2
-    return 1 if findings else 0
-
-
-def _run_corpus(directory: str) -> int:
-    status = 0
-    top = sorted(
-        f for f in os.listdir(directory) if f.endswith(".py") and f != "__init__.py"
-    )
-    for name in top:
-        rc = _run_fixture(os.path.join(directory, name))
-        if rc != 1:
-            print(f"  UNEXPECTED: {name} exited {rc} (wanted findings matching EXPECT)")
-            status = 2
-    clean_dir = os.path.join(directory, "clean")
-    if os.path.isdir(clean_dir):
-        for name in sorted(f for f in os.listdir(clean_dir) if f.endswith(".py")):
-            rc = _run_fixture(os.path.join(clean_dir, name))
-            if rc != 0:
-                print(f"  UNEXPECTED: clean/{name} produced findings")
-                status = 2
-    print("corpus", directory, "OK" if status == 0 else "FAILED")
-    return status
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.flow",
-        description="flow-sensitive static persistence & concurrency checker",
+        description="static persistence & concurrency checker",
     )
     parser.add_argument("paths", nargs="*", help="files/directories (default src/repro)")
     parser.add_argument(
@@ -111,28 +82,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.corpus:
-        return _run_corpus(args.corpus)
+        return run_corpus(args.corpus, analyze_fixture)
     if args.program:
-        return _run_fixture(args.program)
+        return run_fixture(args.program, analyze_fixture)
 
     paths = args.paths or ["src/repro"]
     findings = run_flow(paths)
     for finding in findings:
         print(finding.format())
-    if args.json:
-        payload = to_json(findings)
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
-    if args.sarif:
-        payload = to_sarif(findings)
-        if args.sarif == "-":
-            print(payload)
-        else:
-            with open(args.sarif, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
+    for target, render in ((args.json, to_json), (args.sarif, to_sarif)):
+        if target == "-":
+            print(render(findings))
+        elif target:
+            with open(target, "w", encoding="utf-8") as fh:
+                fh.write(render(findings) + "\n")
     if findings:
         print(f"repro.analysis.flow: {len(findings)} finding(s)")
         return 1

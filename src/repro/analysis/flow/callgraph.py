@@ -75,8 +75,8 @@ class ProgramIndex:
         #: attribute / parameter name -> class names it may hold
         self.attr_classes: Dict[str, Set[str]] = {}
         self.class_names: Set[str] = set()
-        self.sources: Dict[str, str] = {}
         self.trees: Dict[str, ast.AST] = {}
+        self.modules: Dict[str, str] = {}  # path -> repro/... module path
         self.errors: List[Tuple[str, int, str]] = []  # (path, line, message)
 
     # -- construction ------------------------------------------------------
@@ -87,7 +87,6 @@ class ProgramIndex:
         repro-relative module path per file (corpus fixtures)."""
         index = cls()
         for path, text in files.items():
-            index.sources[path] = text
             try:
                 tree = ast.parse(text, filename=path)
             except SyntaxError as exc:
@@ -95,6 +94,7 @@ class ProgramIndex:
                 continue
             index.trees[path] = tree
             module = (modules or {}).get(path) or module_path(path)
+            index.modules[path] = module
             index._index_module(path, module, tree)
         index._harvest_attr_classes()
         return index

@@ -14,9 +14,10 @@ A held-set dataflow runs over each function's CFG. Acquiring class *c*
 while holding *h* adds the edge ``h -> c``; calls are resolved through
 the call graph and contribute edges from every held class to every
 class the callee may (transitively) acquire — this is what makes the
-check interprocedural where the existing ``mgl-lock-order`` lint rule
-sees one call site at a time. Intra-class edges (``mgsp -> mgsp``) are
-ignored: index-ordering inside one class is the lint rule's job.
+check interprocedural where the ``mgl-lock-order`` AST rule
+(:mod:`.audit`) sees one loop at a time. Intra-class edges
+(``mgsp -> mgsp``) are ignored: index-ordering inside one class is that
+rule's job.
 
 Findings (both under rule ``lock-order-cycle``):
 

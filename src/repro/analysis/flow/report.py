@@ -16,9 +16,14 @@ from typing import Dict, List, Sequence, Tuple
 
 __all__ = ["TraceStep", "FlowFinding", "FLOW_RULES", "to_json", "to_sarif"]
 
-#: rule name -> one-line description (the flow engine's rule registry;
-#: pragma staleness for these rules is owned by this engine)
+#: rule name -> one-line description: the one registry of static rules
+#: (AST, CFG and call-graph alike); pragmas are accepted, and checked
+#: for staleness, for exactly these names
 FLOW_RULES: Dict[str, str] = {
+    "raw-store-outside-protocol": "raw device store issued outside sanctioned protocol modules",
+    "unfenced-nt-store": "non-temporal store with no reachable fence in the same function",
+    "mgl-lock-order": "terminal locks acquired without sorted() ordering",
+    "ambient-nondeterminism": "ambient clock/randomness in a crash-replayable path",
     "unfenced-on-exception-path": (
         "a swallowed exception lets an op return normally with a store "
         "that never reached flush+fence"
@@ -35,10 +40,8 @@ FLOW_RULES: Dict[str, str] = {
         "stores applied under a try whose handler returns/raises "
         "without rollback, compensation, or stats commit"
     ),
-    "stale-pragma": (
-        "a justified allow(...) pragma for a flow rule that suppresses "
-        "no finding (dead suppression)"
-    ),
+    "invalid-pragma": "analysis pragma without a justification, or for an unknown rule",
+    "stale-pragma": "justified allow(...) pragma that suppresses no finding",
     "syntax-error": "file does not parse; nothing was analyzed",
 }
 

@@ -125,13 +125,10 @@ def run_workload(
     wname = resolve_workload(workload)
     cname = resolve_config(config)
     wl = get_workload(wname)
-    holder: dict = {}
-
-    def instrument(fs) -> None:
-        holder["analyzer"] = attach_analyzer(fs, perf=perf, max_events=max_events)
-
-    outcome = wl.run(cname, instrument=instrument)
-    analyzer: TraceAnalyzer = holder["analyzer"]
+    outcome = wl.run(
+        cname, instrument=lambda fs: attach_analyzer(fs, perf=perf, max_events=max_events)
+    )
+    analyzer: TraceAnalyzer = outcome.attached
     derived = count_events(outcome.fs.device, since=outcome.stats_base)
     return AnalysisReport(
         workload=wname,

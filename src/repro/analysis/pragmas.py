@@ -1,22 +1,17 @@
-"""Shared ``# analysis: allow(rule) -- reason`` pragma machinery.
+"""``# analysis: allow(rule) -- reason`` pragma machinery.
 
-Both static engines — the AST linter (:mod:`repro.analysis.lint`) and
-the flow checker (:mod:`repro.analysis.flow`) — honour the same pragma
-grammar, so the regex, the comment scanner, and the suppression
-bookkeeping live here.
+The static engine (:mod:`repro.analysis.flow`) honours one pragma
+grammar for every rule it runs; the regex, the comment scanner and the
+suppression bookkeeping live here.
 
 A pragma suppresses findings of its rule on the pragma's own line or
 the line directly below it (i.e. the probe order seen from a finding is
 ``(finding_line, finding_line - 1)``). A pragma without a ``-- reason``
-never suppresses; the linter reports it as ``invalid-pragma``.
+never suppresses; the driver reports it as ``invalid-pragma``.
 
-Staleness: a pragma that suppressed nothing is dead weight — it either
-outlived the code it excused or was wrong to begin with. Each engine
-checks staleness only for rules it owns (``lint`` for lint rules,
-``flow`` for flow rules), so a flow pragma never looks stale to the
-linter and vice versa. :data:`TRACE_RULE_NAMES` mirrors the dynamic
-analyzer's rule set so rule-name typos can be told apart from rules
-owned by another engine; a corpus test asserts it stays in sync.
+Staleness: a justified pragma that suppressed nothing is dead weight —
+it either outlived the code it excused or was wrong to begin with — and
+the driver reports it as ``stale-pragma``.
 """
 
 from __future__ import annotations
@@ -25,22 +20,9 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 PRAGMA_RE = re.compile(r"#\s*analysis:\s*allow\(([a-z0-9-]+)\)(?:\s*--\s*(\S.*))?")
-
-#: rule names owned by the *dynamic* trace analyzer
-#: (``repro.analysis.analyzer.RULES``) — pragmas never apply to those,
-#: but their names are "known" for typo detection. Kept as a literal so
-#: the pure-AST engines do not import the analyzer (and its device
-#: dependencies); ``tests/test_analysis_flow.py`` asserts parity.
-TRACE_RULE_NAMES: Tuple[str, ...] = (
-    "commit-before-data",
-    "torn-multiword",
-    "unfenced-at-boundary",
-    "redundant-flush",
-    "redundant-fence",
-)
 
 
 @dataclass(frozen=True)
@@ -61,8 +43,7 @@ def scan_pragmas(text: str) -> List[Pragma]:
 
     Uses the tokenizer so pragma examples quoted inside docstrings or
     string literals are not mistaken for live pragmas (a raw line regex
-    would flag the usage example in ``lint``'s own module docstring as
-    stale).
+    would flag a usage example in a module docstring as stale).
     """
     pragmas: List[Pragma] = []
     try:
@@ -89,7 +70,7 @@ class PragmaTable:
     def __init__(self, text: str) -> None:
         self.pragmas = scan_pragmas(text)
         self._by_line: Dict[int, Pragma] = {p.line: p for p in self.pragmas}
-        self._used: Set[Tuple[int, str]] = set()
+        self._used: Set[Pragma] = set()
 
     def lookup(self, finding_line: int, rule: str) -> Optional[Pragma]:
         """The pragma governing a finding at *finding_line*, if any."""
@@ -99,26 +80,9 @@ class PragmaTable:
                 return pragma
         return None
 
-    def suppresses(self, finding_line: int, rule: str) -> bool:
-        """True (and marks the pragma used) when a *justified* pragma
-        covers this finding."""
-        pragma = self.lookup(finding_line, rule)
-        if pragma is not None and pragma.valid:
-            self._used.add((pragma.line, pragma.rule))
-            return True
-        return False
-
     def mark_used(self, pragma: Pragma) -> None:
-        self._used.add((pragma.line, pragma.rule))
+        self._used.add(pragma)
 
-    def stale(self, owned_rules: Sequence[str]) -> List[Pragma]:
-        """Justified pragmas for rules in *owned_rules* that suppressed
-        nothing in this file."""
-        owned = set(owned_rules)
-        return [
-            p
-            for p in self.pragmas
-            if p.valid
-            and p.rule in owned
-            and (p.line, p.rule) not in self._used
-        ]
+    def stale(self) -> List[Pragma]:
+        """Justified pragmas that suppressed nothing in this file."""
+        return [p for p in self.pragmas if p.valid and p not in self._used]

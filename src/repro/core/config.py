@@ -50,9 +50,6 @@ class MgspConfig:
     #: epoch boundary: fresh log bytes accumulated per file
     writeback_epoch_bytes: int = 1 << 20
 
-    #: metadata-log entries (paper: 4 KB area -> 32 x 128 B entries)
-    metalog_entries: int = 32
-
     def __post_init__(self) -> None:
         if self.async_writeback and self.writeback_epoch_bytes <= 0:
             raise ValueError("async_writeback needs a positive writeback_epoch_bytes")

@@ -34,6 +34,8 @@ from repro.obs.spans import NULL_SINK
 from repro.util import checksum as crc
 
 ENTRY_SIZE = 128
+#: entries in the metadata-log area (paper: 4 KB area -> 32 x 128 B entries)
+METALOG_ENTRIES = 32
 HEADER = struct.Struct("<IHHII Q Q")  # checksum, file_id, nslots, length, gen, offset, file_size
 MAX_SLOTS = (ENTRY_SIZE - HEADER.size) // 8
 SLOT = struct.Struct("<II")
@@ -108,7 +110,7 @@ class MetadataLog:
     #: telemetry sink (attach_telemetry replaces it per-instance)
     obs = NULL_SINK
 
-    def __init__(self, device: NvmDevice, region: Region, entries: int = 32) -> None:
+    def __init__(self, device: NvmDevice, region: Region, entries: int = METALOG_ENTRIES) -> None:
         if entries * ENTRY_SIZE > region.size:
             raise FsError(f"metalog region too small for {entries} entries")
         self.device = device

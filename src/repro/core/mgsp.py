@@ -36,9 +36,7 @@ class MgspFilesystem(FileSystem):
         self.config = config or MgspConfig()
         area = self.volume.layout.log_area
         self.logs = LogAllocator(area.start, area.end)
-        self.metalog = MetadataLog(
-            self.device, self.volume.layout.metalog, self.config.metalog_entries
-        )
+        self.metalog = MetadataLog(self.device, self.volume.layout.metalog)
         self.mgl = MglLockManager(self.config, self.recorder)
         #: simulated thread issuing the current op (set by workload runners)
         self.current_thread = 0
@@ -150,7 +148,7 @@ class MgspFilesystem(FileSystem):
         fs.config = config or MgspConfig()
         area = fs.volume.layout.log_area
         fs.logs = LogAllocator(area.start, area.end)
-        fs.metalog = MetadataLog(device, fs.volume.layout.metalog, fs.config.metalog_entries)
+        fs.metalog = MetadataLog(device, fs.volume.layout.metalog)
         fs.mgl = MglLockManager(fs.config, fs.recorder)
         fs.current_thread = 0
         fs._refs = {}

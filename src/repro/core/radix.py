@@ -143,9 +143,6 @@ class RadixTree:
         last = (offset + length - 1) // child_size
         return first, last
 
-    def parent_of(self, node: Node) -> Node:
-        return self.node(node.level + 1, node.index // self.config.degree)
-
     # -- generations -----------------------------------------------------------------
 
     def next_gen(self) -> int:

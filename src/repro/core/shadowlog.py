@@ -173,10 +173,20 @@ class ShadowLog:
         length: int,
         data: bytes,
         data_base: int,
+        durable_word=None,
     ) -> None:
+        """Algorithm 1's descent. *durable_word* marks a transactional
+        write (see :meth:`plan_txn_write`): its leaves are planned
+        against the durable words and it never stops at a coarse
+        terminal."""
         plan.nodes_visited += 1
         if node.level == 0:
-            self._plan_leaf(plan, node, path_gen, last_base, last_start, off, length, data, data_base)
+            if durable_word is None:
+                self._plan_leaf(plan, node, path_gen, last_base, last_start, off, length, data, data_base)
+            else:
+                self._plan_txn_leaf(
+                    plan, node, path_gen, last_base, last_start, off, length, data, data_base, durable_word
+                )
             plan.terminals.append((0, node.index))
             return
 
@@ -184,7 +194,7 @@ class ShadowLog:
         eff = bitmap.effective_nonleaf(node.word, path_gen)
         full_cover = off == node.start and length == node.size
 
-        if full_cover and self.config.multi_granularity:
+        if full_cover and durable_word is None and self.config.multi_granularity:
             self._plan_coarse_terminal(plan, node, eff, is_root, last_base, last_start, data, data_base, off)
             plan.terminals.append((node.level, node.index))
             return
@@ -211,7 +221,7 @@ class ShadowLog:
             child = self.tree.node(node.level - 1, i)
             self._descend_write(
                 plan, child, eff.sub_gen, last_base, last_start,
-                child_off, child_end - child_off, data, data_base,
+                child_off, child_end - child_off, data, data_base, durable_word,
             )
 
     @staticmethod
@@ -449,43 +459,10 @@ class ShadowLog:
         """
         plan = WritePlan(gen=gen)
         root = self.tree.root
-        self._descend_txn(
+        self._descend_write(
             plan, root, 0, self.inode.base, 0, offset, len(data), data, offset, durable_word
         )
         return plan
-
-    def _descend_txn(
-        self, plan, node, path_gen, last_base, last_start, off, length, data, data_base, durable_word
-    ) -> None:
-        plan.nodes_visited += 1
-        if node.level == 0:
-            self._plan_txn_leaf(
-                plan, node, path_gen, last_base, last_start, off, length, data, data_base, durable_word
-            )
-            plan.terminals.append((0, node.index))
-            return
-        is_root = node.level == self.tree.height and node.index == 0
-        eff = bitmap.effective_nonleaf(node.word, path_gen)
-        new_word = bitmap.pack_nonleaf(
-            valid=eff.valid, existing=True, sub_gen=eff.sub_gen, own_gen=plan.gen
-        )
-        if new_word != node.word:
-            plan.refreshes.append((node, new_word))
-        plan.path.append((node.level, node.index))
-        if eff.valid and not is_root:
-            last_base, last_start = node.log_off, node.start
-        elif is_root:
-            last_base, last_start = self.inode.base, 0
-        child_size = self.tree.gran(node.level - 1)
-        first, last_idx = self.tree.child_range(node, off, length)
-        for i in range(first, last_idx + 1):
-            child_off = max(off, i * child_size)
-            child_end = min(off + length, (i + 1) * child_size)
-            child = self.tree.node(node.level - 1, i)
-            self._descend_txn(
-                plan, child, eff.sub_gen, last_base, last_start,
-                child_off, child_end - child_off, data, data_base, durable_word,
-            )
 
     def _plan_txn_leaf(
         self, plan, node, path_gen, last_base, last_start, off, length, data, data_base, durable_word

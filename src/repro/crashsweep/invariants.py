@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.core.config import MgspConfig
 from repro.core.metalog import MetadataLog
 from repro.core.mgsp import MgspFilesystem
 from repro.core.radix import RadixTree
@@ -38,11 +37,11 @@ from repro.nvm.device import NvmDevice
 from repro.crashsweep.workloads import FileOracle, make_config
 
 
-def pending_entries(image: bytes, config: MgspConfig) -> int:
+def pending_entries(image: bytes) -> int:
     """Checksum-valid, un-retired metalog entries in a raw crash image."""
     device = NvmDevice.from_image(image)
     layout = VolumeLayout.for_device(device.size, log_fraction=MgspFilesystem.log_fraction)
-    return len(MetadataLog(device, layout.metalog, config.metalog_entries).scan())
+    return len(MetadataLog(device, layout.metalog).scan())
 
 
 def check_image(
@@ -54,7 +53,7 @@ def check_image(
     """Run every invariant against one post-crash image."""
     violations: List[str] = []
     config = make_config(config_name)
-    visible = pending_entries(image, config)
+    visible = pending_entries(image)
 
     try:
         fs, stats = recover(NvmDevice.from_image(image), config=config)

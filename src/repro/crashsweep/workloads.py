@@ -103,6 +103,8 @@ class RunOutcome:
     #: DeviceStats snapshot taken when the plan was armed — the census
     #: derives the crash-point count from the delta since this point.
     stats_base: object
+    #: whatever ``instrument(system)`` returned (the attached observers)
+    attached: object = None
 
 
 class RawSystem:
@@ -182,13 +184,12 @@ class SweepWorkload:
         self,
         config_name: str,
         plan: Optional[CrashPlan] = None,
-        instrument: Optional[Callable[[object], None]] = None,
+        instrument: Optional[Callable[[object], object]] = None,
     ) -> RunOutcome:
         system = self.make_system(config_name)
-        if instrument is not None:
-            # Observer attachment point (e.g. the repro.analysis tap):
-            # runs before setup so the observer sees the whole stream.
-            instrument(system)
+        # Observer attachment point (e.g. the repro.analysis tap): runs
+        # before setup so the observer sees the whole stream.
+        attached = instrument(system) if instrument is not None else None
         state = self.setup(system)
         system.device.drain()
         stats_base = system.device.stats.snapshot()
@@ -206,6 +207,7 @@ class SweepWorkload:
             crashed=crashed,
             plan=plan,
             stats_base=stats_base,
+            attached=attached,
         )
 
 

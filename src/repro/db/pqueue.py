@@ -116,9 +116,6 @@ class PersistentQueue:
         device.persist(base, HEADER_SIZE + nslots * stride)
         return cls(device, base, sync=sync)
 
-    def size_of(self) -> int:
-        return HEADER_SIZE + self.nslots * self.stride
-
     def _slot(self, seq: int) -> int:
         return self.base + HEADER_SIZE + ((seq - 1) % self.nslots) * self.stride
 

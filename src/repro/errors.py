@@ -62,14 +62,6 @@ class ReadOnlyError(FsError):
     """Write attempted through a read-only handle."""
 
 
-class LockProtocolError(ReproError):
-    """MGL invariant violated (bad release order, double release, ...)."""
-
-
-class RecoveryError(ReproError):
-    """Recovery found an unrecoverable inconsistency."""
-
-
 class DbError(ReproError):
     """Errors from the embedded database engine."""
 

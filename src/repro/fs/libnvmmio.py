@@ -4,7 +4,7 @@ The model reproduces the behaviours the paper leans on:
 
 - **user-space MMIO**: no syscall cost; data moves with load/store + clwb.
 - **differential logging**: only the written bytes are logged (per-4 KB
-  block log entries, interval-tracked), so unsynced write amplification
+  block log entries, each with a byte mask), so unsynced write amplification
   stays near 1 (Table II).
 - **double write on sync**: ``fsync`` checkpoints every dirty log entry
   back to the file — the write-amplification ratio ~2 and the Fig 7
@@ -22,14 +22,14 @@ The model reproduces the behaviours the paper leans on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 from repro.errors import FileNotFound, FsError
 from repro.fsapi.interface import FileHandle, FileSystem, OpenFlags
 from repro.fsapi.volume import Inode
 from repro.nvm.allocator import LogAllocator
-from repro.nvm.intervals import IntervalSet
+from repro.nvm.bitmap import iter_bit_runs
 from repro.sim.trace import TraceRecorder
 
 BLOCK = 4096
@@ -41,7 +41,7 @@ INDEX_DEPTH = 4  # radix levels walked per block lookup
 class LogEntry:
     log_off: int
     policy: str  # "redo" | "undo"
-    intervals: IntervalSet = field(default_factory=IntervalSet)  # in-block offsets
+    logged: int = 0  # byte mask of the in-block offsets the log holds
 
 
 class LibnvmmioFile(FileHandle):
@@ -90,17 +90,18 @@ class LibnvmmioFile(FileHandle):
                 in_block = pos - idx * BLOCK
                 take = min(BLOCK - in_block, end - pos)
                 chunk = data[pos - offset : pos - offset + take]
+                span = ((1 << take) - 1) << in_block
                 fs.recorder.lock(("block", self.inode.id, idx), "W")
                 if self.epoch_policy == "redo":
                     entry = self._entry(idx, "redo")
                     fs.device.nt_store(entry.log_off + in_block, chunk)
-                    entry.intervals.add(in_block, in_block + take)
+                    entry.logged |= span
                 else:  # undo: log old data, update file in place
                     entry = self._entry(idx, "undo")
-                    if not entry.intervals.covers(in_block, in_block + take):
+                    if entry.logged & span != span:
                         old = fs.device.load(self._file_off(idx) + in_block, take)
                         fs.device.nt_store(entry.log_off + in_block, old)
-                        entry.intervals.add(in_block, in_block + take)
+                        entry.logged |= span
                     fs.device.nt_store(self._file_off(idx) + in_block, chunk)
                 # Per-entry metadata (commit record for the log write).
                 fs.device.nt_store(fs.meta_cursor(), b"\0" * ENTRY_META)
@@ -137,7 +138,8 @@ class LibnvmmioFile(FileHandle):
                 chunk = bytearray(fs.device.load(base + in_block, take))
                 if entry is not None and entry.policy == "redo":
                     # Overlay the logged (newer) byte ranges.
-                    for s, e in entry.intervals.intersect(in_block, in_block + take):
+                    span = ((1 << take) - 1) << in_block
+                    for s, e in iter_bit_runs(entry.logged & span):
                         logged = fs.device.load(entry.log_off + s, e - s)
                         chunk[s - in_block : e - in_block] = logged
                         fs.recorder.compute(fs.timing.dram_copy_ns(e - s))
@@ -192,7 +194,7 @@ class LibnvmmioFile(FileHandle):
         # update + flush, entry reclamation.
         fs.recorder.compute(fs.timing.msync_entry_ns)
         if entry.policy == "redo":
-            for s, e in entry.intervals:
+            for s, e in iter_bit_runs(entry.logged):
                 logged = fs.device.load(entry.log_off + s, e - s)
                 # analysis: allow(unfenced-nt-store) -- caller fences: fsync/_checkpoint_all issue one fence over every block
                 fs.device.nt_store(self._file_off(idx) + s, logged)
@@ -260,7 +262,7 @@ class Libnvmmio(FileSystem):
                     continue
                 self.bg_recorder.lock(("block", handle.inode.id, idx), "W")
                 if entry.policy == "redo":
-                    for s, e in entry.intervals:
+                    for s, e in iter_bit_runs(entry.logged):
                         logged = self.device.load(entry.log_off + s, e - s)
                         self.device.nt_store(handle._file_off(idx) + s, logged)
                 self.logs.free(entry.log_off, BLOCK)

@@ -51,16 +51,15 @@ def collect_trace(
 ) -> Trace:
     """One passing instrumented run; raises :class:`ParityError` if the
     collector's index count drifts from the census event count."""
-    collectors = []
 
-    def instrument(system) -> None:
+    def instrument(system):
         regions = workload.region_map(system)
-        collectors.append(attach_collector(system, regions=regions, max_events=max_events))
+        return attach_collector(system, regions=regions, max_events=max_events)
 
     outcome = workload.run(config_name, plan=None, instrument=instrument)
     if outcome.crashed:
         raise RuntimeError(f"{workload_name}: passing run crashed with no plan armed")
-    collector = collectors[0]
+    collector = outcome.attached
     counted = count_events(outcome.fs.device, since=outcome.stats_base)
     if not collector.saturated and collector.event_index != counted:
         raise ParityError(

@@ -24,14 +24,12 @@ from repro.nvm.crash import (
     counting_plan,
 )
 from repro.nvm.device import DeviceStats, NvmDevice
-from repro.nvm.intervals import IntervalSet
 from repro.nvm.timing import OptaneTiming, TimingModel
 
 __all__ = [
     "CrashPlan",
     "CrashPolicy",
     "DeviceStats",
-    "IntervalSet",
     "LogAllocator",
     "NvmDevice",
     "OptaneTiming",

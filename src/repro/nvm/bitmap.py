@@ -1,11 +1,11 @@
 """Chunked range bitmaps for the store-buffer's dirty/pending/touched sets.
 
 The store buffer used to track these sets as sorted interval lists
-(:class:`repro.nvm.intervals.IntervalSet`).  Interval lists are compact
-for a handful of large ranges but pay an O(n) list splice per mutation
-once a workload scatters thousands of disjoint small ranges — exactly
-the shape the hot write path produces.  This module replaces them with
-*chunked bitmaps* in the style of :mod:`repro.core.bitmap`'s packed
+(the reference ``tests/interval_oracle.py`` still compares against).
+Interval lists are compact for a handful of large ranges but pay an
+O(n) list splice per mutation once a workload scatters thousands of
+disjoint small ranges — exactly the shape the hot write path produces.
+This module replaces them with *chunked bitmaps* in the style of :mod:`repro.core.bitmap`'s packed
 int masks: one Python int per fixed-size chunk of the device, one bit
 per grain (cache line or 8-byte word).
 
@@ -26,7 +26,7 @@ Ordering invariant (load-bearing for crash images)
 :meth:`RangeBitmap.runs` and :meth:`RangeBitmap.iter_intersect` yield
 maximal coalesced ``[start, end)`` byte ranges in strictly ascending
 order, merging runs across chunk borders — byte-for-byte the order the
-sorted ``IntervalSet`` iteration produced.  ``StoreBuffer.unfenced_words``
+sorted interval-list iteration produced.  ``StoreBuffer.unfenced_words``
 derives crash-image candidate words by scanning these runs, and
 ``choose_persist_words`` flips one coin per candidate *in order*, so
 ascending iteration is what keeps seeded crash images identical across
@@ -88,7 +88,7 @@ class RangeBitmap:
         return bool(self._chunks)
 
     def __len__(self) -> int:
-        """Number of maximal runs (mirrors ``len(IntervalSet)``)."""
+        """Number of maximal runs."""
         return sum(1 for _ in self.runs())
 
     def __iter__(self) -> Iterator[Tuple[int, int]]:
@@ -151,8 +151,7 @@ class RangeBitmap:
                 yield ci, mask
 
     def iter_intersect(self, start: int, end: int) -> Iterator[Tuple[int, int]]:
-        """Clipped maximal runs of this set inside [start, end), ascending
-        (the bitmap equivalent of ``IntervalSet.iter_intersect``)."""
+        """Clipped maximal runs of this set inside [start, end), ascending."""
         shift = self.shift
         cur_s = cur_e = -1
         for ci, mask in self._clipped_chunks(start, end):

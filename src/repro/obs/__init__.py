@@ -34,9 +34,7 @@ from repro.obs.registry import (
 )
 from repro.obs.spans import NULL_SINK, NullSink, Telemetry, attach_telemetry
 from repro.obs.flight import (
-    NULL_FLIGHT,
     FlightRecorder,
-    NullFlightRecorder,
     attach_flight,
 )
 from repro.obs.attribution import (
@@ -56,9 +54,7 @@ __all__ = [
     "NullSink",
     "Telemetry",
     "attach_telemetry",
-    "NULL_FLIGHT",
     "FlightRecorder",
-    "NullFlightRecorder",
     "attach_flight",
     "time_breakdown",
     "write_breakdown",

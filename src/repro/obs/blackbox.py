@@ -91,17 +91,15 @@ def capture(
     from repro.crashsweep.workloads import get_workload
 
     workload = get_workload(workload_name)
-    holder: dict = {}
 
-    def instrument(system) -> None:
-        holder["telemetry"] = attach_telemetry(system, registry=MetricsRegistry())
-        holder["flight"] = attach_flight(
-            system, capacity=capacity, regions=workload.region_map(system)
+    def instrument(system):
+        return (
+            attach_telemetry(system, registry=MetricsRegistry()),
+            attach_flight(system, capacity=capacity, regions=workload.region_map(system)),
         )
 
     outcome = workload.run(config_name, CrashPlan(crash_after), instrument=instrument)
-    flight = holder["flight"]
-    telemetry = holder["telemetry"]
+    telemetry, flight = outcome.attached
     device = outcome.fs.device
 
     candidates = sorted(device.unfenced_words())

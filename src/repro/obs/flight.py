@@ -22,10 +22,9 @@ Design constraints, in order:
   one index per store / clwb call / fence (per element inside the
   vectorized entry points), reset to zero by ``on_drain``. A ring
   entry's index therefore *is* a ``--at N`` crash index.
-- **Null-object detachment.** The module-level :data:`NULL_FLIGHT`
-  (``enabled = False``) is the detached recorder; hot paths that keep a
-  ``flight`` reference pay one attribute check when recording is off,
-  mirroring :data:`repro.obs.spans.NULL_SINK`.
+- **Detachment.** ``Telemetry.flight`` is ``None`` when no recorder is
+  attached; hot paths that keep a ``flight`` reference pay one ``is
+  None`` check when recording is off.
 
 Ring entries are plain tuples, kind-tagged in slot 0:
 
@@ -58,59 +57,6 @@ from repro.obs.spans import clock_reader, system_clocks
 from repro.sim.trace import TappedRecorder
 
 
-class NullFlightRecorder:
-    """Detached recorder: one attribute check, nothing recorded."""
-
-    enabled = False
-
-    def events_list(self) -> List[tuple]:
-        return []
-
-    def mark(self, text: str) -> None:
-        pass
-
-    def snapshot(self) -> Dict[str, object]:
-        return {"capacity": 0, "recorded": 0, "dropped": 0, "events": []}
-
-    def held_locks_snapshot(self) -> List[List[str]]:
-        return []
-
-    def on_store(self, offset: int, length: int, kind: str) -> None:
-        pass
-
-    def on_flush(self, offset: int, length: int, nlines: int) -> None:
-        pass
-
-    def on_fence(self) -> None:
-        pass
-
-    def on_drain(self) -> None:
-        pass
-
-    def on_op_begin(self, name: str) -> None:
-        pass
-
-    def on_op_end(self, name: str) -> None:
-        pass
-
-    def on_lock(self, key, mode: str = "X") -> None:
-        pass
-
-    def on_unlock(self, key) -> None:
-        pass
-
-    def on_span_open(self, name: str, t_ns: float) -> None:
-        pass
-
-    def on_span_close(self, name: str, t_ns: float, dur_ns: float) -> None:
-        pass
-
-
-#: the shared detached recorder (``Telemetry.flight`` stays ``None``
-#: instead, but code handed "a flight recorder" can default to this).
-NULL_FLIGHT = NullFlightRecorder()
-
-
 def _render_key(key) -> str:
     if isinstance(key, tuple):
         return "/".join(str(part) for part in key)
@@ -125,8 +71,6 @@ class FlightRecorder:
     need the whole stream); any positive capacity bounds memory and
     keeps only the tail, counting evictions in :attr:`dropped`.
     """
-
-    enabled = True
 
     def __init__(self, capacity: int = 256, regions=None) -> None:
         self.capacity = capacity

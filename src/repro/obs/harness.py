@@ -57,22 +57,23 @@ def run_workload(
     wname = resolve_workload(workload)
     cname = resolve_config(config)
     wl = get_workload(wname)
-    holder: dict = {}
 
-    def instrument(fs) -> None:
-        holder["telemetry"] = attach_telemetry(fs, registry=registry)
-        if flight_capacity is not None:
-            from repro.obs.flight import attach_flight
+    def instrument(fs):
+        telemetry = attach_telemetry(fs, registry=registry)
+        if flight_capacity is None:
+            return telemetry, None
+        from repro.obs.flight import attach_flight
 
-            holder["flight"] = attach_flight(
-                fs, capacity=flight_capacity, regions=wl.region_map(fs)
-            )
+        return telemetry, attach_flight(
+            fs, capacity=flight_capacity, regions=wl.region_map(fs)
+        )
 
     outcome = wl.run(cname, instrument=instrument)
+    telemetry, flight = outcome.attached
     return ObsRun(
         workload=wname,
         config_name=cname,
-        telemetry=holder["telemetry"],
+        telemetry=telemetry,
         outcome=outcome,
-        flight=holder.get("flight"),
+        flight=flight,
     )

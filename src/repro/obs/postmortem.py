@@ -42,16 +42,12 @@ WORD = 8
 
 
 def _run_with_flight(workload, config_name: str, plan):
-    holder: dict = {}
-
-    def instrument(system) -> None:
-        holder["telemetry"] = attach_telemetry(system, registry=MetricsRegistry())
-        holder["flight"] = attach_flight(
-            system, capacity=0, regions=workload.region_map(system)
-        )
+    def instrument(system):
+        attach_telemetry(system, registry=MetricsRegistry())
+        return attach_flight(system, capacity=0, regions=workload.region_map(system))
 
     outcome = workload.run(config_name, plan, instrument=instrument)
-    return outcome, holder["flight"]
+    return outcome, outcome.attached
 
 
 def _device_events(events: Sequence[tuple]) -> List[tuple]:

@@ -22,7 +22,7 @@ MGSP shards:
    shards.
 
 Everything is keyed off seeded RNGs and the virtual clock — the module
-lives under the linter's ``REPLAYABLE_PREFIXES`` and a fixed seed gives
+lives under the checker's ``REPLAYABLE_PREFIXES`` and a fixed seed gives
 byte-identical reports.
 """
 

@@ -54,30 +54,3 @@ def is_power_of_two(n: int) -> bool:
 def checksum(data: bytes) -> int:
     """CRC32 of *data*, used by the metadata log to validate entries."""
     return zlib.crc32(data) & 0xFFFFFFFF
-
-
-def ranges_overlap(off_a: int, len_a: int, off_b: int, len_b: int) -> bool:
-    """True when [off_a, off_a+len_a) intersects [off_b, off_b+len_b)."""
-    return off_a < off_b + len_b and off_b < off_a + len_a
-
-
-def clamp_range(off: int, length: int, lo: int, hi: int) -> tuple[int, int]:
-    """Intersect [off, off+length) with [lo, hi); returns (off, len)."""
-    start = max(off, lo)
-    end = min(off + length, hi)
-    return (start, max(0, end - start))
-
-
-def split_by_alignment(off: int, length: int, unit: int):
-    """Yield (off, len) chunks of [off, off+length) cut at *unit* boundaries.
-
-    Used to decompose a write into the aligned sub-ranges handled by
-    sibling radix-tree nodes.
-    """
-    pos = off
-    end = off + length
-    while pos < end:
-        boundary = align_down(pos, unit) + unit
-        chunk_end = min(end, boundary)
-        yield pos, chunk_end - pos
-        pos = chunk_end

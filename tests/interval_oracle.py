@@ -1,7 +1,10 @@
-"""Sorted, coalesced half-open integer interval sets.
+"""Sorted, coalesced half-open integer interval sets: the reference
+``tests/test_nvm_bitmap.py`` compares ``RangeBitmap`` against.
 
-Used by the store-buffer model to track dirty and flush-pending byte
-ranges, and by tests to reason about coverage.
+The store buffer tracked dirty and flush-pending byte ranges with this
+class until ``RangeBitmap`` replaced it; it lived in ``repro.nvm`` until
+its last ``src`` user (Libnvmmio's in-block log ranges) moved to an int
+byte mask.
 """
 
 from __future__ import annotations

@@ -1,23 +1,21 @@
-"""Protocol linter: every rule positive + negative, pragmas, real tree."""
+"""The static engine's AST rules: every rule positive + negative,
+pragmas, real tree."""
 
 from __future__ import annotations
 
 import textwrap
 
-from repro.analysis.lint import (
-    LINT_RULES,
-    LintFinding,
-    lint_source,
-    main,
-    run_lint,
-)
+import pytest
+
+from repro.analysis.flow import FLOW_RULES, FlowFinding, analyze_files, run_flow
+from repro.analysis.flow.__main__ import main
 
 BENCH = "repro/bench/fake.py"  # unsanctioned, not replayable
 CORE = "repro/core/fake.py"  # sanctioned and replayable
 
 
 def lint(src, module):
-    return lint_source(textwrap.dedent(src), path=module, module=module)
+    return analyze_files({module: textwrap.dedent(src)}, modules={module: module})
 
 
 def rules_of(findings):
@@ -204,6 +202,53 @@ def test_pragma_for_different_rule_does_not_suppress():
     assert rules_of(lint(src, CORE)) == ["unfenced-nt-store"]
 
 
+def test_unknown_rule_name_in_pragma_is_invalid():
+    src = """
+    def quiet():
+        return 1  # analysis: allow(unfenced-nt-stor) -- typo
+    """
+    assert rules_of(lint(src, CORE)) == ["invalid-pragma"]
+
+
+FLOW_PRAGMA = "# analysis: allow(unfenced-on-exception-path) -- recovery replays this record"
+AST_PRAGMA = "# analysis: allow(unfenced-nt-store) -- caller fences"
+MIXED_PRAGMAS = """
+class Region:
+    def __init__(self, device):
+        self.device = device
+
+    def commit(self, off, data):
+        try:
+            self.device.nt_store(off, data)
+            self.device.fence()
+        except OSError:  {handler_comment}
+            pass
+        return True  {return_comment}
+
+def leak(device):
+    device.nt_store(0, b"x")  {store_comment}
+    return 1  {after_comment}
+"""
+
+
+@pytest.mark.parametrize("stale_rule", ["unfenced-nt-store", "unfenced-on-exception-path", None])
+def test_file_with_flow_and_ast_pragmas_reports_exactly_the_unused_one(stale_rule):
+    # the case the old per-engine rule ownership existed to get right:
+    # a pragma is stale iff it suppressed nothing, whichever pass owns
+    # its rule
+    comments = dict(handler_comment=FLOW_PRAGMA, return_comment="", store_comment=AST_PRAGMA, after_comment="")
+    if stale_rule == "unfenced-nt-store":  # second AST pragma, on a quiet line
+        comments["after_comment"] = AST_PRAGMA
+    elif stale_rule == "unfenced-on-exception-path":  # second flow pragma, on a quiet line
+        comments["return_comment"] = FLOW_PRAGMA
+    findings = lint(MIXED_PRAGMAS.format(**comments), CORE)
+    if stale_rule is None:
+        assert findings == []
+    else:
+        assert rules_of(findings) == ["stale-pragma"]
+        assert f"allow({stale_rule})" in findings[0].message
+
+
 # -- plumbing --------------------------------------------------------------
 
 
@@ -212,27 +257,27 @@ def test_syntax_error_surfaces_as_finding():
 
 
 def test_finding_format_is_path_line_rule():
-    f = LintFinding(path="src/x.py", line=3, rule="unfenced-nt-store", message="m")
+    f = FlowFinding(path="src/x.py", line=3, rule="unfenced-nt-store", message="m")
     assert f.format() == "src/x.py:3: unfenced-nt-store: m"
 
 
 def test_every_documented_rule_has_a_description():
-    assert set(LINT_RULES) == {
+    assert {
         "raw-store-outside-protocol",
         "unfenced-nt-store",
         "mgl-lock-order",
         "ambient-nondeterminism",
         "invalid-pragma",
         "stale-pragma",
-    }
-    assert all(LINT_RULES.values())
+    } <= set(FLOW_RULES)
+    assert all(FLOW_RULES.values())
 
 
 # -- the real tree must be clean (this is the CI gate) ---------------------
 
 
 def test_src_repro_is_lint_clean():
-    findings = run_lint(["src/repro"])
+    findings = run_flow(["src/repro"])
     assert findings == [], "\n".join(f.format() for f in findings)
 
 

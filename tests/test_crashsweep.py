@@ -137,10 +137,10 @@ def make_fs():
     return MgspFilesystem(device_size=8 << 20, config=MgspConfig(degree=16))
 
 
-def metalog_of(image: bytes, config: MgspConfig) -> MetadataLog:
+def metalog_of(image: bytes) -> MetadataLog:
     device = NvmDevice.from_image(image)
     layout = VolumeLayout.for_device(device.size, log_fraction=MgspFilesystem.log_fraction)
-    return MetadataLog(device, layout.metalog, config.metalog_entries)
+    return MetadataLog(device, layout.metalog)
 
 
 class TestUnlinkedFileRecovery:
@@ -162,7 +162,7 @@ class TestUnlinkedFileRecovery:
 
     def test_entry_for_unlinked_file_is_discarded(self):
         image, config = self.build_image()
-        entries = metalog_of(image, config).scan()
+        entries = metalog_of(image).scan()
         assert entries, "scenario must leave a live metalog entry"
         fs2, stats = recover(NvmDevice.from_image(image), config=MgspConfig(degree=16))
         assert stats.entries_discarded >= 1
@@ -223,10 +223,10 @@ class TestPendingEntriesHelper:
         f.write(0, b"q" * 1024)
         # DROP_ALL image loses the unfenced retire: entry visible.
         image = compose_image(fs.device, CrashPolicy.DROP_ALL, seed=0)
-        assert pending_entries(image, fs.config) == 1
+        assert pending_entries(image) == 1
         # KEEP_ALL persists the retire: no entry survives.
         image = compose_image(fs.device, CrashPolicy.KEEP_ALL, seed=0)
-        assert pending_entries(image, fs.config) == 0
+        assert pending_entries(image) == 0
 
 
 class TestCli:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nvm.intervals import IntervalSet
+from interval_oracle import IntervalSet
 
 
 class TestBasics:

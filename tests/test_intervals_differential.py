@@ -19,7 +19,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nvm.intervals import IntervalSet
+from interval_oracle import IntervalSet
 
 
 class SlowIntervalSet(IntervalSet):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nvm.bitmap import CHUNK_BITS, RangeBitmap, iter_bit_runs
-from repro.nvm.intervals import IntervalSet
+from interval_oracle import IntervalSet
 
 
 class TestBitRuns:

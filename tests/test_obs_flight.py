@@ -14,29 +14,23 @@ import pytest
 from repro.crashsweep.workloads import get_workload
 from repro.nvm.crash import CrashPlan, count_events
 from repro.nvm.device import NvmDevice
-from repro.obs.flight import (
-    NULL_FLIGHT,
-    FlightRecorder,
-    NullFlightRecorder,
-    attach_flight,
-)
+from repro.obs.flight import FlightRecorder, attach_flight
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import attach_telemetry
 
 
 def _run(workload_name, config, crash_after=None, flight_capacity=None):
     workload = get_workload(workload_name)
-    holder = {}
 
     def instrument(system):
-        holder["telemetry"] = attach_telemetry(system, registry=MetricsRegistry())
-        holder["flight"] = attach_flight(system, capacity=flight_capacity)
+        attach_telemetry(system, registry=MetricsRegistry())
+        return attach_flight(system, capacity=flight_capacity)
 
     plan = CrashPlan(crash_after) if crash_after is not None else None
     outcome = workload.run(
         config, plan, instrument=instrument if flight_capacity is not None else None
     )
-    return outcome, holder.get("flight")
+    return outcome, outcome.attached
 
 
 class _CountingTap:
@@ -54,15 +48,6 @@ class _CountingTap:
 
     def on_drain(self):
         self.calls.append(("drain",))
-
-
-def test_null_flight_is_inert():
-    assert NULL_FLIGHT.enabled is False
-    assert isinstance(NULL_FLIGHT, NullFlightRecorder)
-    NULL_FLIGHT.mark("x")
-    NULL_FLIGHT.on_fence()
-    assert NULL_FLIGHT.events_list() == []
-    assert NULL_FLIGHT.snapshot()["events"] == []
 
 
 def test_tap_fanout_add_remove():

@@ -61,11 +61,6 @@ class TestGeometry:
         first, last = tree.child_range(parent, 4096, 8192)
         assert (first, last) == (1, 2)
 
-    def test_parent_of(self):
-        tree, _, _ = make_tree(degree=16)
-        child = tree.node(0, 35)
-        assert tree.parent_of(child).index == 2
-
     def test_peek_does_not_materialize(self):
         tree, _, _ = make_tree()
         assert tree.peek(0, 5) is None

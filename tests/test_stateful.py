@@ -91,6 +91,7 @@ TestMgspFileMachine.settings = settings(
     max_examples=15,
     stateful_step_count=25,
     deadline=None,
+    derandomize=True,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 
@@ -156,5 +157,6 @@ TestDatabaseMachine.settings = settings(
     max_examples=10,
     stateful_step_count=20,
     deadline=None,
+    derandomize=True,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )

@@ -12,12 +12,9 @@ from repro.util import (
     align_down,
     align_up,
     checksum,
-    clamp_range,
     fmt_size,
     is_power_of_two,
     parse_size,
-    ranges_overlap,
-    split_by_alignment,
 )
 
 
@@ -70,30 +67,6 @@ class TestAlignment:
         assert not is_power_of_two(0)
         assert not is_power_of_two(3)
         assert not is_power_of_two(-4)
-
-    def test_ranges_overlap(self):
-        assert ranges_overlap(0, 10, 5, 10)
-        assert not ranges_overlap(0, 10, 10, 5)
-        assert not ranges_overlap(0, 0, 0, 10)
-
-    def test_clamp_range(self):
-        assert clamp_range(5, 10, 0, 8) == (5, 3)
-        assert clamp_range(5, 10, 20, 30) == (20, 0)
-
-    def test_split_by_alignment(self):
-        chunks = list(split_by_alignment(100, 300, 128))
-        assert chunks == [(100, 28), (128, 128), (256, 128), (384, 16)]
-        assert sum(c[1] for c in chunks) == 300
-
-    @given(st.integers(0, 5000), st.integers(1, 2000), st.sampled_from([64, 128, 4096]))
-    def test_split_covers_exactly(self, off, length, unit):
-        chunks = list(split_by_alignment(off, length, unit))
-        assert sum(c[1] for c in chunks) == length
-        pos = off
-        for coff, clen in chunks:
-            assert coff == pos
-            pos += clen
-            assert clen <= unit
 
     def test_checksum_stability(self):
         assert checksum(b"abc") == checksum(b"abc")
