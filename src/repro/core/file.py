@@ -39,6 +39,31 @@ def _coalesce(writes):
     ]
 
 
+def _count_terminals(
+    tree: RadixTree, multi_gran: bool, level: int, off: int, ln: int, budget: int, cap: int
+) -> int:
+    """Terminal commits [off, off+ln) needs below *level*. A plain
+    function on purpose: a recursive closure is a reference cycle, and
+    one over ``self`` pins handle, fs and device images until the next
+    collection."""
+    if budget <= 0:
+        return 0
+    if level == 0:
+        return 1
+    gran = tree.gran(level)
+    if multi_gran and off % gran == 0 and ln == gran:
+        return 1
+    child = tree.gran(level - 1)
+    total = 0
+    for i in range(off // child, (off + ln - 1) // child + 1):
+        lo = max(off, i * child)
+        hi = min(off + ln, (i + 1) * child)
+        total += _count_terminals(tree, multi_gran, level - 1, lo, hi - lo, budget - total, cap)
+        if total > cap:
+            return total
+    return total
+
+
 class MgspFile(FileHandle):
     def __init__(self, fs, inode: Inode) -> None:
         super().__init__(fs, inode.name)
@@ -83,28 +108,9 @@ class MgspFile(FileHandle):
     def _terminal_count(self, offset: int, length: int, cap: int) -> int:
         """How many terminal commits a write would need (early-exits past
         *cap*); pure geometry, mirrors the planner's decomposition."""
-
-        def rec(level: int, off: int, ln: int, budget: int) -> int:
-            if budget <= 0:
-                return 0
-            if level == 0:
-                return 1
-            gran = self.tree.gran(level)
-            if self.config.multi_granularity and off % gran == 0 and ln == gran:
-                return 1
-            child = self.tree.gran(level - 1)
-            first = off // child
-            last = (off + ln - 1) // child
-            total = 0
-            for i in range(first, last + 1):
-                lo = max(off, i * child)
-                hi = min(off + ln, (i + 1) * child)
-                total += rec(level - 1, lo, hi - lo, budget - total)
-                if total > cap:
-                    return total
-            return total
-
-        return rec(self.tree.height, offset, length, cap + 1)
+        return _count_terminals(
+            self.tree, self.config.multi_granularity, self.tree.height, offset, length, cap + 1, cap
+        )
 
     def _lock_path(self, covering: Tuple[int, int]) -> List[Tuple[int, int]]:
         """Ancestors from the root down to (excluding) the covering node."""

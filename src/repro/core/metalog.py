@@ -104,6 +104,35 @@ class MetaEntry:
         return self.offset  # transaction entries reuse the offset field
 
 
+def decode_entry(idx: int, raw: bytes) -> Optional[MetaEntry]:
+    """The live entry in the ``ENTRY_SIZE`` bytes of slot *idx*; None
+    when it is retired or torn."""
+    digest, file_id, nslots_field, length, gen, offset, file_size = HEADER.unpack(
+        raw[: HEADER.size]
+    )
+    nslots = nslots_field & _NSLOTS_MASK
+    flags = nslots_field & ~_NSLOTS_MASK
+    if length == 0 or nslots > MAX_SLOTS:
+        return None
+    body_end = HEADER.size + nslots * 8
+    if crc(raw[4:body_end]) != digest:
+        return None  # torn entry: the write never committed
+    slots = [
+        MetaSlot.unpack(raw[HEADER.size + i * 8 : HEADER.size + (i + 1) * 8])
+        for i in range(nslots)
+    ]
+    return MetaEntry(
+        index=idx,
+        file_id=file_id,
+        length=length,
+        gen=gen,
+        offset=offset,
+        file_size=file_size,
+        slots=slots,
+        flags=flags,
+    )
+
+
 class MetadataLog:
     """The per-mount metadata-log region."""
 
@@ -196,36 +225,9 @@ class MetadataLog:
     def scan(self) -> List[MetaEntry]:
         """Return every un-retired, checksum-valid entry (recovery path)."""
         found: List[MetaEntry] = []
+        load = self.device.buffer.load  # untimed: mount path
         for idx in range(self.entries):
-            entry = self._load(idx)
+            entry = decode_entry(idx, load(self.entry_offset(idx), ENTRY_SIZE))
             if entry is not None:
                 found.append(entry)
         return found
-
-    def _load(self, idx: int) -> Optional[MetaEntry]:
-        off = self.entry_offset(idx)
-        raw = self.device.buffer.load(off, ENTRY_SIZE)
-        digest, file_id, nslots_field, length, gen, offset, file_size = HEADER.unpack(
-            raw[: HEADER.size]
-        )
-        nslots = nslots_field & _NSLOTS_MASK
-        flags = nslots_field & ~_NSLOTS_MASK
-        if length == 0 or nslots > MAX_SLOTS:
-            return None
-        body_end = HEADER.size + nslots * 8
-        if crc(raw[4:body_end]) != digest:
-            return None  # torn entry: the write never committed
-        slots = [
-            MetaSlot.unpack(raw[HEADER.size + i * 8 : HEADER.size + (i + 1) * 8])
-            for i in range(nslots)
-        ]
-        return MetaEntry(
-            index=idx,
-            file_id=file_id,
-            length=length,
-            gen=gen,
-            offset=offset,
-            file_size=file_size,
-            slots=slots,
-            flags=flags,
-        )

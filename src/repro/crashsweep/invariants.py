@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.core.metalog import MetadataLog
+from repro.core.metalog import ENTRY_SIZE, METALOG_ENTRIES, decode_entry
 from repro.core.mgsp import MgspFilesystem
 from repro.core.radix import RadixTree
 from repro.core.recovery import recover
@@ -39,9 +39,13 @@ from repro.crashsweep.workloads import FileOracle, make_config
 
 def pending_entries(image: bytes) -> int:
     """Checksum-valid, un-retired metalog entries in a raw crash image."""
-    device = NvmDevice.from_image(image)
-    layout = VolumeLayout.for_device(device.size, log_fraction=MgspFilesystem.log_fraction)
-    return len(MetadataLog(device, layout.metalog).scan())
+    layout = VolumeLayout.for_device(len(image), log_fraction=MgspFilesystem.log_fraction)
+    start = layout.metalog.start
+    return sum(
+        decode_entry(idx, image[start + idx * ENTRY_SIZE : start + (idx + 1) * ENTRY_SIZE])
+        is not None
+        for idx in range(METALOG_ENTRIES)
+    )
 
 
 def check_image(
@@ -98,15 +102,17 @@ def check_image(
             )
 
     if idempotence:
+        # Both are devices booted from an image: their durable images
+        # are bytearrays, compared by memcmp and copied once, by from_image.
         fs.device.drain()
-        first = bytes(fs.device.buffer.durable)
+        first = fs.device.buffer.durable
         try:
             fs2, stats2 = recover(NvmDevice.from_image(first), config=make_config(config_name))
         except Exception as exc:
             violations.append(f"second recovery raised {type(exc).__name__}: {exc}")
             return violations
         fs2.device.drain()
-        second = bytes(fs2.device.buffer.durable)
+        second = fs2.device.buffer.durable
         if second != first:
             diff = sum(a != b for a, b in zip(first, second))
             violations.append(

@@ -434,7 +434,7 @@ class NovaSweepWorkload(SweepWorkload):
 
         violations: List[str] = []
         try:
-            fs = Nova.recover(NvmDevice.from_image(bytes(image)))
+            fs = Nova.recover(NvmDevice.from_image(image))
         except Exception as exc:
             return [f"NOVA recovery raised {type(exc).__name__}: {exc}"]
         for name, oracle in oracles.items():
@@ -451,14 +451,14 @@ class NovaSweepWorkload(SweepWorkload):
                 )
         if idempotence:
             fs.device.drain()
-            first = bytes(fs.device.buffer.durable)
+            first = fs.device.buffer.durable  # image-booted: a bytearray, as is second
             try:
                 fs2 = Nova.recover(NvmDevice.from_image(first))
             except Exception as exc:
                 violations.append(f"second NOVA recovery raised {exc!r}")
                 return violations
             fs2.device.drain()
-            second = bytes(fs2.device.buffer.durable)
+            second = fs2.device.buffer.durable
             if second != first:
                 diff = sum(a != b for a, b in zip(first, second))
                 violations.append(
@@ -541,7 +541,7 @@ class LibnvmmioSweepWorkload(SweepWorkload):
         from repro.fsapi.volume import Volume
 
         violations: List[str] = []
-        device = NvmDevice.from_image(bytes(image))
+        device = NvmDevice.from_image(image)
         try:
             volume = Volume.mount(
                 device,
@@ -706,7 +706,7 @@ class PqueueSweepWorkload(SweepWorkload):
         violations: List[str] = []
         oracle: QueueOracle = oracles["queue"]
         sync = config_name == "sync"
-        device = NvmDevice.from_image(bytes(image))
+        device = NvmDevice.from_image(image)
         try:
             queue = PersistentQueue.recover(device, PQUEUE_BASE, sync=sync)
         except Exception as exc:
@@ -728,14 +728,14 @@ class PqueueSweepWorkload(SweepWorkload):
             violations.append("dequeue drain order diverges from the live-item scan")
         if idempotence:
             try:
-                d1 = NvmDevice.from_image(bytes(image))
+                d1 = NvmDevice.from_image(image)
                 PersistentQueue.recover(d1, PQUEUE_BASE, sync=sync)
                 d1.drain()
-                first = bytes(d1.buffer.durable)
+                first = d1.buffer.durable  # image-booted: a bytearray, as is second
                 d2 = NvmDevice.from_image(first)
                 PersistentQueue.recover(d2, PQUEUE_BASE, sync=sync)
                 d2.drain()
-                second = bytes(d2.buffer.durable)
+                second = d2.buffer.durable
             except Exception as exc:
                 violations.append(f"re-recovery raised {type(exc).__name__}: {exc}")
                 return violations

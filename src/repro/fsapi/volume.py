@@ -75,12 +75,13 @@ class Volume:
         """Rebuild the namespace from the superblock (post-crash path)."""
         volume = cls(device, layout)
         base = volume.layout.superblock.start + HEADER_SIZE
-        for slot_idx in range(volume._max_slots):
-            slot_off = base + slot_idx * SLOT_SIZE
-            raw = device.buffer.load(slot_off, SLOT_SIZE)  # untimed: mount path
-            magic, fid, ext_base, cap, size, nt_off, nt_len, name = _SLOT.unpack(raw)
+        # untimed (mount path): the whole slot table in one buffer load
+        table = device.buffer.load(base, volume._max_slots * SLOT_SIZE)
+        for slot_idx, slot in enumerate(_SLOT.iter_unpack(table)):
+            magic, fid, ext_base, cap, size, nt_off, nt_len, name = slot
             if magic != INODE_MAGIC:
                 continue
+            slot_off = base + slot_idx * SLOT_SIZE
             inode = Inode(
                 id=fid,
                 name=name.rstrip(b"\0").decode("utf-8"),

@@ -18,11 +18,17 @@ Representation (array-native core)
 The dirty (stored-not-flushed), pending (flushed-not-fenced) and touched
 (stored-since-durable) sets are cache-line/word-granular chunked bitmaps
 (:class:`repro.nvm.bitmap.RangeBitmap`) instead of sorted interval
-lists: a bulk store is a single ``bytearray`` slice assignment plus a
-few chunk-mask ORs, and scattered small stores OR one bit into one small
-int instead of splicing a Python list.  Bulk copies between the working
-and durable images go through persistent ``memoryview``\\ s so a fence
-moves bytes once (no intermediate slice materialisation).
+lists: a bulk store is a single slice assignment plus a few chunk-mask
+ORs, and scattered small stores OR one bit into one small int instead of
+splicing a Python list.  Stores, loads and the copies between the
+working and durable images all go through persistent ``memoryview``\\ s,
+so a store or a fence moves bytes once (no intermediate slice
+materialisation).
+
+Only ``crash_image`` (a copy that outlives the buffer) is proportional
+to the provisioned size: a fresh image is a lazily zero-filled anonymous
+mapping, an image booted from content is one heap copy of it, and
+``drain`` copies only ``touched`` runs.
 
 ``pending`` and ``touched`` are additionally maintained *lazily*: the
 store paths append raw ranges to ``_pending_log``/``_touched_log`` and
@@ -39,6 +45,7 @@ memoized until the next mutation.
 
 from __future__ import annotations
 
+import mmap
 import random
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -75,14 +82,31 @@ def choose_persist_words(
 class StoreBuffer:
     """Volatile view over a durable byte image."""
 
-    def __init__(self, size: int) -> None:
+    def __init__(self, size: int, image=None) -> None:
+        """A fresh all-zero device of *size* bytes, or one booted from
+        *image* (*size* bytes of content, copied)."""
         self.size = size
-        self.working = bytearray(size)  # what loads observe
-        self.durable = bytearray(size)  # what survives a crash (fenced)
-        #: persistent views for single-pass bulk copies (a bytearray
-        #: slice on either side of an assignment would materialise an
-        #: intermediate copy). The arrays never resize, so the exported
-        #: buffers stay valid for the buffer's lifetime.
+        #: ``working`` is what loads observe, ``durable`` what survives a
+        #: crash (fenced). A fresh image is an anonymous mapping the
+        #: kernel zero-fills page by page on first touch, so a mount
+        #: costs what it writes, not what it provisions. An image booted
+        #: from content is a heap copy instead: crash images are small,
+        #: short-lived and built back to back, and a mapping would fault
+        #: fresh pages for each one where the heap hands back hot ones.
+        if image is None:
+            self.working = memoryview(mmap.mmap(-1, size))
+            self.durable = memoryview(mmap.mmap(-1, size))
+        else:
+            if len(image) != size:
+                raise OutOfRangeError(f"image of {len(image)} bytes for a device of {size}")
+            self.working = bytearray(image)
+            self.durable = bytearray(image)
+        #: persistent views every store, load and copy goes through: one
+        #: pass whatever the backing (a bytearray slice on either side
+        #: of an assignment materialises an intermediate copy, and so
+        #: does assigning anything but a bytearray *into* one). The
+        #: images never resize, so the exported buffers stay valid for
+        #: the buffer's lifetime.
         self._wmv = memoryview(self.working)
         self._dmv = memoryview(self.durable)
         self.dirty = RangeBitmap(CACHE_LINE)  # stored, not flushed
@@ -136,7 +160,7 @@ class StoreBuffer:
         end = offset + len(data)
         if offset < 0 or end > self.size:
             raise OutOfRangeError(f"store [{offset}, {end}) outside device of {self.size}")
-        self.working[offset:end] = data
+        self._wmv[offset:end] = data
         self.dirty.add(offset & _LINE_MASK, (end + _LINE - 1) & _LINE_MASK)
         self._touched_log.append((offset & _WORD_MASK, (end + ATOMIC_UNIT - 1) & _WORD_MASK))
         self._uw_cache = None
@@ -160,7 +184,7 @@ class StoreBuffer:
         end = offset + len(data)
         if offset < 0 or end > self.size:
             raise OutOfRangeError(f"store [{offset}, {end}) outside device of {self.size}")
-        self.working[offset:end] = data
+        self._wmv[offset:end] = data
         start = offset & _LINE_MASK
         aend = (end + _LINE - 1) & _LINE_MASK
         if self.dirty:
@@ -181,7 +205,7 @@ class StoreBuffer:
             if offset < 0 or offset + len(data) > size:
                 end = offset + len(data)
                 raise OutOfRangeError(f"store [{offset}, {end}) outside device of {size}")
-        working = self.working
+        working = self._wmv
         # A batch only removes from dirty, so emptiness checked once holds.
         dirty = self.dirty if self.dirty else None
         plog = self._pending_log
@@ -210,7 +234,7 @@ class StoreBuffer:
         """:meth:`nt_store_v` specialized for aligned 8-byte words (the
         metadata-commit pattern): one line per word, validated up front
         the same way."""
-        working = self.working
+        working = self._wmv
         size = self.size
         for offset, _value in words:
             if offset % ATOMIC_UNIT != 0:
@@ -313,14 +337,17 @@ class StoreBuffer:
         return nlines
 
     def drain(self) -> None:
-        """Make the entire working image durable (orderly shutdown)."""
+        """Make the entire working image durable (orderly shutdown).
+        The images differ only inside ``touched``, so only those runs
+        are copied."""
+        wmv = self._wmv
+        dmv = self._dmv
+        for start, end in self._consolidate_touched().pop_runs():
+            dmv[start:end] = wmv[start:end]
         self.dirty.clear()
         self.pending.clear()
         self._pending_log.clear()
-        self.touched.clear()
-        self._touched_log.clear()
         self._uw_cache = None
-        self.durable[:] = self.working
 
     # -- crash-image composition ------------------------------------------
 

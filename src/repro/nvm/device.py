@@ -92,11 +92,12 @@ class NvmDevice:
         size: int,
         timing: Optional[TimingModel] = None,
         name: str = "pmem0",
+        image=None,
     ) -> None:
         self.size = size
         self.name = name
         self.timing = timing or OptaneTiming()
-        self.buffer = StoreBuffer(size)
+        self.buffer = StoreBuffer(size, image)
         self.stats = DeviceStats()
         self.observers: List[object] = []
         self._repriced = None
@@ -338,11 +339,10 @@ class NvmDevice:
     def from_image(
         cls, image: bytes, timing: Optional[TimingModel] = None, name: str = "pmem0"
     ) -> "NvmDevice":
-        """Boot a device from a crash image (the recovered machine)."""
-        device = cls(len(image), timing=timing, name=name)
-        device.buffer.working[:] = image
-        device.buffer.durable[:] = image
-        return device
+        """Boot a device from a crash image (the recovered machine).
+        *image* is copied, never aliased: it may be another device's
+        live image."""
+        return cls(len(image), timing=timing, name=name, image=image)
 
     # -- derived accounting --------------------------------------------------
 

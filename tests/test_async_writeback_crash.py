@@ -25,7 +25,7 @@ CONFIG_KW = dict(degree=16, async_writeback=True, writeback_epoch_bytes=16 << 10
 
 
 def build_crashed_state(crash_after, seed=33):
-    fs = MgspFilesystem(device_size=32 << 20, config=MgspConfig(**CONFIG_KW))
+    fs = MgspFilesystem(device_size=4 << 20, config=MgspConfig(**CONFIG_KW))
     f = fs.create("e", capacity=CAP)
     fs.device.drain()
     rng = random.Random(seed)

@@ -23,7 +23,7 @@ MAX_ENUM_WORDS = 8  # 2^8 = 256 recoveries per crash point
 
 
 def build_crashed_state(crash_after, seed=21):
-    fs = MgspFilesystem(device_size=32 << 20, config=MgspConfig(degree=16))
+    fs = MgspFilesystem(device_size=4 << 20, config=MgspConfig(degree=16))
     f = fs.create("e", capacity=CAP)
     fs.device.drain()
     rng = random.Random(seed)
