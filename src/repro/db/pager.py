@@ -19,6 +19,17 @@ DEFAULT_CACHE_PAGES = 256  # SQLite-like bounded page cache
 
 
 class Pager:
+    """The page cache of one database file.
+
+    Invariant the B+tree leans on: a cached page image is *replaced* by
+    :meth:`write` and :meth:`rollback` (a fresh ``bytearray`` goes into
+    the cache), never mutated in place. The reference :meth:`read`
+    returns is therefore a stable snapshot of the page as it was at that
+    call, however long the caller holds it -- a scan suspended mid-leaf
+    keeps walking the image it started on while statements rewrite the
+    page under it. Callers must not write into it either.
+    """
+
     def __init__(self, handle: FileHandle, cache_pages: int = DEFAULT_CACHE_PAGES) -> None:
         self.handle = handle
         self.cache: "OrderedDict[int, bytearray]" = OrderedDict()
@@ -100,13 +111,11 @@ class Pager:
 
     def rollback(self) -> None:
         """Restore before-images, dropping this transaction's changes."""
-        max_kept = self.page_count
         for page_no, image in self.before_images.items():
             if image:
                 self.cache[page_no] = bytearray(image)
             else:
                 self.cache.pop(page_no, None)
-                max_kept = min(max_kept, page_no)
         if self.before_images:
             fresh = [no for no, img in self.before_images.items() if img == b""]
             if fresh:

@@ -83,6 +83,63 @@ class TestBtreeLimits:
         with pytest.raises(DbError):
             tree.insert(b"k", b"v" * (PAGE_SIZE + 100))
 
+    @staticmethod
+    def _pager_state(pager):
+        return (pager.page_count, set(pager.dirty), dict(pager.before_images))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            (b"k", b"x" * 5000),  # overflowed only after _split_leaf had allocated
+            (b"k", b"x" * 70_000),  # was a bare struct.error from the u16 length
+            (b"k" * 70_000, b""),
+            (b"k" * 2100, b"x" * 2100),  # each fits a u16 and a page, the cell does not
+        ],
+        ids=["value-5000", "value-70000", "key-70000", "cell-4200"],
+    )
+    def test_oversized_insert_in_open_txn_leaves_pager_untouched(self, key, value):
+        db = Database(dax(), journal_mode="wal")
+        table = db.create_table("t")
+        table.insert((1,), ("committed",))
+        db.begin()
+        table.tree.insert(b"earlier", b"statement")
+        before = self._pager_state(db.pager)
+        with pytest.raises(DbError):
+            table.tree.insert(key, value)
+        assert self._pager_state(db.pager) == before
+        db.commit()
+        assert table.tree.get(key) is None
+        assert table.tree.get(b"earlier") == b"statement"
+        assert table.get((1,)) == ("committed",)
+
+    def test_leaf_split_with_overflowing_half_refused_before_allocate(self):
+        """Split-by-count puts the four large cells in the right half."""
+        db = Database(dax(), journal_mode="wal")
+        tree = db.create_table("t").tree
+        db.begin()
+        for i in range(4):
+            tree.insert(b"a%d" % i, b"")
+        for i in range(3):
+            tree.insert(b"b%d" % i, b"v" * 1300)
+        before = self._pager_state(db.pager)
+        with pytest.raises(DbError):
+            tree.insert(b"b3", b"v" * 1300)
+        assert self._pager_state(db.pager) == before
+        db.commit()
+        assert tree.count() == 7 and tree.get(b"b3") is None
+
+    def test_largest_cell_that_fits_a_page_is_accepted(self):
+        fs = dax()
+        pager = Pager(fs.create("d", 4 << 20))
+        tree = BTree(pager, pager.allocate(), initialize=True)
+        room = PAGE_SIZE - 7 - 4  # page header, leaf cell header
+        tree.insert(b"key", b"v" * (room - 3))
+        tree.insert(b"a", b"small")
+        assert tree.get(b"key") == b"v" * (room - 3)
+        assert [k for k, _ in tree.scan()] == [b"a", b"key"]
+        with pytest.raises(DbError):
+            tree.insert(b"key", b"v" * (room - 2))
+
     def test_value_near_page_limit(self):
         fs = dax()
         pager = Pager(fs.create("d", 4 << 20))

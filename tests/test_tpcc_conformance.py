@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.bench.registry import make_fs
@@ -90,3 +92,40 @@ class TestTransactionEffects:
         # Every order line incremented exactly one stock order counter.
         total_lines = db.table("order_line").count()
         assert ordered == total_lines
+
+
+class TestGoldenImage:
+    """The storage engine's bytes, not just its answers.
+
+    The benchmark's ``tpcc_db`` configuration (MGSP, WAL, a page cache
+    smaller than the dataset), seed 42, schema + load + 50 transactions.
+    The digests and counters were captured at commit 0bb6f0e, where the
+    B+tree still materialised a node per page load: any drift in page
+    layout, in the bytes handed to ``Pager.write``, or in the order of
+    pager calls (LRU order, so hits and misses) changes them, and with
+    them every virtual-clock number the e2e benchmark reports.
+    """
+
+    DB_SHA256 = "1a7bc7acb56bf9f589771f39eb901f2aa3a06897b16d0090abf7e18e63b5ff76"
+    WAL_SHA256 = "0dab53d7b2e883c0fc327c99094aee3e571cf6f8d5f0161f72e8b5b2f7508ab3"
+    CACHE_HITS, CACHE_MISSES = 27467, 551
+
+    def test_tpcc_prefix_files_and_cache_counts(self):
+        fs = make_fs("MGSP", device_size=256 << 20)
+        db = Database(
+            fs, name="tpcc.db", journal_mode="wal", capacity=40 << 20, cache_pages=128
+        )
+        driver = TpccDriver(db, seed=42)
+        driver.create_schema()
+        driver.load()
+        for _ in range(50):
+            driver.run_transaction()
+        digests = [
+            hashlib.sha256(handle.read(0, handle.size)).hexdigest()
+            for handle in (db.handle, db.wal.handle)
+        ]
+        assert digests == [self.DB_SHA256, self.WAL_SHA256]
+        assert (db.pager.cache_hits, db.pager.cache_misses) == (
+            self.CACHE_HITS,
+            self.CACHE_MISSES,
+        )
