@@ -102,16 +102,3 @@ def mask_for_range(start_sub: int, end_sub: int) -> int:
     if end_sub <= start_sub:
         return 0
     return ((1 << (end_sub - start_sub)) - 1) << start_sub
-
-
-def iter_mask_runs(mask: int, nbits: int):
-    """Yield (start_sub, end_sub) runs of set bits in *mask*."""
-    sub = 0
-    while sub < nbits:
-        if mask & (1 << sub):
-            run_start = sub
-            while sub < nbits and mask & (1 << sub):
-                sub += 1
-            yield run_start, sub
-        else:
-            sub += 1

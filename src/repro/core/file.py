@@ -9,7 +9,7 @@ from repro.core.config import MgspConfig
 from repro.core.metalog import MAX_SLOTS
 from repro.core.radix import RadixTree
 from repro.core.shadowlog import ShadowLog
-from repro.errors import AllocationError, FsError
+from repro.errors import AllocationError
 from repro.fsapi.interface import FileHandle
 from repro.fsapi.volume import Inode
 from repro.util import align_down
@@ -163,13 +163,7 @@ class MgspFile(FileHandle):
                 f"{self.inode.name}: plain write while a transaction is "
                 "open (its staged state would leak into the commit)"
             )
-        if offset < 0:
-            raise FsError("negative offset")
-        if offset + len(data) > self.inode.capacity:
-            raise FsError(
-                f"{self.inode.name}: write [{offset}, {offset + len(data)}) "
-                f"exceeds capacity {self.inode.capacity}"
-            )
+        self._check_range(offset, len(data))
         if not data:
             return 0
         self._ensure_height(offset + len(data))
@@ -384,6 +378,7 @@ class MgspFile(FileHandle):
         self._check_open()
         fs = self.fs
         rec = fs.recorder
+        self._check_offset(offset)
         length = max(0, min(length, self.inode.size - offset))
         with fs.op("read"):
             if length == 0:

@@ -35,6 +35,7 @@ from repro.core.metalog import MetaSlot
 from repro.core.radix import Node, RadixTree
 from repro.fsapi.volume import Inode
 from repro.nvm.allocator import LogAllocator
+from repro.nvm.bitmap import iter_bit_runs
 from repro.nvm.device import NvmDevice
 from repro.obs.spans import NULL_SINK
 
@@ -396,7 +397,7 @@ class ShadowLog:
         plan.commits.append((node, word, MetaSlot(ordinal, True, False, new_mask)))
         if not shadow:
             # Ablation: synchronously push every fresh sub-block back.
-            for rs, re_ in bitmap.iter_mask_runs(new_mask, nbits):
+            for rs, re_ in iter_bit_runs(new_mask):
                 src = node.log_off + rs * sub
                 dst = last_base + (node.start + rs * sub - last_start)
                 plan.checkpoints.append((node, src, dst, (re_ - rs) * sub))
@@ -644,7 +645,7 @@ class ShadowLog:
             nbits = cfg.effective_leaf_bits
             sub = cfg.leaf_size // nbits
             eff = bitmap.effective_leaf(node.word, path_gen)
-            for rs, re_ in bitmap.iter_mask_runs(eff.mask, nbits):
+            for rs, re_ in iter_bit_runs(eff.mask):
                 lo = max(off, node.start + rs * sub)
                 hi = min(end, node.start + re_ * sub)
                 if lo < hi:

@@ -36,7 +36,7 @@ from typing import Dict, Hashable, List, Tuple
 
 from repro.core import bitmap
 from repro.core.metalog import MAX_SLOTS, MetaSlot, TXN_COMMIT, TXN_MEMBER
-from repro.errors import FsError, TransactionError
+from repro.errors import TransactionError
 
 
 class MgspTransaction:
@@ -71,8 +71,7 @@ class MgspTransaction:
         handle = self.handle
         fs = self.fs
         handle._check_writable()
-        if offset < 0 or offset + len(data) > handle.inode.capacity:
-            raise FsError(f"txn write [{offset}, {offset + len(data)}) out of bounds")
+        handle._check_range(offset, len(data))
         with fs.op("txn-write"):
             handle._ensure_height(offset + len(data))
             gen = handle.tree.next_gen()

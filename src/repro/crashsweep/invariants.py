@@ -25,7 +25,7 @@ means the image passed.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 from repro.core.metalog import ENTRY_SIZE, METALOG_ENTRIES, decode_entry
 from repro.core.mgsp import MgspFilesystem
@@ -46,6 +46,35 @@ def pending_entries(image: bytes) -> int:
         is not None
         for idx in range(METALOG_ENTRIES)
     )
+
+
+def idempotence_violations(
+    first: NvmDevice,
+    recover_again: Callable[[NvmDevice], str],
+    subject: str,
+    raised: str,
+) -> List[str]:
+    """Recovery must be a fixpoint: *first* is a device recovery already
+    ran on; drain it, boot a second device from its durable image, run
+    *recover_again* on that, drain, and the two durable images must be
+    byte-identical. *recover_again* returns a suffix for the violation
+    (what the second pass did, or ``""``); *raised* is the violation for
+    a second pass that raises, a format of ``{kind}`` and ``{exc}``."""
+    # Both are devices booted from an image: their durable images are
+    # bytearrays, compared by memcmp and copied once, by from_image.
+    first.drain()
+    before = first.buffer.durable
+    second = NvmDevice.from_image(before)
+    try:
+        did = recover_again(second)
+    except Exception as exc:
+        return [raised.format(kind=type(exc).__name__, exc=exc)]
+    second.drain()
+    after = second.buffer.durable
+    if after == before:
+        return []
+    diff = sum(a != b for a, b in zip(before, after))
+    return [f"{subject} is not idempotent: second pass changed {diff} bytes{did}"]
 
 
 def check_image(
@@ -102,21 +131,12 @@ def check_image(
             )
 
     if idempotence:
-        # Both are devices booted from an image: their durable images
-        # are bytearrays, compared by memcmp and copied once, by from_image.
-        fs.device.drain()
-        first = fs.device.buffer.durable
-        try:
-            fs2, stats2 = recover(NvmDevice.from_image(first), config=make_config(config_name))
-        except Exception as exc:
-            violations.append(f"second recovery raised {type(exc).__name__}: {exc}")
-            return violations
-        fs2.device.drain()
-        second = fs2.device.buffer.durable
-        if second != first:
-            diff = sum(a != b for a, b in zip(first, second))
-            violations.append(
-                f"recovery is not idempotent: second pass changed {diff} bytes "
-                f"(replayed {stats2.entries_replayed}, discarded {stats2.entries_discarded})"
-            )
+
+        def recover_again(device: NvmDevice) -> str:
+            _, again = recover(device, config=make_config(config_name))
+            return f" (replayed {again.entries_replayed}, discarded {again.entries_discarded})"
+
+        violations += idempotence_violations(
+            fs.device, recover_again, "recovery", "second recovery raised {kind}: {exc}"
+        )
     return violations

@@ -35,6 +35,7 @@ uncommitted transaction writes are *not* pending — they must roll back.
 
 from __future__ import annotations
 
+import copy
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -138,6 +139,8 @@ class SweepWorkload:
     #: is *accepted* by :meth:`run` (non-MGSP subjects ignore it), but
     #: :func:`repro.crashsweep.sweep.sweep` only schedules these.
     supported_configs: Tuple[str, ...] = ("sync", "async")
+    #: seed of the op stream; None when the stream has no random axis
+    seed: Optional[int] = None
 
     def setup(self, system) -> dict:
         """Create files/handles; runs *before* the crash plan is armed."""
@@ -176,9 +179,12 @@ class SweepWorkload:
     def variant(self, seed: int) -> "SweepWorkload":
         """A reseeded twin issuing a *different* deterministic op stream
         (same shape); used by inference to prune run-specific patterns.
-        The default — for workloads with no seed axis — is the workload
-        itself."""
-        return self
+        A workload with no ``seed`` has no seed axis and is its own twin."""
+        if self.seed is None:
+            return self
+        twin = copy.copy(self)
+        twin.seed = self.seed ^ (seed * 0x9E3779B9)
+        return twin
 
     def run(
         self,
@@ -230,12 +236,6 @@ class FioSweepWorkload(SweepWorkload):
         self.seed = seed
         self.description = f"{op}, {nops} ops, fsync every {fsync_every}"
 
-    def variant(self, seed: int) -> "FioSweepWorkload":
-        return FioSweepWorkload(
-            self.name, op=self.op, nops=self.nops,
-            fsync_every=self.fsync_every, seed=self.seed ^ (seed * 0x9E3779B9),
-        )
-
     def setup(self, fs) -> dict:
         handle = fs.create("f", capacity=FILE_CAP)
         oracle = FileOracle(FILE_CAP, bytearray(FILE_CAP))
@@ -273,10 +273,6 @@ class TxnSweepWorkload(SweepWorkload):
     def __init__(self, rounds: int = 45, seed: int = 0x7A7) -> None:
         self.rounds = rounds
         self.seed = seed
-
-    def variant(self, seed: int) -> "TxnSweepWorkload":
-        twin = TxnSweepWorkload(rounds=self.rounds, seed=self.seed ^ (seed * 0x9E3779B9))
-        return twin
 
     def setup(self, fs) -> dict:
         handle = fs.create("t", capacity=FILE_CAP)
@@ -332,12 +328,6 @@ class YcsbSweepWorkload(SweepWorkload):
         self.operations = operations
         self.seed = seed
 
-    def variant(self, seed: int) -> "YcsbSweepWorkload":
-        return YcsbSweepWorkload(
-            records=self.records, operations=self.operations,
-            seed=self.seed ^ (seed * 0x9E3779B9),
-        )
-
     def setup(self, fs) -> dict:
         from repro.db import Database
 
@@ -392,12 +382,6 @@ class NovaSweepWorkload(SweepWorkload):
         self.seed = seed
         self.description = f"NOVA CoW {pattern}, {nops} ops (per-op atomic oracle)"
 
-    def variant(self, seed: int) -> "NovaSweepWorkload":
-        return NovaSweepWorkload(
-            self.name, pattern=self.pattern, nops=self.nops,
-            seed=self.seed ^ (seed * 0x9E3779B9),
-        )
-
     def make_system(self, config_name: str):
         from repro.fs.nova import Nova
 
@@ -430,6 +414,7 @@ class NovaSweepWorkload(SweepWorkload):
                 handle.fsync()
 
     def check(self, image, config_name, oracles, idempotence=True) -> List[str]:
+        from repro.crashsweep.invariants import idempotence_violations
         from repro.fs.nova import Nova
 
         violations: List[str] = []
@@ -450,20 +435,14 @@ class NovaSweepWorkload(SweepWorkload):
                     f"synced+pending state (size={handle.size})"
                 )
         if idempotence:
-            fs.device.drain()
-            first = fs.device.buffer.durable  # image-booted: a bytearray, as is second
-            try:
-                fs2 = Nova.recover(NvmDevice.from_image(first))
-            except Exception as exc:
-                violations.append(f"second NOVA recovery raised {exc!r}")
-                return violations
-            fs2.device.drain()
-            second = fs2.device.buffer.durable
-            if second != first:
-                diff = sum(a != b for a, b in zip(first, second))
-                violations.append(
-                    f"NOVA recovery is not idempotent: second pass changed {diff} bytes"
-                )
+
+            def recover_again(device: NvmDevice) -> str:
+                Nova.recover(device)
+                return ""
+
+            violations += idempotence_violations(
+                fs.device, recover_again, "NOVA recovery", "second NOVA recovery raised {exc!r}"
+            )
         return violations
 
 
@@ -496,12 +475,6 @@ class LibnvmmioSweepWorkload(SweepWorkload):
         self.seed = seed
         self.description = (
             f"Libnvmmio redo-log {pattern}, {nops} ops, fsync every {fsync_every}"
-        )
-
-    def variant(self, seed: int) -> "LibnvmmioSweepWorkload":
-        return LibnvmmioSweepWorkload(
-            self.name, pattern=self.pattern, nops=self.nops,
-            fsync_every=self.fsync_every, seed=self.seed ^ (seed * 0x9E3779B9),
         )
 
     def make_system(self, config_name: str):
@@ -620,9 +593,6 @@ class PqueueSweepWorkload(SweepWorkload):
         self.rounds = rounds
         self.seed = seed
 
-    def variant(self, seed: int) -> "PqueueSweepWorkload":
-        return PqueueSweepWorkload(rounds=self.rounds, seed=self.seed ^ (seed * 0x9E3779B9))
-
     def make_system(self, config_name: str):
         return RawSystem(device_size=256 << 10)
 
@@ -701,6 +671,7 @@ class PqueueSweepWorkload(SweepWorkload):
         return PqueueRegionMap()
 
     def check(self, image, config_name, oracles, idempotence=True) -> List[str]:
+        from repro.crashsweep.invariants import idempotence_violations
         from repro.db.pqueue import PersistentQueue
 
         violations: List[str] = []
@@ -727,23 +698,19 @@ class PqueueSweepWorkload(SweepWorkload):
         if drained != live:
             violations.append("dequeue drain order diverges from the live-item scan")
         if idempotence:
-            try:
-                d1 = NvmDevice.from_image(image)
-                PersistentQueue.recover(d1, PQUEUE_BASE, sync=sync)
-                d1.drain()
-                first = d1.buffer.durable  # image-booted: a bytearray, as is second
-                d2 = NvmDevice.from_image(first)
-                PersistentQueue.recover(d2, PQUEUE_BASE, sync=sync)
-                d2.drain()
-                second = d2.buffer.durable
-            except Exception as exc:
-                violations.append(f"re-recovery raised {type(exc).__name__}: {exc}")
-                return violations
-            if second != first:
-                diff = sum(a != b for a, b in zip(first, second))
-                violations.append(
-                    f"queue recovery is not idempotent: second pass changed {diff} bytes"
-                )
+
+            def recover_again(device: NvmDevice) -> str:
+                PersistentQueue.recover(device, PQUEUE_BASE, sync=sync)
+                return ""
+
+            # The drain loop above consumed the first device's queue, so
+            # the fixpoint starts from the image again; this recovery is
+            # the one that returned at the top, it cannot raise here.
+            first = NvmDevice.from_image(image)
+            recover_again(first)
+            violations += idempotence_violations(
+                first, recover_again, "queue recovery", "re-recovery raised {kind}: {exc}"
+            )
         return violations
 
 

@@ -56,6 +56,7 @@ class Ext4File(FileHandle):
 
     def write(self, offset: int, data: bytes) -> int:
         self._check_writable()
+        self._check_range(offset, len(data))
         fs: Ext4 = self.fs  # type: ignore[assignment]
         with fs.op("write"):
             fs.recorder.lock(("inode", self.inode.id), "W")
@@ -83,6 +84,7 @@ class Ext4File(FileHandle):
     def read(self, offset: int, length: int) -> bytes:
         self._check_open()
         fs: Ext4 = self.fs  # type: ignore[assignment]
+        self._check_offset(offset)
         length = max(0, min(length, self.inode.size - offset))
         out = bytearray(length)
         with fs.op("read"):

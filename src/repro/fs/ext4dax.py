@@ -33,6 +33,7 @@ class Ext4DaxFile(FileHandle):
 
     def write(self, offset: int, data: bytes) -> int:
         self._check_writable()
+        self._check_range(offset, len(data))
         fs: Ext4Dax = self.fs  # type: ignore[assignment]
         timing = fs.timing
         with fs.op("write"):
@@ -53,6 +54,7 @@ class Ext4DaxFile(FileHandle):
     def read(self, offset: int, length: int) -> bytes:
         self._check_open()
         fs: Ext4Dax = self.fs  # type: ignore[assignment]
+        self._check_offset(offset)
         length = max(0, min(length, self.inode.size - offset))
         with fs.op("read"):
             fs.recorder.lock(("inode", self.inode.id), "R")

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.errors import FileNotFound, FsError
+from repro.errors import FileNotFound
 from repro.fsapi.interface import FileHandle, FileSystem, OpenFlags
 from repro.fsapi.volume import Inode
 from repro.nvm.allocator import LogAllocator
@@ -78,10 +78,9 @@ class LibnvmmioFile(FileHandle):
 
     def write(self, offset: int, data: bytes) -> int:
         self._check_writable()
+        self._check_range(offset, len(data))
         fs: Libnvmmio = self.fs  # type: ignore[assignment]
         end = offset + len(data)
-        if end > self.inode.capacity:
-            raise FsError(f"{self.inode.name}: write past capacity")
         with fs.op("write"):
             fs.recorder.lock(("lib-epoch", self.inode.id), "IR")
             pos = offset
@@ -121,6 +120,7 @@ class LibnvmmioFile(FileHandle):
     def read(self, offset: int, length: int) -> bytes:
         self._check_open()
         fs: Libnvmmio = self.fs  # type: ignore[assignment]
+        self._check_offset(offset)
         length = max(0, min(length, self.inode.size - offset))
         out = bytearray(length)
         with fs.op("read"):

@@ -88,11 +88,10 @@ class NovaFile(FileHandle):
 
     def write(self, offset: int, data: bytes) -> int:
         self._check_writable()
+        self._check_range(offset, len(data))
         fs: Nova = self.fs  # type: ignore[assignment]
         timing = fs.timing
         end = offset + len(data)
-        if end > self.inode.capacity:
-            raise FsError(f"{self.inode.name}: write past capacity")
         with fs.op("write"):
             fs.recorder.lock(("inode", self.inode.id), "W")
             total_pages = 0
@@ -150,6 +149,7 @@ class NovaFile(FileHandle):
     def read(self, offset: int, length: int) -> bytes:
         self._check_open()
         fs: Nova = self.fs  # type: ignore[assignment]
+        self._check_offset(offset)
         length = max(0, min(length, self.inode.size - offset))
         out = bytearray(length)
         with fs.op("read"):

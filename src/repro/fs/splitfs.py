@@ -55,10 +55,9 @@ class SplitfsFile(FileHandle):
 
     def write(self, offset: int, data: bytes) -> int:
         self._check_writable()
+        self._check_range(offset, len(data))
         fs: Splitfs = self.fs  # type: ignore[assignment]
         end = offset + len(data)
-        if end > self.inode.capacity:
-            raise FsError(f"{self.inode.name}: write past capacity")
         with fs.op("write"):
             fs.recorder.lock(("split-stage", self.inode.id), "W")
             pos = offset
@@ -93,6 +92,7 @@ class SplitfsFile(FileHandle):
     def read(self, offset: int, length: int) -> bytes:
         self._check_open()
         fs: Splitfs = self.fs  # type: ignore[assignment]
+        self._check_offset(offset)
         length = max(0, min(length, self.inode.size - offset))
         out = bytearray(length)
         with fs.op("read"):

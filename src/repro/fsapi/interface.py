@@ -8,8 +8,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.errors import BadFileDescriptor
-from repro.fsapi.volume import Volume
+from repro.errors import BadFileDescriptor, FsError
+from repro.fsapi.volume import Inode, Volume
 from repro.nvm.device import NvmDevice
 from repro.nvm.timing import OptaneTiming, TimingModel
 from repro.obs.spans import NULL_SINK
@@ -48,6 +48,8 @@ class ApiStats:
 
 class FileHandle(abc.ABC):
     """An open file. Offsets are explicit (pread/pwrite style)."""
+
+    inode: Inode  # set by every backend's handle
 
     def __init__(self, fs: "FileSystem", name: str) -> None:
         self.fs = fs
@@ -92,6 +94,23 @@ class FileHandle(abc.ABC):
             from repro.errors import ReadOnlyError
 
             raise ReadOnlyError(f"{self.name} was opened read-only")
+
+    def _check_range(self, offset: int, length: int) -> None:
+        """A write must fit ``[0, capacity)``: past either end of the
+        extent it would land in a neighbouring file. Called before
+        ``fs.op``, so a rejected write stores nothing, emits no trace
+        and counts in no statistic."""
+        if offset < 0 or offset + length > self.inode.capacity:
+            raise FsError(
+                f"{self.name}: write [{offset}, {offset + length}) "
+                f"outside capacity {self.inode.capacity}"
+            )
+
+    def _check_offset(self, offset: int) -> None:
+        """A read clips itself at ``size``, so the one read that is out
+        of range starts below zero — in the previous file's bytes."""
+        if offset < 0:
+            raise FsError(f"{self.name}: read at negative offset {offset}")
 
     def __enter__(self) -> "FileHandle":
         return self

@@ -1,4 +1,4 @@
-"""Chunked range bitmaps for the store-buffer's dirty/pending/touched sets.
+"""Chunked range bitmaps for the store-buffer's dirty and pending line sets.
 
 The store buffer used to track these sets as sorted interval lists
 (the reference ``tests/interval_oracle.py`` still compares against).
@@ -7,7 +7,7 @@ O(n) list splice per mutation once a workload scatters thousands of
 disjoint small ranges — exactly the shape the hot write path produces.
 This module replaces them with *chunked bitmaps* in the style of :mod:`repro.core.bitmap`'s packed
 int masks: one Python int per fixed-size chunk of the device, one bit
-per grain (cache line or 8-byte word).
+per grain (a cache line, for both of the buffer's sets).
 
 Representation
 ==============
@@ -35,10 +35,10 @@ the representation change.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, Tuple
 
 #: bits per chunk (power of two).  At line granularity one chunk covers
-#: 256 KB of device; at word granularity 32 KB.
+#: 256 KB of device.
 CHUNK_BITS = 4096
 _CHUNK_SHIFT = CHUNK_BITS.bit_length() - 1
 _CHUNK_MASK = CHUNK_BITS - 1
@@ -98,15 +98,6 @@ class RangeBitmap:
         body = ", ".join(f"[{s}, {e})" for s, e in self.runs())
         return f"RangeBitmap<{self.grain}>({body})"
 
-    def contains(self, offset: int) -> bool:
-        bit = offset >> self.shift
-        mask = self._chunks.get(bit >> _CHUNK_SHIFT)
-        return mask is not None and (mask >> (bit & _CHUNK_MASK)) & 1 == 1
-
-    def total(self) -> int:
-        """Total bytes covered (popcount over all chunks)."""
-        return sum(m.bit_count() for m in self._chunks.values()) << self.shift
-
     def runs(self) -> Iterator[Tuple[int, int]]:
         """Maximal coalesced [start, end) byte runs, ascending."""
         shift = self.shift
@@ -126,8 +117,8 @@ class RangeBitmap:
         if cur_s >= 0:
             yield cur_s, cur_e
 
-    def _clipped_chunks(self, start: int, end: int):
-        """(chunk_index, mask-limited-to-[start,end)) pairs, ascending."""
+    def iter_intersect(self, start: int, end: int) -> Iterator[Tuple[int, int]]:
+        """Clipped maximal runs of this set inside [start, end), ascending."""
         shift = self.shift
         b0 = start >> shift
         b1 = (end + self.grain - 1) >> shift
@@ -136,10 +127,12 @@ class RangeBitmap:
         chunks = self._chunks
         c0 = b0 >> _CHUNK_SHIFT
         c1 = (b1 - 1) >> _CHUNK_SHIFT
+        cur_s = cur_e = -1
         for ci in range(c0, c1 + 1):
             mask = chunks.get(ci)
             if not mask:
                 continue
+            # limit the first and last chunk's mask to [start, end)
             if ci == c0:
                 r0 = b0 & _CHUNK_MASK
                 mask = mask >> r0 << r0
@@ -147,14 +140,6 @@ class RangeBitmap:
                 r1 = ((b1 - 1) & _CHUNK_MASK) + 1
                 if r1 < CHUNK_BITS:
                     mask &= (1 << r1) - 1
-            if mask:
-                yield ci, mask
-
-    def iter_intersect(self, start: int, end: int) -> Iterator[Tuple[int, int]]:
-        """Clipped maximal runs of this set inside [start, end), ascending."""
-        shift = self.shift
-        cur_s = cur_e = -1
-        for ci, mask in self._clipped_chunks(start, end):
             base = ci << _CHUNK_SHIFT
             for lo, hi in iter_bit_runs(mask):
                 s = (base + lo) << shift
@@ -167,15 +152,6 @@ class RangeBitmap:
                     cur_s, cur_e = s, e
         if cur_s >= 0:
             yield cur_s, cur_e
-
-    def overlaps(self, start: int, end: int) -> bool:
-        for _ in self._clipped_chunks(start, end):
-            return True
-        return False
-
-    def count(self, start: int, end: int) -> int:
-        """Set grains inside [start, end) (popcount, no run iteration)."""
-        return sum(mask.bit_count() for _, mask in self._clipped_chunks(start, end))
 
     # -- mutation --------------------------------------------------------
 
@@ -235,12 +211,6 @@ class RangeBitmap:
                 chunks[c1] = new
             else:
                 del chunks[c1]
-
-    def pop_runs(self) -> List[Tuple[int, int]]:
-        """Return every run (ascending) and clear the set."""
-        out = list(self.runs())
-        self._chunks.clear()
-        return out
 
     def clear(self) -> None:
         self._chunks.clear()

@@ -12,35 +12,37 @@ Semantics (matching x86 + ADR persistence):
 Word (8-byte) granularity is the atomicity unit: an aligned 8-byte store
 never tears, anything larger may persist partially.
 
-Representation (array-native core)
-==================================
+Representation
+==============
 
-The dirty (stored-not-flushed), pending (flushed-not-fenced) and touched
-(stored-since-durable) sets are cache-line/word-granular chunked bitmaps
-(:class:`repro.nvm.bitmap.RangeBitmap`) instead of sorted interval
-lists: a bulk store is a single slice assignment plus a few chunk-mask
-ORs, and scattered small stores OR one bit into one small int instead of
-splicing a Python list.  Stores, loads and the copies between the
-working and durable images all go through persistent ``memoryview``\\ s,
-so a store or a fence moves bytes once (no intermediate slice
-materialisation).
+Five fields, nothing else:
 
-Only ``crash_image`` (a copy that outlives the buffer) is proportional
-to the provisioned size: a fresh image is a lazily zero-filled anonymous
-mapping, an image booted from content is one heap copy of it, and
-``drain`` copies only ``touched`` runs.
+- ``working`` — what loads observe; ``durable`` — what survives a crash.
+  Stores, loads and the copies between the two go through persistent
+  ``memoryview``\\ s, so a store or a fence moves bytes once. A fresh
+  image is a lazily zero-filled anonymous mapping, an image booted from
+  content is one heap copy of it; only ``crash_image`` (a copy that
+  outlives the buffer) is proportional to the provisioned size.
+- ``dirty`` — the stored-not-flushed cache lines, a chunked line bitmap
+  (:class:`repro.nvm.bitmap.RangeBitmap`): a bulk store is one slice
+  assignment plus a few chunk-mask ORs, a small store ORs one bit.
+- ``_pending_log`` — the flushed-not-fenced lines, as the raw
+  line-aligned ranges ``flush`` / ``nt_store*`` queued, in issue order.
+  It is never folded into a set on the store path: ``fence`` replays
+  the ranges as they are (duplicates and overlaps copy the same bytes
+  twice) and drops the list.
+- ``_uw_cache`` — the memoized crash-candidate word list, dropped by
+  every mutation.
 
-``pending`` and ``touched`` are additionally maintained *lazily*: the
-store paths append raw ranges to ``_pending_log``/``_touched_log`` and
-the logs are folded into the bitmaps only when set semantics are needed
-(fence-with-dirty, external inspection); the common fence replays the
-raw ranges directly (idempotent) and drops both wholesale.
-
-The crash-image candidate set (``unfenced_words``) scans only touched
-runs — in ascending offset order, exactly the order the interval-based
-tracker produced — so ``choose_persist_words`` yields identical subsets
-from the same seed across the representation change; the word list is
-memoized until the next mutation.
+One invariant ties them together: **every word where ``working`` and
+``durable`` differ lies in a dirty or a pending line.** A store adds its
+lines to one of the two sets, a flush moves lines from the first to the
+second, and a line leaves both only in ``fence`` / ``drain``, after it
+was copied. So ``unfenced_words`` and ``drain`` walk the coalesced runs
+of ``dirty ∪ pending`` in ascending offset order and never look at the
+rest of the image, and ``choose_persist_words`` — one coin per
+candidate, in order — yields the same subset from the same seed
+whatever order the stores were issued in.
 """
 
 from __future__ import annotations
@@ -61,9 +63,8 @@ from repro.util import ATOMIC_UNIT, CACHE_LINE
 _LINE = CACHE_LINE
 _LINE_MASK = -CACHE_LINE
 _LINE_SHIFT = CACHE_LINE.bit_length() - 1
-_WORD_MASK = -ATOMIC_UNIT
 
-#: touched runs at least this long diff working vs durable through a
+#: line runs at least this long diff working vs durable through a
 #: vectorized uint64 compare; shorter runs stay on the per-word loop
 #: (less constant overhead). Both scans emit words in ascending order.
 _VECTOR_SCAN_BYTES = 1024
@@ -110,49 +111,31 @@ class StoreBuffer:
         self._wmv = memoryview(self.working)
         self._dmv = memoryview(self.durable)
         self.dirty = RangeBitmap(CACHE_LINE)  # stored, not flushed
-        #: flushed, not fenced. Like ``touched``, maintained lazily: the
-        #: non-temporal store paths append line-aligned ranges to
-        #: ``_pending_log`` and the log is folded in only when set
-        #: semantics are needed (fence-with-dirty, external inspection);
-        #: the common fence just replays the raw ranges (idempotent).
-        self.pending = RangeBitmap(CACHE_LINE)
+        #: flushed, not fenced: the raw line-aligned ranges in issue
+        #: order, duplicates and overlaps included (see the module
+        #: docstring for why it is a list and not a set).
         self._pending_log: List[tuple] = []
-        #: word-aligned ranges stored since last made durable; always a
-        #: superset of the words where working and durable differ.
-        #: Maintained lazily: stores append to ``_touched_log`` and the
-        #: log is folded into the bitmap only when someone needs it
-        #: (fence-with-dirty, unfenced_words) — the common fence drops
-        #: both wholesale.
-        self.touched = RangeBitmap(ATOMIC_UNIT)
-        self._touched_log: List[tuple] = []
         self._uw_cache: Optional[List[int]] = None
 
-    def _consolidate_touched(self) -> RangeBitmap:
-        log = self._touched_log
-        if log:
-            touched = self.touched
-            for s, e in log:
-                touched.add(s, e)
-            log.clear()
-        return self.touched
-
-    def _consolidate_pending(self) -> RangeBitmap:
-        log = self._pending_log
-        if log:
-            pending = self.pending
-            for s, e in log:
-                pending.add(s, e)
-            log.clear()
-        return self.pending
-
     def pending_set(self) -> RangeBitmap:
-        """The flushed-not-fenced line bitmap (consolidated view)."""
-        return self._consolidate_pending()
+        """The flushed-not-fenced lines as a bitmap, built per call (for
+        inspection; nothing on the store path needs set semantics)."""
+        pending = RangeBitmap(CACHE_LINE)
+        for start, end in self._pending_log:
+            pending.add(start, end)
+        return pending
 
     def has_pending(self) -> bool:
-        """Whether a fence would make anything durable (cheap: checks
-        the raw log before consolidating the bitmap)."""
-        return bool(self._pending_log) or bool(self.pending)
+        """Whether a fence would make anything durable."""
+        return bool(self._pending_log)
+
+    def _volatile_runs(self):
+        """Coalesced runs of ``dirty ∪ pending``, ascending: the only
+        lines where the two images can differ."""
+        lines = self.pending_set()
+        for start, end in self.dirty.runs():
+            lines.add(start, end)
+        return lines.runs()
 
     # -- the persistence primitives ---------------------------------------
 
@@ -162,7 +145,6 @@ class StoreBuffer:
             raise OutOfRangeError(f"store [{offset}, {end}) outside device of {self.size}")
         self._wmv[offset:end] = data
         self.dirty.add(offset & _LINE_MASK, (end + _LINE - 1) & _LINE_MASK)
-        self._touched_log.append((offset & _WORD_MASK, (end + ATOMIC_UNIT - 1) & _WORD_MASK))
         self._uw_cache = None
 
     def store_v(self, writes: Sequence[Tuple[int, bytes]]) -> int:
@@ -190,7 +172,6 @@ class StoreBuffer:
         if self.dirty:
             self.dirty.remove(start, aend)
         self._pending_log.append((start, aend))
-        self._touched_log.append((offset & _WORD_MASK, (end + ATOMIC_UNIT - 1) & _WORD_MASK))
         self._uw_cache = None
         return (aend - start) >> _LINE_SHIFT
 
@@ -209,7 +190,6 @@ class StoreBuffer:
         # A batch only removes from dirty, so emptiness checked once holds.
         dirty = self.dirty if self.dirty else None
         plog = self._pending_log
-        tlog = self._touched_log
         total = 0
         lines = 0
         for offset, data in writes:
@@ -220,7 +200,6 @@ class StoreBuffer:
             if dirty is not None:
                 dirty.remove(start, aend)
             plog.append((start, aend))
-            tlog.append((offset & _WORD_MASK, (end + ATOMIC_UNIT - 1) & _WORD_MASK))
             total += end - offset
             lines += (aend - start) >> _LINE_SHIFT
         self._uw_cache = None
@@ -244,14 +223,12 @@ class StoreBuffer:
         # A batch only removes from dirty, so emptiness checked once holds.
         dirty = self.dirty if self.dirty else None
         plog = self._pending_log
-        log = self._touched_log
         for offset, value in words:
             working[offset : offset + 8] = value.to_bytes(8, "little")
             line = offset & _LINE_MASK
             if dirty is not None:
                 dirty.remove(line, line + _LINE)
             plog.append((line, line + _LINE))
-            log.append((offset, offset + 8))
         self._uw_cache = None
 
     def atomic_store_u64(self, offset: int, value: int) -> None:
@@ -296,38 +273,14 @@ class StoreBuffer:
         return [self.flush(offset, length) for offset, length in ranges]
 
     def fence(self) -> None:
-        """sfence: everything previously flushed becomes durable."""
+        """sfence: everything previously flushed becomes durable. A line
+        stored again after its flush is copied as it stands — a legal
+        eviction — and is still in ``dirty`` afterwards."""
         wmv = self._wmv
         dmv = self._dmv
-        if not self.dirty:
-            # Common case: every store since the last fence was also
-            # flushed, so the popped pending set covers all of touched
-            # (touched ⊆ dirty ∪ pending always holds) — drop it whole.
-            # The raw pending log is replayed directly: duplicate or
-            # overlapping ranges just copy the same bytes twice.
-            pending = self.pending
-            if pending:
-                for start, end in pending.runs():
-                    dmv[start:end] = wmv[start:end]
-                pending.clear()
-            for start, end in self._pending_log:
-                dmv[start:end] = wmv[start:end]
-            self._pending_log.clear()
-            if self.touched:
-                self.touched.clear()
-            self._touched_log.clear()
-            self._uw_cache = None
-            return
-        dirty = self.dirty
-        touched = self._consolidate_touched()
-        for start, end in self._consolidate_pending().pop_runs():
+        for start, end in self._pending_log:
             dmv[start:end] = wmv[start:end]
-            # The fenced words now match durably; keep only the parts
-            # that were re-dirtied after the flush as crash candidates.
-            if touched.overlaps(start, end):
-                touched.remove(start, end)
-                for ds, de in dirty.iter_intersect(start, end):
-                    touched.add(ds, de)
+        self._pending_log.clear()
         self._uw_cache = None
 
     def persist(self, offset: int, length: int) -> int:
@@ -338,14 +291,13 @@ class StoreBuffer:
 
     def drain(self) -> None:
         """Make the entire working image durable (orderly shutdown).
-        The images differ only inside ``touched``, so only those runs
-        are copied."""
+        The images differ only inside dirty or pending lines, so only
+        those are copied."""
         wmv = self._wmv
         dmv = self._dmv
-        for start, end in self._consolidate_touched().pop_runs():
+        for start, end in self._volatile_runs():
             dmv[start:end] = wmv[start:end]
         self.dirty.clear()
-        self.pending.clear()
         self._pending_log.clear()
         self._uw_cache = None
 
@@ -375,12 +327,12 @@ class StoreBuffer:
         """Offsets of every 8-byte word that differs between the working
         and durable images and has not been fenced.
 
-        Memoized until the next store/fence/drain; the scan itself only
-        visits ``touched`` runs rather than every dirty/pending line.
+        Memoized until the next store/fence/drain; the scan visits only
+        dirty and pending lines, in ascending order.
         """
         if self._uw_cache is None:
             words: List[int] = []
-            for start, end in self._consolidate_touched().runs():
+            for start, end in self._volatile_runs():
                 self._diff_words(start, end, words)
             self._uw_cache = words
         return list(self._uw_cache)

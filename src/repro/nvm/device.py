@@ -275,7 +275,7 @@ class NvmDevice:
         """Vectorized ``atomic_store_u64 + flush`` of (offset, value)
         pairs — the metadata-word commit pattern — fused through the
         buffer's non-temporal word store: the net effect on
-        working/dirty/pending/touched state and on DeviceStats is
+        working/dirty/pending state and on DeviceStats is
         provably that of the two-step primitives (the just-stored line
         is always dirty, so the flush always queues exactly that one
         line), and observers are told of a store and a one-line flush

@@ -4,9 +4,9 @@ Each ``_v`` batch is, by contract, indistinguishable from the loop of
 single-op calls below — same images, same ``DeviceStats``, same crash
 points, same cost segments and the same event stream for every observer.
 The loops lived in ``repro.nvm.device`` as a second code path; they are
-the test oracle now. So is :func:`unfenced_words_full_scan`, the
-reference for ``StoreBuffer.unfenced_words``, and :class:`FullCopyBuffer`,
-the reference for ``StoreBuffer``'s images, drain and crash images.
+the test oracle now. So is :func:`differing_words`, the reference for
+``StoreBuffer.unfenced_words``, and :class:`FullCopyBuffer`, the
+reference for ``StoreBuffer``'s images, drain and crash images.
 """
 
 from __future__ import annotations
@@ -52,16 +52,16 @@ def apply(device, entry: str, items, batched: bool) -> None:
         PER_ELEMENT[entry](device, items)
 
 
-def unfenced_words_full_scan(buf) -> list:
-    """Re-walk every dirty/pending word of a ``StoreBuffer``: the word
-    set its incremental (touched-range + memo) tracker must report."""
-    words = []
-    for line_bitmap in (buf.dirty, buf.pending_set()):
-        for start, end in line_bitmap.runs():
-            for off in range(start, end, ATOMIC_UNIT):
-                if buf.working[off : off + 8] != buf.durable[off : off + 8]:
-                    words.append(off)
-    return sorted(set(words))
+def differing_words(working, durable) -> list:
+    """Every word offset where the two images differ, ascending: one
+    pass over the whole images that consults no dirty or pending set, so
+    it also catches a differing word the buffer lost track of."""
+    working, durable = bytes(working), bytes(durable)
+    return [
+        off
+        for off in range(0, len(working), ATOMIC_UNIT)
+        if working[off : off + 8] != durable[off : off + 8]
+    ]
 
 
 class FullCopyBuffer:
@@ -110,11 +110,7 @@ class FullCopyBuffer:
         self.pending.clear()
 
     def unfenced_words(self) -> list:
-        return [
-            off
-            for off in range(0, len(self.working), ATOMIC_UNIT)
-            if self.working[off : off + 8] != self.durable[off : off + 8]
-        ]
+        return differing_words(self.working, self.durable)
 
     def crash_image(self, rng, persist_probability: float = 0.5) -> bytearray:
         image = bytearray(self.durable)

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import bitmap
+from repro.nvm.bitmap import iter_bit_runs
 
 gens = st.integers(0, bitmap.GEN_MASK)
 masks = st.integers(0, 0xFFFFFFFF)
@@ -85,14 +86,14 @@ class TestMaskHelpers:
         assert bitmap.mask_for_range(5, 2) == 0
 
     def test_iter_mask_runs(self):
-        assert list(bitmap.iter_mask_runs(0b0110_1001, 8)) == [(0, 1), (3, 4), (5, 7)]
-        assert list(bitmap.iter_mask_runs(0, 8)) == []
-        assert list(bitmap.iter_mask_runs(0xFF, 8)) == [(0, 8)]
+        assert list(iter_bit_runs(0b0110_1001)) == [(0, 1), (3, 4), (5, 7)]
+        assert list(iter_bit_runs(0)) == []
+        assert list(iter_bit_runs(0xFF)) == [(0, 8)]
 
     @given(masks)
     def test_runs_reconstruct_mask(self, mask):
         mask &= 0xFFFFFFFF
         rebuilt = 0
-        for start, end in bitmap.iter_mask_runs(mask, 32):
+        for start, end in iter_bit_runs(mask):
             rebuilt |= bitmap.mask_for_range(start, end)
         assert rebuilt == mask

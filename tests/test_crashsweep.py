@@ -19,6 +19,7 @@ from repro.crashsweep import (
     take_census,
 )
 from repro.crashsweep.__main__ import main as sweep_main
+from repro.crashsweep.invariants import idempotence_violations
 from repro.errors import CrashRequested
 from repro.fsapi.layout import VolumeLayout
 from repro.nvm.crash import CrashPlan, CrashPolicy, compose_image, count_events
@@ -213,6 +214,41 @@ class TestRecoveryIdempotence:
                         f"recovery crashed at event {crash_at}/{events} "
                         f"(seed {seed}) did not replay to the same image"
                     )
+
+
+class TestIdempotenceHelper:
+    """The one fixpoint check behind the MGSP, NOVA and queue checkers:
+    its failing outputs, which no healthy recovery produces."""
+
+    def recovered(self):
+        device = NvmDevice.from_image(bytes(4096))
+        device.store(64, b"left dirty by the first recovery")
+        return device
+
+    def test_fixpoint_passes_and_first_device_is_drained(self):
+        first = self.recovered()
+        assert idempotence_violations(first, lambda device: "", "recovery", "raised") == []
+        assert first.unfenced_words() == []
+
+    def test_second_pass_that_writes_is_reported_with_its_byte_count(self):
+        def scribble(device):
+            device.nt_store(128, b"\x01\x02\x03")
+            return " (replayed 1, discarded 0)"
+
+        assert idempotence_violations(self.recovered(), scribble, "NOVA recovery", "raised") == [
+            "NOVA recovery is not idempotent: second pass changed 3 bytes "
+            "(replayed 1, discarded 0)"
+        ]
+
+    def test_second_pass_that_raises_is_reported_in_the_callers_format(self):
+        def boom(device):
+            raise ValueError("bad slot")
+
+        for template, expected in (
+            ("second recovery raised {kind}: {exc}", "second recovery raised ValueError: bad slot"),
+            ("second NOVA recovery raised {exc!r}", "second NOVA recovery raised ValueError('bad slot')"),
+        ):
+            assert idempotence_violations(self.recovered(), boom, "recovery", template) == [expected]
 
 
 class TestPendingEntriesHelper:

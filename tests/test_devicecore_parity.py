@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from device_oracle import unfenced_words_full_scan
+from device_oracle import differing_words
 from repro.errors import CrashRequested, OutOfRangeError
 from repro.nvm.crash import CrashPlan
 from repro.nvm.device import NvmDevice
@@ -168,7 +168,7 @@ class TestBulkPathParity:
         words = device.unfenced_words()
         assert words == sorted(words)
         assert len(words) == len(set(words))
-        assert words == unfenced_words_full_scan(device.buffer)
+        assert words == differing_words(device.buffer.working, device.buffer.durable)
 
     @given(ops_strategy)
     @settings(max_examples=25, deadline=None)

@@ -6,17 +6,52 @@ import random
 
 import pytest
 
-from repro.errors import BadFileDescriptor, FileNotFound
+from repro.errors import BadFileDescriptor, FileNotFound, FsError
 from repro.fsapi.interface import OpenFlags
 
 from tests.conftest import ALL_FS_NAMES, make_all_filesystems, make_filesystem
 
 CAP = 256 * 1024
+SMALL = 8 * 1024
 
 
 @pytest.fixture(params=ALL_FS_NAMES)
 def any_fs(request):
     return make_filesystem(request.param, device_size=32 << 20)
+
+
+@pytest.fixture
+def packed(any_fs):
+    """Three adjacent 8 KB files, filled and synced; the outer two are
+    closed again, the middle handle is what the test misuses."""
+    handles = {}
+    for name in ("low", "mid", "high"):
+        handles[name] = handle = any_fs.create(name, SMALL)
+        handle.write(0, name[:1].encode() * SMALL)
+        handle.fsync()
+    handles["low"].close()
+    handles["high"].close()
+    return any_fs, handles["mid"]
+
+
+def assert_rejected_with_nothing_applied(fs, mid, call):
+    """*call* raises ``FsError`` having stored, counted and traced
+    nothing, and a later fsync of the misused file leaves both
+    neighbours intact — read through fresh handles, so a page cache
+    cannot answer for the medium."""
+    stored = fs.device.stats.stored_bytes
+    api = fs.api.snapshot()
+    fs.take_traces()
+    with pytest.raises(FsError):
+        call()
+    assert fs.device.stats.stored_bytes == stored
+    assert fs.api == api
+    assert not fs.take_traces()
+    mid.fsync()
+    assert mid.read(0, SMALL) == b"m" * SMALL
+    for name in ("low", "high"):
+        with fs.open(name) as fresh:
+            assert fresh.read(0, SMALL) == name[:1].encode() * SMALL, name
 
 
 class TestContract:
@@ -74,6 +109,18 @@ class TestContract:
             roff = rng.randrange(0, size)
             rlen = min(rng.choice([1, 100, 6000]), size - roff)
             assert f.read(roff, rlen) == bytes(ref[roff : roff + rlen]), (any_fs.name, i)
+
+    def test_write_past_capacity_rejected_before_any_store(self, packed):
+        fs, mid = packed
+        assert_rejected_with_nothing_applied(fs, mid, lambda: mid.write(8000, b"X" * 1000))
+
+    def test_negative_write_offset_rejected_before_any_store(self, packed):
+        fs, mid = packed
+        assert_rejected_with_nothing_applied(fs, mid, lambda: mid.write(-100, b"X" * 50))
+
+    def test_negative_read_offset_rejected(self, packed):
+        fs, mid = packed
+        assert_rejected_with_nothing_applied(fs, mid, lambda: mid.read(-10, 20))
 
     def test_closed_handle_rejected(self, any_fs):
         f = any_fs.create("x", CAP)

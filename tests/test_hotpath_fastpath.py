@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from device_oracle import unfenced_words_full_scan
+from device_oracle import differing_words
 from repro.core import MgspConfig, MgspFilesystem
 from repro.core.file import MgspFile
 from repro.errors import TransactionError
@@ -136,8 +136,8 @@ def test_fast_and_slow_planner_differential(detach_tracer, monkeypatch):
 
 
 def test_unfenced_words_matches_full_scan():
-    """The incremental (touched-range + memo) tracker must report the
-    exact word set of the reference full dirty/pending re-walk."""
+    """The dirty/pending line walk (plus memo) must report exactly the
+    words a whole-image diff finds, in the same ascending order."""
     buf = StoreBuffer(1 << 16)
     rng = random.Random(3)
     for step in range(400):
@@ -161,9 +161,9 @@ def test_unfenced_words_matches_full_scan():
                 for _ in range(rng.randrange(1, 5))
             ]
             buf.nt_store_words(words)
-        assert buf.unfenced_words() == unfenced_words_full_scan(buf), f"step {step}"
+        assert buf.unfenced_words() == differing_words(buf.working, buf.durable), f"step {step}"
     buf.drain()
-    assert buf.unfenced_words() == [] == unfenced_words_full_scan(buf)
+    assert buf.unfenced_words() == [] == differing_words(buf.working, buf.durable)
 
 
 def test_unfenced_words_memo_invalidated_by_mutation():

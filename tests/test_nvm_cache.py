@@ -70,7 +70,7 @@ class TestVisibility:
         buf.drain()
         assert buf.snapshot_durable()[:1000] == b"a" * 1000
         assert buf.snapshot_durable()[5000:5010] == b"b" * 10
-        assert not buf.dirty and not buf.pending
+        assert not buf.dirty and not buf.has_pending()
 
 
 class TestBounds:

@@ -1,12 +1,12 @@
 """``StoreBuffer`` images cost what was touched — and hold what the
 full-copy model holds.
 
-A fresh image is lazily zero-filled, ``drain`` copies only touched runs
-and ``from_image`` copies its source once per image. None of that may be
-observable: every sequence of persistence ops must leave the same
-working image, durable image, crash candidates (in order) and seeded
-crash image as ``device_oracle.FullCopyBuffer``, which does whole-image
-passes over eager ``bytearray`` images.
+A fresh image is lazily zero-filled, ``drain`` copies only dirty and
+pending lines and ``from_image`` copies its source once per image. None
+of that may be observable: every sequence of persistence ops must leave
+the same working image, durable image, crash candidates (in order) and
+seeded crash image as ``device_oracle.FullCopyBuffer``, which does
+whole-image passes over eager ``bytearray`` images.
 """
 
 from __future__ import annotations
@@ -90,7 +90,31 @@ def test_drain_with_dirty_and_flushed_unfenced_lines():
     ]
     run_differential(buf, model, operations, seed=1)
     assert bytes(buf.durable) == bytes(buf.working)
-    assert not buf.dirty and not buf.has_pending() and not buf.touched
+    assert not buf.dirty and not buf.has_pending()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fence_with_a_line_stored_again_after_its_flush(seed):
+    """A fence that finds lines still dirty, which no workload in the
+    repo produces: the line flushed and then stored again is copied as
+    it stands and stays in ``dirty``, the never-flushed line stays a
+    crash candidate. The seeded crash image is compared after every
+    step."""
+    buf, model = StoreBuffer(SIZE), FullCopyBuffer(SIZE)
+    operations = [
+        ("store", 8, b"first version of the line"),
+        ("flush", 0, 64),
+        ("store", 16, b"same line, stored again"),
+        ("store", 512, b"dirty and never flushed"),
+        ("fence",),
+        ("store", 40, b"and once more after the fence"),
+        ("nt_store", 1024, b"queued behind the dirty line"),
+        ("fence",),
+        ("drain",),
+    ]
+    run_differential(buf, model, operations, seed)
+    assert bytes(buf.durable) == bytes(buf.working)
+    assert not buf.dirty and not buf.has_pending()
 
 
 def test_image_size_must_match():
