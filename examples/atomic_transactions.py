@@ -54,7 +54,7 @@ def main() -> None:
 
     # Reboot with adversarial cache-line loss; recover; audit the books.
     image = fs.device.crash_image(rng=random.Random(7))
-    recovered, stats = recover(NvmDevice.from_image(bytes(image)))
+    recovered, stats = recover(NvmDevice.from_image(image))
     ledger2 = recovered.open("ledger")
     total1 = sum(balance(ledger2, a) for a in range(ACCOUNTS))
     print(f"entries replayed: {stats.entries_replayed}, "

@@ -51,7 +51,7 @@ def main() -> None:
     image = fs.device.crash_image(rng=random.Random(7), persist_probability=0.5)
 
     # --- the machine reboots ------------------------------------------------
-    device = NvmDevice.from_image(bytes(image))
+    device = NvmDevice.from_image(image)
     recovered_fs, stats = recover(device)
     print(f"recovery: {stats.entries_replayed} metadata-log entries replayed, "
           f"{stats.log_bytes_written_back:,} log bytes written back, "

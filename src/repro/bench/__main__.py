@@ -10,6 +10,9 @@ Usage::
                                           # + per-run telemetry sidecar
     python -m repro.bench fig08-write --profile fig08.pstats
                                           # + cProfile sidecar (pstats)
+    python -m repro.bench e2e [--workload W] [--seed N] [--seconds S]
+                                          # run benchmarks/e2e/run.py, append
+                                          # rows to BENCH_e2e.json (bench/e2e.py)
 
 This is the reproduction's equivalent of the artifact's
 ``evaluation/fio/scripts/run_all.sh``.
@@ -25,6 +28,11 @@ from repro.bench.figures import EXPERIMENTS, run_all
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["e2e"]:
+        from repro.bench.e2e import main as e2e_main
+
+        return e2e_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench", description=__doc__.splitlines()[0]
     )

@@ -60,8 +60,10 @@ def idempotence_violations(
     byte-identical. *recover_again* returns a suffix for the violation
     (what the second pass did, or ``""``); *raised* is the violation for
     a second pass that raises, a format of ``{kind}`` and ``{exc}``."""
-    # Both are devices booted from an image: their durable images are
-    # bytearrays, compared by memcmp and copied once, by from_image.
+    # Both are devices booted from an image, the second from the first's
+    # durable image: the two share one base, so the boot copies and the
+    # comparison reads only the pages either recovery wrote. The
+    # comparison is still of every byte that can differ.
     first.drain()
     before = first.buffer.durable
     second = NvmDevice.from_image(before)
@@ -73,7 +75,7 @@ def idempotence_violations(
     after = second.buffer.durable
     if after == before:
         return []
-    diff = sum(a != b for a, b in zip(before, after))
+    diff = sum(a != b for a, b in zip(bytes(before), bytes(after)))
     return [f"{subject} is not idempotent: second pass changed {diff} bytes{did}"]
 
 

@@ -23,6 +23,8 @@ import struct
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+import numpy as np
+
 from repro.errors import AllocationError, FileExists, FileNotFound
 from repro.fsapi.layout import VolumeLayout
 from repro.nvm.device import NvmDevice
@@ -75,12 +77,14 @@ class Volume:
         """Rebuild the namespace from the superblock (post-crash path)."""
         volume = cls(device, layout)
         base = volume.layout.superblock.start + HEADER_SIZE
-        # untimed (mount path): the whole slot table in one buffer load
+        # untimed (mount path): the whole slot table in one buffer load,
+        # the live slots found by one strided compare of the magic words
         table = device.buffer.load(base, volume._max_slots * SLOT_SIZE)
-        for slot_idx, slot in enumerate(_SLOT.iter_unpack(table)):
-            magic, fid, ext_base, cap, size, nt_off, nt_len, name = slot
-            if magic != INODE_MAGIC:
-                continue
+        magics = np.frombuffer(table, dtype="<u4")[:: SLOT_SIZE // 4]
+        for slot_idx in np.flatnonzero(magics == INODE_MAGIC).tolist():
+            _magic, fid, ext_base, cap, size, nt_off, nt_len, name = _SLOT.unpack_from(
+                table, slot_idx * SLOT_SIZE
+            )
             slot_off = base + slot_idx * SLOT_SIZE
             inode = Inode(
                 id=fid,

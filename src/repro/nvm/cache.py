@@ -18,11 +18,20 @@ Representation
 Five fields, nothing else:
 
 - ``working`` — what loads observe; ``durable`` — what survives a crash.
-  Stores, loads and the copies between the two go through persistent
-  ``memoryview``\\ s, so a store or a fence moves bytes once. A fresh
-  image is a lazily zero-filled anonymous mapping, an image booted from
-  content is one heap copy of it; only ``crash_image`` (a copy that
-  outlives the buffer) is proportional to the provisioned size.
+  Every store, load and copy between them is a slice read or a slice
+  assignment on these two objects; what backs them follows from how the
+  buffer starts. A *fresh* device lives for a whole workload and takes
+  millions of stores: two lazily zero-filled anonymous mappings behind
+  ``memoryview``\\ s, C slices over pages the kernel hands out on first
+  write. A device *booted from content* lives for one recovery (~130
+  device events, ~20 of 1,024 pages written): two :class:`PagedImage`\\ s
+  over one shared immutable ``bytes``, a page lookup per slice instead
+  of two whole-image heap copies — which cost fresh pages, not memcpy
+  (glibc trims the freed heap top, so every copy faults its pages in
+  again), and a sparse mapping filled with the non-zero pages measured
+  worse still (each whole-image read then faults the zero pages). Only
+  ``crash_image`` (one ``bytes`` that outlives the buffer) is
+  proportional to the provisioned size.
 - ``dirty`` — the stored-not-flushed cache lines, a chunked line bitmap
   (:class:`repro.nvm.bitmap.RangeBitmap`): a bulk store is one slice
   assignment plus a few chunk-mask ORs, a small store ORs one bit.
@@ -80,36 +89,105 @@ def choose_persist_words(
     return [w for w in candidates if rng.random() < persist_probability]
 
 
+#: copy-on-write granularity of an image booted from content
+PAGE = 4096
+_PAGE_SHIFT = PAGE.bit_length() - 1
+
+
+class PagedImage:
+    """A byte image as an immutable shared ``bytes`` base plus the pages
+    written since, each a private ``bytearray`` made on first write,
+    with the surface :class:`StoreBuffer` uses on a ``memoryview``:
+    slice read (a ``bytes`` copy), equal-length slice assignment,
+    ``len``, ``bytes()``, ``==``. A copy shares the base and copies the
+    private pages."""
+
+    __slots__ = ("base", "pages")
+
+    def __init__(self, image) -> None:
+        if isinstance(image, PagedImage):
+            self.base = image.base
+            self.pages = {n: bytearray(page) for n, page in image.pages.items()}
+        else:
+            self.base = bytes(image)  # bytes are shared, anything mutable is snapshotted
+            self.pages = {}
+
+    def __len__(self) -> int:
+        return len(self.base)
+
+    def _pieces(self, start: int, stop: int):
+        """[start, stop) in ascending order: views of the base between
+        private pages, and the private pages' own slices."""
+        first, last = start >> _PAGE_SHIFT, (stop - 1) >> _PAGE_SHIFT
+        base = memoryview(self.base)
+        pages = self.pages
+        for n in sorted(n for n in pages if first <= n <= last):
+            lo = n << _PAGE_SHIFT
+            if start < lo:
+                yield base[start:lo]
+            yield pages[n][max(start - lo, 0) : stop - lo]
+            start = lo + PAGE
+        if start < stop:
+            yield base[start:stop]
+
+    def __getitem__(self, key: slice) -> bytes:
+        start, stop, _ = key.indices(len(self.base))
+        n = start >> _PAGE_SHIFT
+        if n != (stop - 1) >> _PAGE_SHIFT:
+            return b"".join(self._pieces(start, stop))
+        page = self.pages.get(n)  # inside one page: nearly every load
+        if page is None:
+            return self.base[start:stop]
+        lo = n << _PAGE_SHIFT
+        return bytes(page[start - lo : stop - lo])
+
+    def __setitem__(self, key: slice, data) -> None:
+        start, stop, _ = key.indices(len(self.base))
+        data = memoryview(data)
+        if len(data) != stop - start:
+            raise ValueError(f"{len(data)} bytes assigned to a slice of {stop - start}")
+        pages = self.pages
+        for n in range(start >> _PAGE_SHIFT, ((stop - 1) >> _PAGE_SHIFT) + 1):
+            lo = n << _PAGE_SHIFT
+            page = pages.get(n)
+            if page is None:
+                page = pages[n] = bytearray(self.base[lo : lo + PAGE])
+            a, b = max(start, lo), min(stop, lo + PAGE)
+            page[a - lo : b - lo] = data[a - start : b - start]
+
+    def __bytes__(self) -> bytes:
+        return self[:] if self.pages else self.base
+
+    def __eq__(self, other) -> bool:
+        """By content. Two images over the same base object can differ
+        only in a page private to either, so only those are compared."""
+        if isinstance(other, PagedImage) and other.base is self.base:
+            starts = (n << _PAGE_SHIFT for n in self.pages.keys() | other.pages.keys())
+            return all(self[lo : lo + PAGE] == other[lo : lo + PAGE] for lo in starts)
+        if isinstance(other, (PagedImage, bytes, bytearray, memoryview)):
+            return bytes(self) == bytes(other)
+        return NotImplemented
+
+
 class StoreBuffer:
     """Volatile view over a durable byte image."""
 
     def __init__(self, size: int, image=None) -> None:
         """A fresh all-zero device of *size* bytes, or one booted from
-        *image* (*size* bytes of content, copied)."""
+        *image* (*size* bytes of content, never observably aliased)."""
         self.size = size
         #: ``working`` is what loads observe, ``durable`` what survives a
-        #: crash (fenced). A fresh image is an anonymous mapping the
-        #: kernel zero-fills page by page on first touch, so a mount
-        #: costs what it writes, not what it provisions. An image booted
-        #: from content is a heap copy instead: crash images are small,
-        #: short-lived and built back to back, and a mapping would fault
-        #: fresh pages for each one where the heap hands back hot ones.
+        #: crash (fenced). Mappings the kernel zero-fills on first touch,
+        #: or copy-on-write pages over the content (module docstring):
+        #: either way a device costs what it writes, not its size.
         if image is None:
             self.working = memoryview(mmap.mmap(-1, size))
             self.durable = memoryview(mmap.mmap(-1, size))
         else:
             if len(image) != size:
                 raise OutOfRangeError(f"image of {len(image)} bytes for a device of {size}")
-            self.working = bytearray(image)
-            self.durable = bytearray(image)
-        #: persistent views every store, load and copy goes through: one
-        #: pass whatever the backing (a bytearray slice on either side
-        #: of an assignment materialises an intermediate copy, and so
-        #: does assigning anything but a bytearray *into* one). The
-        #: images never resize, so the exported buffers stay valid for
-        #: the buffer's lifetime.
-        self._wmv = memoryview(self.working)
-        self._dmv = memoryview(self.durable)
+            self.working = PagedImage(image)
+            self.durable = PagedImage(self.working)
         self.dirty = RangeBitmap(CACHE_LINE)  # stored, not flushed
         #: flushed, not fenced: the raw line-aligned ranges in issue
         #: order, duplicates and overlaps included (see the module
@@ -143,7 +221,7 @@ class StoreBuffer:
         end = offset + len(data)
         if offset < 0 or end > self.size:
             raise OutOfRangeError(f"store [{offset}, {end}) outside device of {self.size}")
-        self._wmv[offset:end] = data
+        self.working[offset:end] = data
         self.dirty.add(offset & _LINE_MASK, (end + _LINE - 1) & _LINE_MASK)
         self._uw_cache = None
 
@@ -166,7 +244,7 @@ class StoreBuffer:
         end = offset + len(data)
         if offset < 0 or end > self.size:
             raise OutOfRangeError(f"store [{offset}, {end}) outside device of {self.size}")
-        self._wmv[offset:end] = data
+        self.working[offset:end] = data
         start = offset & _LINE_MASK
         aend = (end + _LINE - 1) & _LINE_MASK
         if self.dirty:
@@ -186,7 +264,7 @@ class StoreBuffer:
             if offset < 0 or offset + len(data) > size:
                 end = offset + len(data)
                 raise OutOfRangeError(f"store [{offset}, {end}) outside device of {size}")
-        working = self._wmv
+        working = self.working
         # A batch only removes from dirty, so emptiness checked once holds.
         dirty = self.dirty if self.dirty else None
         plog = self._pending_log
@@ -213,7 +291,7 @@ class StoreBuffer:
         """:meth:`nt_store_v` specialized for aligned 8-byte words (the
         metadata-commit pattern): one line per word, validated up front
         the same way."""
-        working = self._wmv
+        working = self.working
         size = self.size
         for offset, _value in words:
             if offset % ATOMIC_UNIT != 0:
@@ -239,11 +317,9 @@ class StoreBuffer:
 
     def load(self, offset: int, length: int) -> bytes:
         end = offset + length
-        if offset < 0 or end > self.size:
+        if not 0 <= offset <= end <= self.size:  # a negative length too
             raise OutOfRangeError(f"load [{offset}, {end}) outside device of {self.size}")
-        # One copy: a bytearray slice would materialise an intermediate
-        # bytearray before bytes() copied it again.
-        return bytes(self._wmv[offset:end])
+        return bytes(self.working[offset:end])
 
     def load_u64(self, offset: int) -> int:
         return int.from_bytes(self.load(offset, 8), "little")
@@ -252,7 +328,8 @@ class StoreBuffer:
         """clwb every cache line covering [offset, offset+length).
 
         Returns the number of lines flushed (for cost accounting). Clean
-        lines are skipped, as clwb on a clean line is nearly free.
+        lines are skipped, as clwb on a clean line is nearly free; a
+        zero or negative *length* covers no line (a no-op, not an error).
         """
         if not self.dirty:
             return 0
@@ -276,10 +353,10 @@ class StoreBuffer:
         """sfence: everything previously flushed becomes durable. A line
         stored again after its flush is copied as it stands — a legal
         eviction — and is still in ``dirty`` afterwards."""
-        wmv = self._wmv
-        dmv = self._dmv
+        working = self.working
+        durable = self.durable
         for start, end in self._pending_log:
-            dmv[start:end] = wmv[start:end]
+            durable[start:end] = working[start:end]
         self._pending_log.clear()
         self._uw_cache = None
 
@@ -293,10 +370,10 @@ class StoreBuffer:
         """Make the entire working image durable (orderly shutdown).
         The images differ only inside dirty or pending lines, so only
         those are copied."""
-        wmv = self._wmv
-        dmv = self._dmv
+        working = self.working
+        durable = self.durable
         for start, end in self._volatile_runs():
-            dmv[start:end] = wmv[start:end]
+            durable[start:end] = working[start:end]
         self.dirty.clear()
         self._pending_log.clear()
         self._uw_cache = None
@@ -307,21 +384,18 @@ class StoreBuffer:
         """Append offsets of words differing between working and durable
         inside [start, end), ascending. Long runs use one vectorized
         uint64 compare; short runs use the per-word loop — same output."""
+        working = self.working[start:end]
+        durable = self.durable[start:end]
         if end - start >= _VECTOR_SCAN_BYTES:
-            n = (end - start) >> 3
-            w = np.frombuffer(self.working, dtype=np.uint64, count=n, offset=start)
-            d = np.frombuffer(self.durable, dtype=np.uint64, count=n, offset=start)
-            diff = np.flatnonzero(w != d)
+            diff = np.flatnonzero(np.frombuffer(working, "<u8") != np.frombuffer(durable, "<u8"))
             if len(diff):
                 words.extend((start + (diff << 3)).tolist())
             return
-        working = self.working
-        durable = self.durable
-        if working[start:end] == durable[start:end]:
+        if working == durable:
             return
-        for off in range(start, end, ATOMIC_UNIT):
+        for off in range(0, end - start, ATOMIC_UNIT):
             if working[off : off + 8] != durable[off : off + 8]:
-                words.append(off)
+                words.append(start + off)
 
     def unfenced_words(self) -> List[int]:
         """Offsets of every 8-byte word that differs between the working
@@ -342,15 +416,17 @@ class StoreBuffer:
         persist_words: Optional[Iterable[int]] = None,
         rng: Optional[random.Random] = None,
         persist_probability: float = 0.5,
-    ) -> bytearray:
+    ) -> bytes:
         """Compose a possible post-crash image.
 
         - With ``persist_words``, exactly those unfenced words are taken
           from the working image (for exhaustive adversarial tests).
         - Otherwise each unfenced word independently persists with
           ``persist_probability`` using ``rng`` (default: fresh RNG).
+
+        One allocation (durable slices with the chosen words in between)
+        and immutable, so a device booted from it shares it uncopied.
         """
-        image = bytearray(self.durable)
         candidates = self.unfenced_words()
         if persist_words is not None:
             chosen = set(persist_words)
@@ -361,9 +437,14 @@ class StoreBuffer:
             # analysis: allow(ambient-nondeterminism) -- exploratory default only; every replayable caller passes a seeded rng
             rng = rng or random.Random()
             chosen = choose_persist_words(candidates, rng, persist_probability)
-        for off in chosen:
-            image[off : off + 8] = self.working[off : off + 8]
-        return image
+        working, durable = self.working, self.durable
+        parts = []
+        pos = 0
+        for off in sorted(chosen):
+            parts += (durable[pos:off], working[off : off + 8])
+            pos = off + 8
+        parts.append(durable[pos:])
+        return b"".join(parts)
 
     def snapshot_durable(self) -> bytes:
         """The image with *no* eviction of unfenced lines (kindest crash)."""

@@ -121,11 +121,7 @@ def compose_image(
     a failing sweep sample can be replayed from its reported seed.
     """
     if policy is CrashPolicy.DROP_ALL:
-        return bytes(device.crash_image(persist_words=()))
+        return device.crash_image(persist_words=())
     if policy is CrashPolicy.KEEP_ALL:
-        return bytes(device.crash_image(persist_words=device.unfenced_words()))
-    return bytes(
-        device.crash_image(
-            rng=random.Random(seed), persist_probability=persist_probability
-        )
-    )
+        return device.crash_image(persist_words=device.unfenced_words())
+    return device.crash_image(rng=random.Random(seed), persist_probability=persist_probability)

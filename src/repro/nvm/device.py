@@ -322,7 +322,7 @@ class NvmDevice:
         persist_words: Optional[Iterable[int]] = None,
         rng: Optional[random.Random] = None,
         persist_probability: float = 0.5,
-    ) -> bytearray:
+    ) -> bytes:
         """A possible post-crash content of the medium (see StoreBuffer)."""
         return self.buffer.crash_image(persist_words, rng, persist_probability)
 
@@ -340,8 +340,13 @@ class NvmDevice:
         cls, image: bytes, timing: Optional[TimingModel] = None, name: str = "pmem0"
     ) -> "NvmDevice":
         """Boot a device from a crash image (the recovered machine).
-        *image* is copied, never aliased: it may be another device's
-        live image."""
+        *image* is never observably aliased, and what the boot copies
+        depends on what it is: immutable ``bytes`` are shared as the
+        base of the device's copy-on-write images (no copy), another
+        booted device's live ``buffer.working`` / ``.durable`` shares
+        that device's base and copies only the pages it has written,
+        and anything else (``bytearray``, a fresh device's mmap view) is
+        snapshotted once."""
         return cls(len(image), timing=timing, name=name, image=image)
 
     # -- derived accounting --------------------------------------------------

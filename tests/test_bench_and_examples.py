@@ -132,3 +132,39 @@ def test_fio_comparison_example(monkeypatch, capsys):
     runpy.run_path(str(EXAMPLES / "fio_comparison.py"), run_name="__main__")
     out = capsys.readouterr().out
     assert "MGSP" in out and "x" in out
+
+
+def test_bench_e2e_appends_a_stamped_row_per_workload(monkeypatch, tmp_path, capsys):
+    """``python -m repro.bench e2e`` with a canned driver: the frozen
+    command gets exactly the contract's flags, rows are appended to what
+    the file already holds, and a failing driver exit is passed on."""
+    import json
+    import subprocess
+    from types import SimpleNamespace
+
+    from repro.bench import e2e
+    from repro.bench.__main__ import main
+
+    calls = []
+
+    def fake_run(cmd, **kwargs):
+        calls.append(cmd)
+        if cmd[0] == "git":
+            return SimpleNamespace(stdout="abc123\n", stderr="", returncode=0)
+        last = {"correct": True, "attempted": 7, "failed": 0,
+                "metrics": {"host_units_per_op": {"value": 1.5, "unit": "units/op"}}}
+        code = 1 if "--workload=tpcc_db" in cmd else 0
+        return SimpleNamespace(stdout="noise\n" + json.dumps(last) + "\n", stderr="", returncode=code)
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    monkeypatch.setattr(e2e, "BENCH_FILE", tmp_path / "BENCH_e2e.json")
+    assert main(["e2e", "--workload", "crash_recover", "--seconds", "3"]) == 0
+    assert main(["e2e", "--workload", "tpcc_db", "--seed", "9", "--seconds", "3"]) == 1
+    assert calls[1] == ["python3", "benchmarks/e2e/run.py", "--workload=crash_recover", "--seed=42", "--seconds=3"]
+    first, second = json.loads(e2e.BENCH_FILE.read_text())["rows"]
+    assert (first["workload"], second["workload"]) == ("crash_recover", "tpcc_db")
+    assert first["metrics"] == {"host_units_per_op": 1.5} and first["attempted"] == 7
+    assert first["provenance"]["git_rev"] == "abc123" and first["provenance"]["source"] == "run"
+    assert (first["provenance"]["seed"], second["provenance"]["seed"]) == (42, 9)
+    assert first["provenance"]["config_digest"] != second["provenance"]["config_digest"]
+    assert "crash_recover: 1.5 units/op" in capsys.readouterr().out

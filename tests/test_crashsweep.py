@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import tracemalloc
+
 import pytest
 
 from repro.core import MgspConfig, MgspFilesystem, recover
@@ -20,6 +23,7 @@ from repro.crashsweep import (
 )
 from repro.crashsweep.__main__ import main as sweep_main
 from repro.crashsweep.invariants import idempotence_violations
+from repro.crashsweep.sweep import PERSIST_PROBABILITY
 from repro.errors import CrashRequested
 from repro.fsapi.layout import VolumeLayout
 from repro.nvm.crash import CrashPlan, CrashPolicy, compose_image, count_events
@@ -105,6 +109,56 @@ class TestRandomPolicyDeterminism:
         keep = compose_image(device, CrashPolicy.KEEP_ALL, seed=0)
         assert drop == bytes(device.buffer.snapshot_durable())
         assert keep != drop  # a mid-write crash has unfenced words
+
+
+class TestImagePipelineCost:
+    """One txn-mixed/async crash point, the e2e benchmark's subject."""
+
+    #: sha256 of the composed images at seed 7, by crash index, captured
+    #: before booted images became copy-on-write pages: a change of
+    #: image representation must not move a byte. At 1500 all four
+    #: candidate words lose the RANDOM coin, at 1501 one wins.
+    GOLDEN = {
+        1500: {
+            CrashPolicy.DROP_ALL: "ec82d2ad4194f15b07f14fd315ff0334223d49a2eb01bb33a1b17dd11649c6a7",
+            CrashPolicy.KEEP_ALL: "6b46e5d7f1f7f1aa68fe4fe98b27794eed154c8f72023e41692f906c42640dda",
+            CrashPolicy.RANDOM: "ec82d2ad4194f15b07f14fd315ff0334223d49a2eb01bb33a1b17dd11649c6a7",
+        },
+        1501: {CrashPolicy.RANDOM: "0dbeec685af8542654cc7dbe896cc9e08dd7fee3bb3d36fc4ce3b4fb588261c4"},
+    }
+
+    def images(self, crash_after):
+        outcome = get_workload("txn-mixed").run("async", CrashPlan(crash_after))
+        assert outcome.crashed
+        return outcome, {
+            policy: compose_image(
+                outcome.fs.device,
+                policy,
+                seed=point_seed(7, crash_after),
+                persist_probability=PERSIST_PROBABILITY,
+            )
+            for policy in CrashPolicy
+        }
+
+    @pytest.mark.parametrize("crash_after", sorted(GOLDEN))
+    def test_composed_images_are_the_golden_ones(self, crash_after):
+        _, images = self.images(crash_after)
+        for policy, digest in self.GOLDEN[crash_after].items():
+            assert hashlib.sha256(images[policy]).hexdigest() == digest, policy
+
+    def test_checking_an_image_allocates_its_delta_not_the_image(self):
+        """Recovery, every invariant, the second device and the
+        idempotence compare together stay far below one image (the two
+        boots alone were four heap copies of it)."""
+        outcome, images = self.images(1500)
+        image = images[CrashPolicy.KEEP_ALL]
+        tracemalloc.start()
+        try:
+            assert check_image(image, "async", outcome.oracles) == []
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < len(image) // 4, f"check_image peaked at {peak / len(image):.2f} images"
 
 
 class TestMinimizer:
@@ -220,8 +274,8 @@ class TestIdempotenceHelper:
     """The one fixpoint check behind the MGSP, NOVA and queue checkers:
     its failing outputs, which no healthy recovery produces."""
 
-    def recovered(self):
-        device = NvmDevice.from_image(bytes(4096))
+    def recovered(self, size=4096):
+        device = NvmDevice.from_image(bytes(size))
         device.store(64, b"left dirty by the first recovery")
         return device
 
@@ -238,6 +292,18 @@ class TestIdempotenceHelper:
         assert idempotence_violations(self.recovered(), scribble, "NOVA recovery", "raised") == [
             "NOVA recovery is not idempotent: second pass changed 3 bytes "
             "(replayed 1, discarded 0)"
+        ]
+
+    def test_one_byte_on_a_page_the_first_pass_never_wrote_is_reported(self):
+        """The comparison reads the pages either device wrote, not only
+        the first one's."""
+
+        def flip(device):
+            device.nt_store(3 * 4096 + 17, b"\x01")
+            return ""
+
+        assert idempotence_violations(self.recovered(4 * 4096), flip, "recovery", "raised") == [
+            "recovery is not idempotent: second pass changed 1 bytes"
         ]
 
     def test_second_pass_that_raises_is_reported_in_the_callers_format(self):

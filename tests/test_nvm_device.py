@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import CrashRequested
+from repro.errors import CrashRequested, OutOfRangeError
 from repro.nvm.crash import CrashPlan, CrashPolicy
 from repro.nvm.device import DeviceStats, NvmDevice
 from repro.nvm.timing import OptaneTiming
@@ -27,6 +27,32 @@ class TestCounters:
         device.load(0, 10)
         assert device.stats.loaded_bytes == 10
         assert device.stats.loads == 1
+
+    @pytest.mark.parametrize(
+        "boot", [NvmDevice, lambda size: NvmDevice.from_image(bytes(size))], ids=["fresh", "booted"]
+    )
+    def test_negative_length_load_is_refused_before_it_is_counted_or_priced(self, boot):
+        """``load(0, -5)`` used to return size - 5 bytes, take 5 off
+        ``loaded_bytes`` and price a negative read."""
+        device = boot(64 << 10)
+        recorder = device.attach(TraceRecorder(OptaneTiming()))
+        device.store(0, b"volatile")
+        device.nt_store(64, b"durable")
+        device.fence()
+
+        def state():
+            return vars(device.stats.snapshot()), bytes(device.buffer.working), bytes(device.buffer.durable)
+
+        before = state()
+        recorder.begin_op("x")
+        for offset, length in ((0, -5), (100, -1), (device.size, -device.size), (-8, 8), (8, device.size)):
+            with pytest.raises(OutOfRangeError):
+                device.load(offset, length)
+            with pytest.raises(OutOfRangeError):
+                device.buffer.load(offset, length)
+        assert recorder.end_op().segments == []
+        assert state() == before
+        assert device.load(device.size, 0) == b""  # the empty load at the end stays legal
 
     def test_fence_counts(self, device):
         device.fence()
