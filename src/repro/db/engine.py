@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.db.btree import BTree
 from repro.db.pager import PAGE_SIZE, Pager
@@ -102,15 +102,13 @@ class Table:
     def delete(self, key_parts: Tuple[Value, ...]) -> bool:
         self.db._cpu(self.db.cpu.statement_ns)
         key = encode_key(key_parts)
-        result = []
 
         def stmt():
             if self.indexes:
                 self._index_remove(key, self.tree.get(key))
-            result.append(self.tree.delete(key))
+            return self.tree.delete(key)
 
-        self.db._write_stmt(stmt)
-        return result[0]
+        return self.db._write_stmt(stmt)
 
     def scan_prefix(
         self, prefix: Tuple[Value, ...]
@@ -145,12 +143,14 @@ class Table:
         """Index on row column positions; backfills existing rows."""
         if name in self.indexes:
             raise SchemaError(f"index {name!r} exists on {self.name!r}")
-        index = self.db._create_index(self, name, columns)
-        for pk, raw in self.tree.scan():
-            index.tree.insert(index.entry_key(pk, decode_row(raw)), b"")
-        if not self.db.in_tx:
-            self.db._commit_pages()
-        return index
+
+        def ddl():
+            index = self.db._create_index(self, name, columns)
+            for pk, raw in self.tree.scan():
+                index.tree.insert(index.entry_key(pk, decode_row(raw)), b"")
+            return index
+
+        return self.db._write_stmt(ddl, self.db._end_tx)
 
     def lookup_by(
         self, index_name: str, values: Tuple[Value, ...]
@@ -216,13 +216,15 @@ class Database:
             self.pager.miss_source = self.wal.lookup
         self.tables: Dict[str, Table] = {}
         self._catalog: Dict[str, int] = {}
+        #: (registry, key) of what DDL registered in the open transaction
+        self._ddl_undo: List[Tuple[dict, str]] = []
         self.in_tx = False
         self.committed_txns = 0
         if existing:
             self._load_catalog()
         else:
             self.pager.write(_CATALOG_PAGE, _CATALOG_MAGIC)
-            self._save_catalog()
+            self._save_catalog(self._catalog)
             self._commit_pages()
 
     # -- catalog -----------------------------------------------------------------
@@ -249,9 +251,9 @@ class Database:
                 index_name, columns, BTree(self.pager, root)
             )
 
-    def _save_catalog(self) -> None:
+    def _save_catalog(self, catalog: Dict[str, int]) -> None:
         flat = []
-        for name, root in self._catalog.items():
+        for name, root in catalog.items():
             flat += [name, root]
         body = encode_row(tuple(flat)) if flat else b""
         raw = _CATALOG_MAGIC + bytes([1 if flat else 0]) + body
@@ -259,29 +261,37 @@ class Database:
             raise DbError("catalog page overflow (too many tables)")
         self.pager.write(_CATALOG_PAGE, raw)
 
+    def _register(self, registry: dict, key: str, value) -> None:
+        """``registry[key] = value``, taken back if the transaction aborts."""
+        registry[key] = value
+        self._ddl_undo.append((registry, key))
+
+    def _new_tree(self, catalog_name: str) -> BTree:
+        """A fresh tree whose root the catalog page records under
+        *catalog_name*; the DRAM catalog learns it only once that fits."""
+        root = self.pager.allocate()
+        tree = BTree(self.pager, root, initialize=True)
+        self._save_catalog({**self._catalog, catalog_name: root})
+        self._register(self._catalog, catalog_name, root)
+        return tree
+
     def create_table(self, name: str) -> Table:
         if name in self.tables:
             raise SchemaError(f"table {name!r} exists")
-        root = self.pager.allocate()
-        tree = BTree(self.pager, root, initialize=True)
-        self._catalog[name] = root
-        self._save_catalog()
-        table = Table(self, name, tree)
-        self.tables[name] = table
-        if not self.in_tx:
-            self._commit_pages()
-        return table
+
+        def ddl():
+            table = Table(self, name, self._new_tree(name))
+            self._register(self.tables, name, table)
+            return table
+
+        return self._write_stmt(ddl, self._end_tx)
 
     def _create_index(self, table: Table, index_name: str, columns) -> SecondaryIndex:
         catalog_name = f"__idx__{table.name}__{index_name}__{','.join(map(str, columns))}"
         if catalog_name in self._catalog:
             raise SchemaError(f"index {index_name!r} exists")
-        root = self.pager.allocate()
-        tree = BTree(self.pager, root, initialize=True)
-        self._catalog[catalog_name] = root
-        self._save_catalog()
-        index = SecondaryIndex(index_name, tuple(columns), tree)
-        table.indexes[index_name] = index
+        index = SecondaryIndex(index_name, tuple(columns), self._new_tree(catalog_name))
+        self._register(table.indexes, index_name, index)
         return index
 
     def table(self, name: str) -> Table:
@@ -305,29 +315,40 @@ class Database:
         if not self.in_tx:
             raise TransactionError("no open transaction")
         self._cpu(self.cpu.commit_ns)
-        self._commit_pages()
-        self.in_tx = False
+        self._end_tx()
         self.committed_txns += 1
 
     def rollback(self) -> None:
         if not self.in_tx:
             raise TransactionError("no open transaction")
-        self.pager.rollback()
+        self._abort()
+
+    def _end_tx(self) -> None:
+        self._commit_pages()
+        self._ddl_undo.clear()
         self.in_tx = False
 
-    def _write_stmt(self, fn) -> None:
-        """Run a mutating statement; autocommit when no tx is open."""
+    def _abort(self) -> None:
+        self.pager.rollback()
+        while self._ddl_undo:
+            registry, key = self._ddl_undo.pop()
+            del registry[key]
+        self.in_tx = False
+
+    def _write_stmt(self, fn, commit=None):
+        """Run a mutating statement; autocommit when no tx is open. DDL
+        passes ``_end_tx`` as *commit*: set-up is not charged as a
+        modelled statement. A failure rolls back DRAM registrations too."""
         if self.in_tx:
-            fn()
-            return
+            return fn()
         self.in_tx = True
         try:
-            fn()
+            result = fn()
         except Exception:
-            self.pager.rollback()
-            self.in_tx = False
+            self._abort()
             raise
-        self.commit()
+        (commit or self.commit)()
+        return result
 
     def _commit_pages(self) -> None:
         pages = self.pager.take_dirty()

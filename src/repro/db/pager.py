@@ -18,21 +18,32 @@ PAGE_SIZE = 4096
 DEFAULT_CACHE_PAGES = 256  # SQLite-like bounded page cache
 
 
+class PageImage(bytearray):
+    """One cached page: its bytes plus whatever its reader decoded from
+    them. ``index`` is opaque to the pager, which neither sets nor reads
+    it; it dies with the image."""
+
+    index = None
+
+
 class Pager:
     """The page cache of one database file.
 
     Invariant the B+tree leans on: a cached page image is *replaced* by
-    :meth:`write` and :meth:`rollback` (a fresh ``bytearray`` goes into
-    the cache), never mutated in place. The reference :meth:`read`
+    :meth:`write` and :meth:`rollback` (a fresh :class:`PageImage` goes
+    into the cache), never mutated in place. The reference :meth:`read`
     returns is therefore a stable snapshot of the page as it was at that
     call, however long the caller holds it -- a scan suspended mid-leaf
     keeps walking the image it started on while statements rewrite the
-    page under it. Callers must not write into it either.
+    page under it -- and what a reader hangs on ``PageImage.index`` stays
+    true of those bytes with no invalidation: eviction, rewrite and
+    rollback drop it with the image. Callers must not write into an
+    image either; that would desynchronise its ``index``.
     """
 
     def __init__(self, handle: FileHandle, cache_pages: int = DEFAULT_CACHE_PAGES) -> None:
         self.handle = handle
-        self.cache: "OrderedDict[int, bytearray]" = OrderedDict()
+        self.cache: "OrderedDict[int, PageImage]" = OrderedDict()
         self.cache_pages = cache_pages
         self.page_count = max(1, (handle.size + PAGE_SIZE - 1) // PAGE_SIZE)
         self.dirty: Set[int] = set()
@@ -56,17 +67,21 @@ class Pager:
 
     # -- page access ---------------------------------------------------------
 
-    def read(self, page_no: int) -> bytearray:
+    def _fetch(self, page_no: int) -> bytes:
+        """The latest committed image of an uncached page: the one still
+        in the WAL if there is one, else the DB file's."""
+        raw = self.miss_source(page_no) if self.miss_source is not None else None
+        if raw is None:
+            raw = self.handle.read(page_no * PAGE_SIZE, PAGE_SIZE)
+        return raw.ljust(PAGE_SIZE, b"\0")
+
+    def read(self, page_no: int) -> PageImage:
         if page_no >= self.page_count:
             raise DbError(f"page {page_no} beyond page count {self.page_count}")
         page = self.cache.get(page_no)
         if page is None:
             self.cache_misses += 1
-            raw = self.miss_source(page_no) if self.miss_source is not None else None
-            if raw is None:
-                raw = self.handle.read(page_no * PAGE_SIZE, PAGE_SIZE)
-            page = bytearray(raw.ljust(PAGE_SIZE, b"\0"))
-            self.cache[page_no] = page
+            page = self.cache[page_no] = PageImage(self._fetch(page_no))
             self._evict_if_needed()
         else:
             self.cache_hits += 1
@@ -80,12 +95,11 @@ class Pager:
             if page_no < self.page_count and page_no in self.cache:
                 self.before_images[page_no] = bytes(self.cache[page_no])
             elif page_no < self.page_count:
-                self.before_images[page_no] = bytes(
-                    self.handle.read(page_no * PAGE_SIZE, PAGE_SIZE).ljust(PAGE_SIZE, b"\0")
-                )
+                # Not a read: no hit/miss is counted and LRU order is untouched.
+                self.before_images[page_no] = bytes(self._fetch(page_no))
             else:
                 self.before_images[page_no] = b""  # fresh page
-        self.cache[page_no] = bytearray(data.ljust(PAGE_SIZE, b"\0"))
+        self.cache[page_no] = PageImage(data.ljust(PAGE_SIZE, b"\0"))
         self.cache.move_to_end(page_no)
         self.dirty.add(page_no)
         self.page_count = max(self.page_count, page_no + 1)
@@ -94,7 +108,7 @@ class Pager:
     def allocate(self) -> int:
         page_no = self.page_count
         self.page_count += 1
-        self.cache[page_no] = bytearray(PAGE_SIZE)
+        self.cache[page_no] = PageImage(PAGE_SIZE)
         self.dirty.add(page_no)
         self.before_images.setdefault(page_no, b"")
         self._evict_if_needed()
@@ -113,7 +127,7 @@ class Pager:
         """Restore before-images, dropping this transaction's changes."""
         for page_no, image in self.before_images.items():
             if image:
-                self.cache[page_no] = bytearray(image)
+                self.cache[page_no] = PageImage(image)
             else:
                 self.cache.pop(page_no, None)
         if self.before_images:

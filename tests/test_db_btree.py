@@ -8,9 +8,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.bench.registry import make_fs
+from repro.db import Database, btree
 from repro.db.btree import BTree
 from repro.db.pager import Pager
+from repro.errors import DbError
 from repro.fs import Ext4Dax
+from repro.workloads.tpcc import TpccDriver
 
 
 def make_tree(cache_pages=10_000):
@@ -166,3 +170,135 @@ class TestEvictionSafety:
             handle.fsync()
         for i in range(0, 500, 41):
             assert tree.get(k(i)) == b"v" * 30
+
+
+def leaf_page(cells, nkeys=None):
+    """A leaf image of *cells* ((key, value) pairs); *nkeys* overrides the header."""
+    body = b"".join(btree._LEAF_CELL.pack(len(k), len(v)) + k + v for k, v in cells)
+    return btree._HDR.pack(btree.LEAF, len(cells) if nkeys is None else nkeys, 0) + body
+
+
+class TestCellDirectory:
+    """The directory ``_index`` hangs on a cached image: built once per
+    image, derived by copy on a leaf rewrite, gone with the image."""
+
+    def test_second_search_reuses_the_directories(self):
+        tree, pager = make_tree()
+        for i in range(400):
+            tree.insert(k(i), b"v" * 50)
+        pager.flush_to_file()
+        assert tree.get(k(123)) == b"v" * 50
+        before = {no: image.index for no, image in pager.cache.items() if image.index}
+        assert tree.root_page in before and len(before) >= 2  # root and a leaf, at least
+        assert tree.get(k(123)) == b"v" * 50
+        for no, index in before.items():
+            assert pager.cache[no].index is index  # the same objects, not rebuilt
+
+    def test_suspended_scan_keeps_its_snapshot_and_lists(self):
+        """The leaf a scan stands on is upserted, deleted from and split
+        under it: the scan goes on yielding the image it started on, and
+        that image's directory lists are the ones it had (derive by copy)."""
+        tree, pager = make_tree()
+        for i in range(20):
+            tree.insert(k(i), b"old")
+        scan = tree.scan()
+        assert next(scan) == (k(0), b"old")
+        image = pager.cache[tree.root_page]
+        keys, offs, _ = image.index
+        snapshot = (list(keys), list(offs))
+        tree.insert(k(5), b"new value, another size")
+        tree.delete(k(6))
+        for i in range(20, 200):  # splits the leaf, then the root
+            tree.insert(k(i), b"x" * 60)
+        assert pager.cache[tree.root_page] is not image
+        assert list(scan) == [(k(i), b"old") for i in range(1, 20)]
+        assert image.index[0] is keys and image.index[1] is offs
+        assert (keys, offs) == snapshot
+        assert tree.get(k(5)) == b"new value, another size" and tree.get(k(6)) is None
+
+    def test_reread_and_rolled_back_pages_start_undecoded(self):
+        fs = Ext4Dax(device_size=64 << 20)
+        pager = Pager(fs.create("db", 16 << 20), cache_pages=4)
+        tree = BTree(pager, pager.allocate(), initialize=True)
+        for i in range(300):
+            tree.insert(k(i), b"v" * 30)
+            pager.flush_to_file()  # clean pages may be evicted
+        evicted = next(no for no in range(1, pager.page_count) if no not in pager.cache)
+        assert pager.read(evicted).index is None
+        assert tree.get(k(7)) is not None  # decodes the root and k(7)'s leaf
+        leaf = next(no for no, image in pager.cache.items() if no != tree.root_page and image.index)
+        first_key = pager.cache[leaf].index[0][0]
+        tree.insert(first_key, b"rewritten")
+        assert pager.cache[leaf].index is not None  # derived with the rewrite
+        pager.rollback()
+        assert pager.cache[leaf].index is None
+        assert tree.get(first_key) == b"v" * 30
+
+    @pytest.mark.parametrize(
+        "image",
+        [
+            leaf_page([(b"k%02d" % i, b"v") for i in range(10)], nkeys=900),
+            leaf_page([(b"a", b"v"), (b"b", b"v")])[:-6]
+            + btree._LEAF_CELL.pack(5000, 1) + b"b" + b"v",  # klen past the page
+            btree._HDR.pack(btree.INTERIOR, 2, 9)
+            + 2 * (btree._INT_CELL.pack(3, 7) + b"sep"),  # two equal separators
+            leaf_page([(b"k", b"v" * 2000)], nkeys=2)
+            + btree._LEAF_CELL.pack(1, 3000) + b"l",  # the last value ends past the page
+        ],
+        ids=["nkeys-overstated", "klen-past-page", "equal-separators", "cell-past-page"],
+    )
+    def test_corrupt_page_is_a_typed_error(self, image):
+        tree, pager = make_tree()
+        tree.insert(b"a", b"1")
+        pager.write(tree.root_page, image)
+        with pytest.raises(DbError, match="corrupt page"):
+            tree.get(b"zzz")
+        with pytest.raises(DbError, match="corrupt page"):
+            tree.insert(b"zzz", b"1")
+        assert pager.cache[tree.root_page].index is None  # nothing half-decoded kept
+
+
+class _CountingCell:
+    """Stands in for a cell ``Struct`` and counts its ``unpack_from`` calls."""
+
+    def __init__(self, inner):
+        self.inner, self.size, self.pack, self.decodes = inner, inner.size, inner.pack, 0
+
+    def unpack_from(self, buffer, offset=0):
+        self.decodes += 1
+        return self.inner.unpack_from(buffer, offset)
+
+
+class TestDecodeCost:
+    def test_tpcc_decodes_a_page_once_per_image(self, monkeypatch):
+        """Deterministic cost gate on the benchmark's ``tpcc_db`` shape
+        (seed 42, 100 transactions): 431 cell decodes per transaction
+        when a cached image is decoded once, ~3,500 when every search
+        re-walked its page. A directory is built only for an image that
+        is in the cache without one: left so by the load, a miss, a split
+        half (two per allocation, the root split's pair included) or a
+        rollback."""
+        fs = make_fs("MGSP", device_size=256 << 20)
+        db = Database(fs, name="tpcc.db", journal_mode="wal", capacity=40 << 20, cache_pages=128)
+        driver = TpccDriver(db, seed=42)
+        driver.create_schema()
+        driver.load()
+        leaf, interior = _CountingCell(btree._LEAF_CELL), _CountingCell(btree._INT_CELL)
+        monkeypatch.setattr(btree, "_LEAF_CELL", leaf)
+        monkeypatch.setattr(btree, "_INT_CELL", interior)
+        builds, decode = [], btree._index
+        monkeypatch.setattr(btree, "_index", lambda page, *a: builds.append(1) or decode(page, *a))
+        rolled_back, rollback = [], db.pager.rollback
+        monkeypatch.setattr(
+            db.pager, "rollback", lambda: rolled_back.append(len(db.pager.before_images)) or rollback()
+        )
+        misses, pages = db.pager.cache_misses, db.pager.page_count
+        undecoded = sum(image.index is None for image in db.pager.cache.values())
+        txns = 100
+        for _ in range(txns):
+            driver.run_transaction()
+        assert (leaf.decodes + interior.decodes) / txns <= 1300
+        undecoded += (
+            db.pager.cache_misses - misses + 2 * (db.pager.page_count - pages) + sum(rolled_back)
+        )
+        assert 0 < len(builds) <= undecoded

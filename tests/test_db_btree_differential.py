@@ -12,6 +12,11 @@ notices after it has allocated (and perhaps written) pages, the tree
 refuses before touching the pager. Both must raise ``DbError``; the tree
 must leave its pager exactly as it was, and both transactions are then
 rolled back so the comparison can go on.
+
+The tree also hangs a cell directory on each cached image it searched
+and *derives* the directory of a rewritten leaf instead of decoding it.
+After every step each directory in the cache is compared with a fresh
+decode of its image by the oracle's parser.
 """
 
 from __future__ import annotations
@@ -93,6 +98,19 @@ def height(tree) -> int:
         levels += 1
 
 
+def decoded(page):
+    """(keys, offs, children) of *page* as the oracle's parser sees it."""
+    node = btree_oracle._Node.parse(bytes(page))
+    offs = [btree_oracle._HDR.size]
+    if node.kind == btree.LEAF:
+        for key, value in zip(node.keys, node.values):
+            offs.append(offs[-1] + btree_oracle._LEAF_CELL.size + len(key) + len(value))
+        return node.keys, offs, None
+    for key in node.keys:
+        offs.append(offs[-1] + btree_oracle._INT_CELL.size + len(key))
+    return node.keys, offs, node.children
+
+
 class Differential:
     """Runs one operation on both trees and compares everything seen."""
 
@@ -105,6 +123,9 @@ class Differential:
         assert new.calls == old.calls
         assert (new.cache_hits, new.cache_misses) == (old.cache_hits, old.cache_misses)
         assert list(new.cache) == list(old.cache)  # same LRU order
+        for page_no, image in new.cache.items():
+            if image.index is not None:  # decoded on a search, or derived from one
+                assert image.index == decoded(image), f"stale directory on page {page_no}"
         new.calls.clear()
         old.calls.clear()
 

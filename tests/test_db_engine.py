@@ -72,6 +72,20 @@ class TestPager:
         pager.write(0, b"dirty")  # still intact
         assert 0 in pager.cache
 
+    def test_write_of_uncached_page_takes_before_image_from_the_wal(self):
+        """A page whose latest committed image is still only in the log:
+        ``write`` without a prior ``read`` must remember *that* image,
+        not the stale one in the DB file -- and it is not a read."""
+        fs = dax_fs()
+        handle = fs.create("f", 1 << 20)
+        handle.write(0, b"OLD".ljust(PAGE_SIZE, b"\0"))
+        pager = Pager(handle)
+        pager.miss_source = {0: b"NEW".ljust(PAGE_SIZE, b"\0")}.get
+        pager.write(0, b"TXN")
+        assert (pager.cache_hits, pager.cache_misses) == (0, 0)
+        pager.rollback()
+        assert bytes(pager.read(0)[:3]) == b"NEW"
+
 
 class TestWal:
     def test_commit_then_recover(self):
@@ -251,3 +265,70 @@ class TestDatabaseCrashOnMgsp:
             if not ((one is None and two is None) or (one is not None and two is not None)):
                 failures += 1
         assert failures == 0
+
+
+class TestTransactionalDdl:
+    def test_rolled_back_create_table_is_forgotten(self):
+        """``create_table`` inside a rolled-back transaction used to stay
+        in ``db.tables`` while the pager gave its root back, so the next
+        table was handed the same root and the catalog mapped both."""
+        fs = dax_fs()
+        db = Database(fs, journal_mode="wal")
+        t1 = db.create_table("t1")
+        t1.insert((1,), ("one",))
+        db.begin()
+        t2 = db.create_table("t2")
+        t2.insert((1,), ("ghost",))
+        db.rollback()
+        assert "t2" not in db.tables and "t2" not in db._catalog
+        assert db.table("t1") is t1  # handed out before the transaction: same object
+        t3 = db.create_table("t3")
+        t3.insert((3,), ("three",))
+        assert db._catalog == {"t1": 1, "t3": 2}
+        db.close()
+        db2 = Database(fs, journal_mode="wal")
+        assert set(db2.tables) == {"t1", "t3"}
+        assert db2.table("t3").tree.root_page != db2.table("t1").tree.root_page
+        assert [row for _, row in db2.table("t3").scan_all()] == [("three",)]
+        assert db2.table("t1").get((1,)) == ("one",)
+
+    def test_rolled_back_create_index_is_forgotten(self):
+        db = Database(dax_fs(), journal_mode="wal")
+        t = db.create_table("t")
+        t.insert((1,), ("a", "x"))
+        db.begin()
+        t.create_index("by_name", (0,))
+        assert list(t.lookup_by("by_name", ("a",))) == [("a", "x")]
+        db.rollback()
+        assert t.indexes == {} and list(db._catalog) == ["t"]
+        t.insert((2,), ("b", "y"))  # maintains no index that no longer exists
+        t.create_index("by_name", (0,))
+        assert list(t.lookup_by("by_name", ("b",))) == [("b", "y")]
+
+    def test_committed_ddl_survives_a_later_rollback_and_close(self):
+        fs = dax_fs()
+        db = Database(fs, journal_mode="wal")
+        db.begin()
+        kept = db.create_table("kept")
+        kept.create_index("by_v", (0,))
+        db.commit()
+        db.begin()
+        db.create_table("dropped")
+        db.close()  # rolls the open transaction back
+        assert set(db.tables) == {"kept"} and "by_v" in kept.indexes
+        db2 = Database(fs, journal_mode="wal")
+        assert set(db2.tables) == {"kept"} and "by_v" in db2.table("kept").indexes
+
+    def test_autocommit_catalog_overflow_leaves_nothing_behind(self):
+        fs = dax_fs()
+        db = Database(fs, journal_mode="wal")
+        with pytest.raises(DbError, match="catalog page overflow"):
+            for i in range(500):
+                db.create_table(f"long-table-name-{i:05d}")
+        refused = f"long-table-name-{i:05d}"
+        assert refused not in db._catalog and refused not in db.tables
+        assert not db.in_tx and not db.pager.dirty and not db.pager.before_images
+        assert db.pager.page_count == 1 + len(db.tables)  # its root page was given back
+        db.table("long-table-name-00000").insert((1,), ("still works",))
+        db.close()
+        assert set(Database(fs, journal_mode="wal").tables) == set(db.tables)
