@@ -124,8 +124,8 @@ class TraceAnalyzer:
     checks the ordering rules online.
 
     Attach with :func:`repro.analysis.harness.attach_analyzer` (or
-    ``device.attach(analyzer)`` by hand and feed op boundaries through
-    :class:`~repro.sim.trace.TappedRecorder`). ``on_drain`` resets both
+    ``device.attach(analyzer)`` by hand, with ``recorder.attach(analyzer)``
+    for the op boundaries). ``on_drain`` resets both
     line state and the event counter — aligned with the sweep's
     drain-then-arm sequence, so reported indices match ``--at``
     reproducer indices.
@@ -254,7 +254,7 @@ class TraceAnalyzer:
         self.event_index = 0
         self.saturated = False
 
-    # -- op boundaries (fed by TappedRecorder) ---------------------------
+    # -- op boundaries (a TraceRecorder listener) -------------------------
 
     def on_op_begin(self, name: str) -> None:
         self._op = name

@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.analyzer import Finding, RegionMap, TraceAnalyzer
 from repro.nvm.crash import count_events
 from repro.nvm.device import NvmDevice
-from repro.sim.trace import TappedRecorder
 
 #: CLI-friendly aliases -> registry names
 WORKLOAD_ALIASES: Dict[str, str] = {
@@ -46,8 +45,8 @@ def resolve_config(name: str) -> str:
 def attach_analyzer(
     fs, perf: bool = True, max_events: Optional[int] = None
 ) -> TraceAnalyzer:
-    """Instrument a mounted filesystem: attach to the device and wrap the
-    recorder so op boundaries reach the analyzer. Returns the analyzer
+    """Instrument a mounted filesystem: attach to the device and to the
+    recorder, whose op boundaries reach the analyzer. Returns the analyzer
     (its ``findings`` accumulate for the life of the mount)."""
     analyzer = TraceAnalyzer(
         regions=RegionMap.from_layout(fs.volume.layout),
@@ -57,7 +56,7 @@ def attach_analyzer(
         max_events=max_events,
     )
     fs.device.attach(analyzer)
-    fs.recorder = TappedRecorder(fs.recorder, analyzer)
+    fs.recorder.attach(analyzer)
     return analyzer
 
 

@@ -47,11 +47,7 @@ def conservation_status(telemetries: Iterable) -> str:
         if tel is None or not getattr(tel, "enabled", False):
             continue
         checked = True
-        ns_sum = sum(v for _, v in attribution.time_breakdown(tel))
-        byte_sum = sum(v for _, v in attribution.write_breakdown(tel))
-        ns_ok = abs(ns_sum - tel.total_ns()) <= 1e-6 * max(1.0, tel.total_ns())
-        if not (ns_ok and byte_sum == tel.total_bytes()
-                and tel.total_bytes() == tel.stored_bytes()):
+        if not attribution.conserved(tel):
             return "violated"
     return "ok" if checked else "disabled"
 

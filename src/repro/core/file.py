@@ -74,7 +74,6 @@ class MgspFile(FileHandle):
         self.config: MgspConfig = fs.config
         self.tree = RadixTree(fs.device, inode, fs.config)
         self.shadow = ShadowLog(self.tree, fs.device, fs.logs, inode, fs.config)
-        self.shadow.obs = fs.obs
         self._mst: Optional[Tuple[int, int]] = None
         self.mst_hits = 0
         self.mst_misses = 0
@@ -447,7 +446,7 @@ class MgspFile(FileHandle):
         """Write all logs back to the file and release log space;
         returns bytes copied."""
         fs = self.fs
-        copied = self.shadow.write_back()
+        copied = self.shadow.write_back(fs.obs)
         freed = [
             (node.log_off, node.size)
             for node in self.tree.nodes.values()

@@ -38,8 +38,6 @@ class MgspFilesystem(FileSystem):
         self.logs = LogAllocator(area.start, area.end)
         self.metalog = MetadataLog(self.device, self.volume.layout.metalog)
         self.mgl = MglLockManager(self.config, self.recorder)
-        #: simulated thread issuing the current op (set by workload runners)
-        self.current_thread = 0
         self._refs: Dict[int, int] = {}
         self._txn_counter = 0
         self._init_flusher()
@@ -137,21 +135,8 @@ class MgspFilesystem(FileSystem):
     ) -> "MgspFilesystem":
         """Mount an existing device image (use :func:`repro.core.recover`
         first if the image may hold in-flight operations)."""
-        from repro.fsapi.layout import VolumeLayout
         from repro.fsapi.volume import Volume
 
-        fs = cls.__new__(cls)
-        FileSystem.__init__(fs, device=device, timing=timing)
-        fs.volume = Volume.mount(
-            device, VolumeLayout.for_device(device.size, log_fraction=cls.log_fraction)
-        )
-        fs.config = config or MgspConfig()
-        area = fs.volume.layout.log_area
-        fs.logs = LogAllocator(area.start, area.end)
-        fs.metalog = MetadataLog(device, fs.volume.layout.metalog)
-        fs.mgl = MglLockManager(fs.config, fs.recorder)
-        fs.current_thread = 0
-        fs._refs = {}
-        fs._txn_counter = 0
-        fs._init_flusher()
+        fs = cls(device=device, timing=timing, config=config)
+        fs.volume = Volume.mount(device, fs.volume.layout)
         return fs

@@ -109,8 +109,7 @@ def recover(
         if not tree.nodes:
             continue
         shadow = ShadowLog(tree, device, fs.logs, inode, config)
-        shadow.obs = obs
-        copied = shadow.write_back()
+        copied = shadow.write_back(obs)
         if copied:
             stats.replayed_files.append(inode.name)
         stats.log_bytes_written_back += copied

@@ -85,9 +85,6 @@ def _ordinal(tree: RadixTree, node: Node) -> int:
 class ShadowLog:
     """Planner + reader + write-back for one file's tree."""
 
-    #: telemetry sink (the owning MgspFile copies ``fs.obs`` here)
-    obs = NULL_SINK
-
     def __init__(
         self,
         tree: RadixTree,
@@ -613,15 +610,15 @@ class ShadowLog:
 
     # -------------------------------------------------------------- write-back
 
-    def write_back(self) -> int:
+    def write_back(self, obs=NULL_SINK) -> int:
         """Copy every fresh log byte into the file (close / recovery).
 
         Parent-before-child order: deeper (fresher) content overwrites.
         All copies read from log blocks and write into the file extent
         (disjoint regions), so the stores are gathered and issued as one
-        scatter-gather batch. Returns the number of bytes copied.
+        scatter-gather batch. Returns the number of bytes copied; *obs*
+        is the caller's telemetry sink (``fs.obs`` at call time).
         """
-        obs = self.obs
         frame = obs.span_begin("checkpoint.writeback") if obs.enabled else None
         limit = min(self.tree.covered(), self.inode.size)
         writes: List[Tuple[int, bytes]] = []

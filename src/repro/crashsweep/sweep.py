@@ -15,12 +15,10 @@ minimal failing core so the reproducer is also *small*.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.nvm.cache import choose_persist_words
-from repro.nvm.crash import CrashPlan, CrashPolicy, compose_image
+from repro.nvm.crash import CrashPlan, CrashPolicy, compose_image, policy_words
 
 from repro.crashsweep.census import Census, sample_points, take_census
 from repro.crashsweep.invariants import check_image
@@ -104,16 +102,6 @@ class SweepReport:
     @property
     def ok(self) -> bool:
         return all(u.ok for u in self.units)
-
-
-def _chosen_words(device, policy: CrashPolicy, seed: int) -> List[int]:
-    """The exact word subset :func:`compose_image` persisted."""
-    candidates = device.unfenced_words()
-    if policy is CrashPolicy.DROP_ALL:
-        return []
-    if policy is CrashPolicy.KEEP_ALL:
-        return list(candidates)
-    return choose_persist_words(candidates, random.Random(seed), PERSIST_PROBABILITY)
 
 
 def minimize_failure(
@@ -202,7 +190,7 @@ def sweep_unit(
                 violations=violations,
             )
             if minimize:
-                chosen = _chosen_words(device, policy, image_seed)
+                chosen = policy_words(device, policy, image_seed, PERSIST_PROBABILITY)
                 if chosen:
                     failure.minimized_words = minimize_failure(
                         device,

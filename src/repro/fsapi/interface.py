@@ -134,6 +134,10 @@ class FileSystem(abc.ABC):
 
     #: fraction of the device given to the log/CoW area (per-FS override)
     log_fraction = 0.30
+    #: simulated thread issuing the current op (set by workload runners)
+    current_thread = 0
+    #: whether the background trace stream replays as a daemon thread
+    bg_daemon = False
 
     def __init__(
         self,
@@ -189,6 +193,13 @@ class FileSystem(abc.ABC):
 
     def take_traces(self):
         return self.recorder.take_completed()
+
+    def take_bg_traces(self):
+        """Traces of a background stream; a FS without one has none."""
+        return []
+
+    def end_thread(self, thread: int) -> None:
+        """Per-thread trailer; nothing to emit unless locks are retained."""
 
     # -- global sync hooks (overridden where meaningful) --------------------------
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.sim.trace import TappedRecorder
 
 #: event kinds, matching the census accounting exactly
 STORE = "store"
@@ -59,7 +58,7 @@ class Trace:
 
 
 class EventCollector:
-    """Device tap + ``TappedRecorder`` listener: records every
+    """Device tap + recorder listener: records every
     persistence event with region/op context."""
 
     def __init__(self, regions=None, max_events: Optional[int] = None) -> None:
@@ -117,7 +116,7 @@ class EventCollector:
         self.event_index = 0
         self.saturated = False
 
-    # -- TappedRecorder op hooks -------------------------------------------
+    # -- recorder listener op hooks ----------------------------------------
 
     def on_op_begin(self, name: str) -> None:
         self.op_seq += 1
@@ -132,10 +131,10 @@ def attach_collector(system, regions=None, max_events: Optional[int] = None) -> 
     collector; pass as ``SweepWorkload.run(..., instrument=...)`` body.
 
     Same shape as ``repro.analysis.harness.attach_analyzer``: the tap
-    observes device-level events, a ``TappedRecorder`` wrapper feeds
+    observes device-level events, the recorder's listener seam feeds
     op boundaries.
     """
     collector = EventCollector(regions=regions, max_events=max_events)
     system.device.attach(collector)
-    system.recorder = TappedRecorder(system.recorder, collector)
+    system.recorder.attach(collector)
     return collector

@@ -15,18 +15,20 @@ vectorized ``store_v``/``nt_store_v``/``flush_v``/``store_word_v``
 device entry points.
 
 :func:`compose_image` turns a crashed device plus a :class:`CrashPolicy`
-into a concrete post-crash image. ``RANDOM`` composition is driven by an
-explicit seed so any sampled image can be reproduced exactly from the
-``(workload, crash_after, policy, seed)`` tuple a sweep reports.
+into a concrete post-crash image; :func:`policy_words` is the one
+statement of which unfenced words a policy keeps. ``RANDOM`` is driven
+by an explicit seed so any sampled image can be reproduced exactly from
+the ``(workload, crash_after, policy, seed)`` tuple a sweep reports.
 """
 
 from __future__ import annotations
 
 import enum
 import random
-from typing import Optional, Set
+from typing import List, Optional, Set
 
 from repro.errors import CrashRequested
+from repro.nvm.cache import choose_persist_words
 
 
 class CrashPolicy(enum.Enum):
@@ -108,20 +110,35 @@ def count_events(device, kinds: Optional[Set[str]] = None, since=None) -> int:
     return total
 
 
+def policy_words(
+    device,
+    policy: CrashPolicy,
+    seed: int = 0,
+    persist_probability: float = 0.5,
+) -> List[int]:
+    """The unfenced words of *device* that *policy* keeps, ascending.
+
+    ``RANDOM`` flips ``random.Random(seed)``'s coin per candidate in
+    order — never ambient randomness — so the choice is a pure function
+    of (device state, policy, seed): the sweep's minimizer and a
+    black-box bundle name exactly the words the image kept.
+    """
+    if policy is CrashPolicy.DROP_ALL:
+        return []
+    candidates = device.unfenced_words()
+    if policy is CrashPolicy.KEEP_ALL:
+        return list(candidates)
+    return choose_persist_words(candidates, random.Random(seed), persist_probability)
+
+
 def compose_image(
     device,
     policy: CrashPolicy,
     seed: int = 0,
     persist_probability: float = 0.5,
 ) -> bytes:
-    """Compose the post-crash image of *device* under *policy*.
-
-    ``RANDOM`` uses ``random.Random(seed)`` — never ambient randomness —
-    so the image is a pure function of (device state, policy, seed) and
-    a failing sweep sample can be replayed from its reported seed.
-    """
-    if policy is CrashPolicy.DROP_ALL:
-        return device.crash_image(persist_words=())
-    if policy is CrashPolicy.KEEP_ALL:
-        return device.crash_image(persist_words=device.unfenced_words())
-    return device.crash_image(rng=random.Random(seed), persist_probability=persist_probability)
+    """Compose the post-crash image of *device* under *policy*: its
+    durable content plus :func:`policy_words`, so a failing sweep sample
+    can be replayed from its reported seed."""
+    return device.crash_image(
+        persist_words=policy_words(device, policy, seed, persist_probability))

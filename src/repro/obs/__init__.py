@@ -12,7 +12,7 @@ Typical use::
 
     from repro.obs import MetricsRegistry, attach_telemetry, to_report
 
-    tel = attach_telemetry(fs)       # before opening handles
+    tel = attach_telemetry(fs)
     ... run the workload ...
     print(to_report(tel))
 

@@ -46,17 +46,6 @@ def _workload_registry() -> str:
     return f"{', '.join(names)} (aliases: {aliases})"
 
 
-def _conservation_ok(tel) -> bool:
-    time_rows = attribution.time_breakdown(tel)
-    byte_rows = attribution.write_breakdown(tel)
-    ns_sum = sum(v for _, v in time_rows)
-    byte_sum = sum(v for _, v in byte_rows)
-    ns_ok = abs(ns_sum - tel.total_ns()) <= 1e-6 * max(1.0, tel.total_ns())
-    bytes_ok = byte_sum == tel.total_bytes()
-    device_ok = tel.total_bytes() == tel.stored_bytes()
-    return ns_ok and bytes_ok and device_ok
-
-
 def _postmortem_main(argv: Sequence[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs postmortem",
@@ -174,7 +163,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         sys.stdout.write(text)
 
-    if not _conservation_ok(tel):
+    if not attribution.conserved(tel):
         print("obs: CONSERVATION FAILURE: layer sums != run totals", file=sys.stderr)
         return 2
     return 0

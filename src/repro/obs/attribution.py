@@ -122,6 +122,20 @@ def write_breakdown(tel: Telemetry) -> List[Tuple[str, int]]:
     return _sort_layers(per_layer)  # type: ignore[arg-type]
 
 
+def conserved(tel: Telemetry) -> bool:
+    """The conservation law the two breakdowns state: per-layer time
+    sums to the elapsed total (within float rounding), per-layer bytes
+    sum to the run's bytes exactly, and those equal the device's
+    ``stored_bytes``."""
+    ns_sum = sum(v for _, v in time_breakdown(tel))
+    byte_sum = sum(v for _, v in write_breakdown(tel))
+    return (
+        abs(ns_sum - tel.total_ns()) <= 1e-6 * max(1.0, tel.total_ns())
+        and byte_sum == tel.total_bytes()
+        and tel.total_bytes() == tel.stored_bytes()
+    )
+
+
 def lock_contention(tel: Telemetry, top: int = 10) -> List[Tuple[str, int, float]]:
     """Top-*top* lock keys by total simulated wait time.
 

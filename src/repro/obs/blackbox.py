@@ -32,7 +32,7 @@ import json
 import os
 from typing import Dict, List, Optional, Sequence
 
-from repro.nvm.crash import CrashPlan, CrashPolicy, compose_image
+from repro.nvm.crash import CrashPlan, CrashPolicy, policy_words
 
 from repro.obs.flight import attach_flight
 from repro.obs.registry import MetricsRegistry
@@ -58,13 +58,12 @@ def kept_words(device, policy: Optional[str], seed: int, crash_after: int,
                persist_words: Optional[Sequence[int]] = None) -> List[int]:
     """The persisted-word set a bundle's crash image keeps: an explicit
     surgical set when given, else the policy's deterministic choice."""
-    from repro.crashsweep.sweep import _chosen_words, point_seed
+    from repro.crashsweep.sweep import PERSIST_PROBABILITY, point_seed
 
-    candidates = set(device.unfenced_words())
     if persist_words is not None:
-        return sorted(set(int(w) for w in persist_words) & candidates)
+        return sorted(set(int(w) for w in persist_words) & set(device.unfenced_words()))
     pol = CrashPolicy(policy) if policy is not None else CrashPolicy.DROP_ALL
-    return sorted(_chosen_words(device, pol, point_seed(seed, crash_after)))
+    return policy_words(device, pol, point_seed(seed, crash_after), PERSIST_PROBABILITY)
 
 
 def capture(
@@ -87,7 +86,6 @@ def capture(
     (a surgical keep-set, e.g. from ``repro.infer``) selects the crash
     image; with neither, DROP_ALL is assumed.
     """
-    from repro.crashsweep.sweep import PERSIST_PROBABILITY, point_seed
     from repro.crashsweep.workloads import get_workload
 
     workload = get_workload(workload_name)
@@ -110,17 +108,7 @@ def capture(
         crash_after,
         persist_words=persist_words,
     )
-    if policy is not None and persist_words is None:
-        image = bytes(
-            compose_image(
-                device,
-                policy,
-                seed=point_seed(seed, crash_after),
-                persist_probability=PERSIST_PROBABILITY,
-            )
-        )
-    else:
-        image = bytes(device.crash_image(persist_words=kept))
+    image = device.crash_image(persist_words=kept)
     found = (
         list(workload.check(image, config_name, outcome.oracles))
         if outcome.crashed

@@ -54,7 +54,6 @@ from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.spans import clock_reader, system_clocks
-from repro.sim.trace import TappedRecorder
 
 
 def _render_key(key) -> str:
@@ -140,7 +139,7 @@ class FlightRecorder:
         self.recorded = 0
         self.event_index = 0
 
-    # -- recorder-wrapper hooks (ops + locks) -------------------------------
+    # -- recorder listener hooks (ops + locks) ------------------------------
 
     def on_op_begin(self, name: str) -> None:
         self.op_seq += 1
@@ -208,15 +207,16 @@ def attach_flight(system, capacity: int = 256, telemetry=None, regions=None) -> 
     """Attach a flight recorder to a workload system (a mounted file
     system or a crashsweep ``RawSystem``).
 
-    Joins the device's observer list as a tap, wraps the foreground
-    recorder for op/lock events, and — when telemetry is live — hooks
-    span open/close through ``Telemetry.flight``. Telemetry attached
-    afterwards finds the recorder on the device, so either order works.
+    Joins the device's observer list as a tap and the foreground
+    recorder's listeners for op/lock events, and — when telemetry is
+    live — hooks span open/close through ``Telemetry.flight``. Telemetry
+    attached afterwards finds the recorder on the device, so either
+    order works.
     """
     flight = FlightRecorder(capacity=capacity, regions=regions)
     flight.bind(system_clocks(system))
     system.device.attach(flight)
-    system.recorder = TappedRecorder(system.recorder, flight)
+    system.recorder.attach(flight)
     tel = telemetry if telemetry is not None else getattr(system, "obs", None)
     if tel is not None and getattr(tel, "enabled", False):
         tel.flight = flight

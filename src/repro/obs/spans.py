@@ -50,15 +50,9 @@ def clock_reader(clocks: Sequence[object]) -> Callable[[], float]:
 
 def system_clocks(system) -> List[object]:
     """The cost recorders of a workload system (foreground, plus
-    ``bg_recorder`` where one exists), unwrapped to the recorders that
-    own the clocks."""
-    clocks = []
-    for recorder in (system.recorder, getattr(system, "bg_recorder", None)):
-        if recorder is not None:
-            while hasattr(recorder, "inner"):
-                recorder = recorder.inner
-            clocks.append(recorder)
-    return clocks
+    ``bg_recorder`` where one exists)."""
+    recorders = (system.recorder, getattr(system, "bg_recorder", None))
+    return [recorder for recorder in recorders if recorder is not None]
 
 
 class NullSink:
@@ -284,8 +278,6 @@ def attach_telemetry(fs, registry: Optional[MetricsRegistry] = None,
     own reference (``fs.mgl``, ``fs.metalog``) — at the live sink. A
     flight recorder already on the device gets the span events, as it
     would had it been attached second.
-    Attach **before** opening handles: per-handle protocol state (e.g.
-    ``MgspFile.shadow``) snapshots ``fs.obs`` at handle creation.
     """
     tel = telemetry if telemetry is not None else Telemetry(registry)
     tel.bind(system_clocks(fs), fs.device)

@@ -11,50 +11,24 @@ The recorder also implements the device's cost-recorder hooks
 (io_write / io_cached / io_read / io_flush / io_fence), so attaching it
 to an :class:`~repro.nvm.device.NvmDevice` (``device.attach(recorder)``)
 prices all media traffic automatically.
+
+Op and lock events have one observer seam, shaped like the device's:
+``recorder.attach(listener)``. A listener has any subset of
+``on_op_begin(name)`` / ``on_op_end(name)`` / ``on_lock(key, mode)`` /
+``on_unlock(key)`` and is told **after** the recorder has handled the
+event (trace in ``completed``, segment appended and priced), in attach
+order. The recorder is never replaced, so every holder of a reference
+(the file system, its MGL lock manager) is observed by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import Hashable, List, Optional, Tuple
 
 from repro.nvm.timing import TimingModel
 
 Segment = Tuple  # ("compute", ns) | ("io", ns) | ("lock", key, mode) | ("unlock", key)
-
-
-@runtime_checkable
-class Recorder(Protocol):
-    """The formal surface shared by :class:`TraceRecorder` and the
-    :class:`TappedRecorder` wrapper.
-
-    File-system code talks to its recorder only through these members,
-    so a conforming wrapper can be swapped in without isinstance checks.
-    ``timing`` prices media operations.
-    """
-
-    timing: TimingModel
-    #: accumulated uncontended virtual time (the telemetry clock):
-    #: every priced segment advances it by exactly what
-    #: :meth:`OpTrace.duration_ns` would charge for that segment.
-    clock_ns: float
-
-    # -- op lifecycle --------------------------------------------------
-    def begin_op(self, name: str) -> None: ...
-    def end_op(self) -> "OpTrace": ...
-    def take_completed(self) -> List["OpTrace"]: ...
-
-    # -- explicit costs ------------------------------------------------
-    def compute(self, ns: float) -> None: ...
-    def lock(self, key: Hashable, mode: str) -> None: ...
-    def unlock(self, key: Hashable) -> None: ...
-
-    # -- device cost-recorder hooks ------------------------------------
-    def io_write(self, nbytes: int) -> None: ...
-    def io_cached(self, nbytes: int) -> None: ...
-    def io_read(self, nbytes: int) -> None: ...
-    def io_flush(self, nlines: int) -> None: ...
-    def io_fence(self) -> None: ...
 
 
 @dataclass
@@ -95,7 +69,20 @@ class TraceRecorder:
         self.timing = timing
         self.current: Optional[OpTrace] = None
         self.completed: List[OpTrace] = []
-        self.clock_ns = 0.0
+        self.clock_ns = 0.0  # the telemetry clock, see _emit
+        self.listeners: List[object] = []
+
+    #: the listener seam: per hook, the bound methods that implement it
+    _on_op_begin = _on_op_end = _on_lock = _on_unlock = ()
+
+    def attach(self, listener):
+        """Append *listener* and re-bind the hook tuples — any subset,
+        duck-typed (``NvmDevice._bind``'s rule); returns the listener."""
+        self.listeners.append(listener)
+        for hook in ("on_op_begin", "on_op_end", "on_lock", "on_unlock"):
+            setattr(self, "_" + hook, tuple(
+                getattr(lst, hook) for lst in self.listeners if hasattr(lst, hook)))
+        return listener
 
     # -- op lifecycle ------------------------------------------------------
 
@@ -104,11 +91,15 @@ class TraceRecorder:
             # Ambient (outside-an-op) costs get their own trace.
             self.completed.append(self.current)
         self.current = OpTrace(name=name)
+        for tell in self._on_op_begin:
+            tell(name)
 
     def end_op(self) -> OpTrace:
         trace = self.current if self.current is not None else OpTrace()
         self.completed.append(trace)
         self.current = None
+        for tell in self._on_op_end:
+            tell(trace.name)
         return trace
 
     def take_completed(self) -> List[OpTrace]:
@@ -142,9 +133,13 @@ class TraceRecorder:
 
     def lock(self, key: Hashable, mode: str) -> None:
         self._emit(("lock", key, mode))
+        for tell in self._on_lock:
+            tell(key, mode)
 
     def unlock(self, key: Hashable) -> None:
         self._emit(("unlock", key))
+        for tell in self._on_unlock:
+            tell(key)
 
     # -- device cost-recorder hooks -------------------------------------------
 
@@ -172,43 +167,3 @@ class TraceRecorder:
 
     def io_fence(self) -> None:
         self._emit(("compute", self.timing.fence_ns))
-
-
-class TappedRecorder:
-    """A conforming :class:`Recorder` that tells a *listener* of op
-    boundaries (``on_op_begin`` / ``on_op_end``) and, where the listener
-    has the hooks, of lock events (``on_lock`` / ``on_unlock``), each
-    after the wrapped recorder has handled it. Costs go straight to the
-    wrapped recorder: the pricing members are its own bound methods, so
-    wrapping adds no frame to them. Wrappers stack in any order."""
-
-    def __init__(self, inner, listener) -> None:
-        self.inner = inner
-        self.listener = listener
-        self.timing = inner.timing
-        for name in ("take_completed", "compute", "io_write", "io_cached",
-                     "io_read", "io_flush", "io_fence"):
-            setattr(self, name, getattr(inner, name))
-        if not hasattr(listener, "on_lock"):
-            self.lock, self.unlock = inner.lock, inner.unlock
-
-    @property
-    def clock_ns(self) -> float:
-        return self.inner.clock_ns
-
-    def begin_op(self, name: str) -> None:
-        self.inner.begin_op(name)
-        self.listener.on_op_begin(name)
-
-    def end_op(self) -> OpTrace:
-        trace = self.inner.end_op()
-        self.listener.on_op_end(trace.name)
-        return trace
-
-    def lock(self, key: Hashable, mode: str) -> None:
-        self.inner.lock(key, mode)
-        self.listener.on_lock(key, mode)
-
-    def unlock(self, key: Hashable) -> None:
-        self.inner.unlock(key)
-        self.listener.on_unlock(key)

@@ -138,8 +138,7 @@ def run_filebench(
     for _ in range(spec.nfiles):
         ns.create(sync=True)
     fs.take_traces()
-    if hasattr(fs, "take_bg_traces"):
-        fs.take_bg_traces()
+    fs.take_bg_traces()
 
     ops_sorted = sorted(spec.mix.items())
     per_op: Dict[str, int] = {}

@@ -112,8 +112,7 @@ def _prefill(fs: FileSystem, handle, size: int) -> None:
             pos += take
         handle.fsync()
     fs.take_traces()
-    if hasattr(fs, "take_bg_traces"):
-        fs.take_bg_traces()
+    fs.take_bg_traces()
 
 
 def _offsets(job: FioJob, thread: int, per_thread_ops: int) -> List[int]:
@@ -154,8 +153,7 @@ def run_fio(fs: FileSystem, job: FioJob, filename: str = "fio.dat") -> FioResult
 
     for i in range(per_thread):
         for t in range(job.threads):
-            if hasattr(fs, "current_thread"):
-                fs.current_thread = t
+            fs.current_thread = t
             off = offsets[t][i]
             kind = job.kind
             if kind == "rw":
@@ -174,12 +172,11 @@ def run_fio(fs: FileSystem, job: FioJob, filename: str = "fio.dat") -> FioResult
             collect(t)
 
     # Per-thread trailers (release lazily retained MGL intention locks).
-    if hasattr(fs, "end_thread"):
-        for t in range(job.threads):
-            fs.end_thread(t)
-            collect(t)
+    for t in range(job.threads):
+        fs.end_thread(t)
+        collect(t)
 
-    bg_traces = fs.take_bg_traces() if hasattr(fs, "take_bg_traces") else []
+    bg_traces = fs.take_bg_traces()
 
     dev_delta = fs.device.stats.delta(stats_base)
     api_delta = fs.api.delta(api_base)
@@ -200,7 +197,7 @@ def run_fio(fs: FileSystem, job: FioJob, filename: str = "fio.dat") -> FioResult
             # A daemon flusher (MGSP async write-back) contends for
             # channels/locks but its tail does not extend the makespan;
             # demand-driven drains (libnvmmio pressure relief) do.
-            daemon = 1 if getattr(fs, "bg_daemon", False) else 0
+            daemon = 1 if fs.bg_daemon else 0
         engine = ReplayEngine(fs.timing, obs=fs.obs)
         result = engine.run(streams, background=daemon)
         elapsed = result.makespan_ns

@@ -52,8 +52,7 @@ def run_mobibench(
     for i in range(prepopulate):
         table.insert((i,), (i, _PAYLOAD))
     fs.take_traces()
-    if hasattr(fs, "take_bg_traces"):
-        fs.take_bg_traces()
+    fs.take_bg_traces()
 
     # Measured window: one statement per transaction (autocommit).
     for i in range(transactions):

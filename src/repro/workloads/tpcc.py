@@ -237,8 +237,7 @@ def run_tpcc(
     for _ in range(20):
         driver.new_order()
     fs.take_traces()
-    if hasattr(fs, "take_bg_traces"):
-        fs.take_bg_traces()
+    fs.take_bg_traces()
 
     per_type: Dict[str, int] = {}
     for _ in range(transactions):

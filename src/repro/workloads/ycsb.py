@@ -95,8 +95,7 @@ def run_ycsb(
     for key in range(records):
         table.insert((key,), (payload,))
     fs.take_traces()
-    if hasattr(fs, "take_bg_traces"):
-        fs.take_bg_traces()
+    fs.take_bg_traces()
 
     zipf = ZipfGenerator(records, seed=seed)
     rng = random.Random(seed ^ 0xBEEF)

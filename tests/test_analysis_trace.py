@@ -7,7 +7,6 @@ import pytest
 from repro.analysis import (
     RULES,
     RegionMap,
-    TraceAnalyzer,
     attach_analyzer,
     program_context,
     run_workload,
@@ -15,7 +14,7 @@ from repro.analysis import (
 from repro.core import MgspConfig, MgspFilesystem
 from repro.nvm.crash import count_events
 from repro.nvm.timing import TimingModel
-from repro.sim.trace import Recorder, TappedRecorder, TraceRecorder
+from repro.sim.trace import TraceRecorder
 
 
 def rules_of(findings):
@@ -216,29 +215,76 @@ def test_drain_resets_counter_and_state():
     assert ctx.analyzer.findings == []
 
 
-# -- TappedRecorder --------------------------------------------------------
+# -- the recorder's listener seam -------------------------------------------
 
 
-def test_analysis_recorder_satisfies_protocol_and_forwards():
-    analyzer = TraceAnalyzer(RegionMap.for_device(4 << 20))
-    inner = TraceRecorder(TimingModel())
-    rec = TappedRecorder(inner, analyzer)
-    assert isinstance(rec, Recorder)
-    rec.begin_op("write")
-    rec.compute(10.0)
-    rec.io_write(64)
-    rec.io_flush(1)
-    rec.io_fence()
+def test_recorder_listeners_told_after_the_recorder_in_attach_order():
+    """The seam's contract: listeners hear an event once the recorder has
+    handled it, in attach order, through whichever hooks they have."""
+    rec = TraceRecorder(TimingModel())
+    bare = TraceRecorder(TimingModel())
+    heard = []
+
+    class OpsAndLocks:
+        def __init__(self, tag):
+            self.tag = tag
+
+        def on_op_begin(self, name):
+            heard.append((self.tag, "begin", name, rec.current.name))
+
+        def on_op_end(self, name):
+            # the trace is already completed, and no op is open any more
+            heard.append((self.tag, "end", name, rec.completed[-1].name, rec.current))
+
+        def on_lock(self, key, mode):
+            heard.append((self.tag, "lock", rec.current.segments[-1]))
+
+        def on_unlock(self, key):
+            heard.append((self.tag, "unlock", rec.current.segments[-1]))
+
+    class OpsOnly:  # no on_lock / on_unlock: simply not called for locks
+        def on_op_begin(self, name):
+            heard.append(("ops", "begin", name))
+
+        def on_op_end(self, name):
+            heard.append(("ops", "end", name))
+
+    first, ops, last = OpsAndLocks("first"), OpsOnly(), OpsAndLocks("last")
+    for listener in (first, ops, last):
+        assert rec.attach(listener) is listener
+    assert rec.listeners == [first, ops, last]
+
+    for r in (rec, bare):
+        r.begin_op("write")
+        r.compute(10.0)
+        r.lock(("k", 1), "W")
+        r.io_write(64)
+        r.io_flush(1)
+        r.io_fence()
+        r.unlock(("k", 1))
     trace = rec.end_op()
+    assert heard == [
+        ("first", "begin", "write", "write"), ("ops", "begin", "write"),
+        ("last", "begin", "write", "write"),
+        ("first", "lock", ("lock", ("k", 1), "W")), ("last", "lock", ("lock", ("k", 1), "W")),
+        ("first", "unlock", ("unlock", ("k", 1))), ("last", "unlock", ("unlock", ("k", 1))),
+        ("first", "end", "write", "write", None), ("ops", "end", "write"),
+        ("last", "end", "write", "write", None),
+    ]
+    # listening changes nothing the recorder records or prices
     assert trace.name == "write"
+    assert trace.segments == bare.end_op().segments
+    assert rec.clock_ns == bare.clock_ns
     assert rec.take_completed() == [trace]
 
 
 def test_attach_analyzer_wraps_live_mount():
     fs = make_fs()
+    recorder = fs.recorder
     analyzer = attach_analyzer(fs, perf=False)
     assert analyzer in fs.device.observers
-    assert isinstance(fs.recorder, TappedRecorder)
+    assert analyzer in fs.recorder.listeners
+    assert fs.recorder is recorder and fs.mgl.recorder is recorder
     f = fs.create("a", capacity=1 << 16)
     f.write(0, b"hello" * 100)
     f.fsync()

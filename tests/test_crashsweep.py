@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 import tracemalloc
 
 import pytest
@@ -26,7 +27,7 @@ from repro.crashsweep.invariants import idempotence_violations
 from repro.crashsweep.sweep import PERSIST_PROBABILITY
 from repro.errors import CrashRequested
 from repro.fsapi.layout import VolumeLayout
-from repro.nvm.crash import CrashPlan, CrashPolicy, compose_image, count_events
+from repro.nvm.crash import CrashPlan, CrashPolicy, compose_image, count_events, policy_words
 from repro.nvm.device import NvmDevice
 
 
@@ -109,6 +110,19 @@ class TestRandomPolicyDeterminism:
         keep = compose_image(device, CrashPolicy.KEEP_ALL, seed=0)
         assert drop == bytes(device.buffer.snapshot_durable())
         assert keep != drop  # a mid-write crash has unfenced words
+
+    def test_policy_words_are_the_words_the_image_kept(self):
+        """One rule for the sweep, its minimizer and the bundles — and it
+        draws the subset ``crash_image(rng=...)`` draws from that seed."""
+        device = self.crashed_device()
+        candidates = list(device.unfenced_words())
+        assert policy_words(device, CrashPolicy.DROP_ALL) == []
+        assert policy_words(device, CrashPolicy.KEEP_ALL) == candidates
+        kept = policy_words(device, CrashPolicy.RANDOM, 3, 0.5)
+        assert kept == [candidates[0], candidates[2]]  # seed 3 drops the middle of three
+        image = compose_image(device, CrashPolicy.RANDOM, seed=3, persist_probability=0.5)
+        assert image == device.crash_image(persist_words=kept)
+        assert image == device.crash_image(rng=random.Random(3), persist_probability=0.5)
 
 
 class TestImagePipelineCost:

@@ -23,7 +23,6 @@ from repro.errors import CrashRequested, OutOfRangeError, TornWriteError
 from repro.infer.events import attach_collector
 from repro.nvm.crash import CrashPlan, counting_plan
 from repro.obs import attach_flight, attach_telemetry
-from repro.sim.trace import TappedRecorder
 
 SIZE = 4 << 20
 BASE = 1 << 20
@@ -63,7 +62,7 @@ def _make_system() -> RawSystem:
 def _attach_analyzer(system):
     analyzer = TraceAnalyzer(RegionMap.for_device(SIZE), device=system.device)
     system.device.attach(analyzer)
-    system.recorder = TappedRecorder(system.recorder, analyzer)
+    system.recorder.attach(analyzer)
     return analyzer
 
 

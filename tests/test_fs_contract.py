@@ -169,6 +169,22 @@ class TestContract:
         assert traces
         assert sum(t.duration_ns(any_fs.timing.lock_ns) for t in traces) > 0
 
+    def test_driver_surface_is_declared(self, any_fs):
+        """What the workload drivers use on every FS is on the base
+        class: a thread id to set, a trailer that emits nothing unless
+        the FS retains locks, a background stream that may be empty."""
+        f = any_fs.create("x", CAP)
+        f.write(0, b"y" * 4096)
+        any_fs.take_traces()
+        any_fs.take_bg_traces()
+        assert any_fs.current_thread == 0
+        any_fs.current_thread = 1
+        any_fs.end_thread(1)
+        if any_fs.name != "MGSP":  # MGSP's trailer releases retained MGL locks
+            assert any_fs.take_traces() == []
+            assert any_fs.take_bg_traces() == []
+        assert any_fs.bg_daemon is (any_fs.name == "MGSP")
+
     def test_api_stats_track_bytes(self, any_fs):
         f = any_fs.create("x", CAP)
         base = any_fs.api.snapshot()

@@ -54,6 +54,18 @@ def test_bundle_contents(planted_bundle):
     assert len(b["image_sha256"]) == 64
 
 
+def test_mgsp_bundle_names_the_lock_held_at_the_crash_point():
+    """A crash inside an MGSP write reports the MGL lock that write
+    holds (the planted fixture above runs on the lock-free RawSystem);
+    listening changes no byte of the image — the digest is the one the
+    parent commit produced, where ``held_locks`` was ``[]``."""
+    b = blackbox.capture("fio-randwrite", "sync", 101, seed=7, policy=CrashPolicy.DROP_ALL)
+    assert b["held_locks"] == [["mgsp/1/0/12", "W"]]
+    assert any(e[0] == "lock" and e[2:] == ["mgsp/1/0/12", "W"] for e in b["flight"]["events"])
+    assert b["image_sha256"] == (
+        "d1ed70abed96092fdf1488689427202c51109f56fd112eea3b74aa44169b70c9")
+
+
 def test_embedded_reproducer_retriggers(planted_bundle):
     """The bundle's ``--at N`` line must exit 1 (failure re-triggered)."""
     from repro.crashsweep.__main__ import main as sweep_main

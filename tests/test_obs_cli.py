@@ -65,16 +65,19 @@ def test_prometheus_export_shape(capsys):
 
 
 def test_conservation_checker_catches_bad_books():
-    from repro.obs.__main__ import _conservation_ok
+    from repro.bench.provenance import conservation_status
+    from repro.obs.attribution import conserved
     from repro.obs.harness import run_workload
 
     run = run_workload("fio", "mgsp-sync")
     tel = run.telemetry
-    assert _conservation_ok(tel)
+    assert conserved(tel)
+    assert conservation_status([tel]) == "ok"
     # Cook the books: shift a span's self bytes without touching the
     # totals — the exact byte check must notice.
     tel.spans["write.data"].self_bytes += 1
-    assert not _conservation_ok(tel)
+    assert not conserved(tel)
+    assert conservation_status([tel]) == "violated"
 
 
 def test_bench_breakdown_sidecar():

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import MgspConfig, MgspFilesystem
 from repro.crashsweep.workloads import get_workload
+from repro.fs import Ext4Dax, Nova
 from repro.nvm.crash import CrashPlan, count_events
 from repro.nvm.device import NvmDevice
 from repro.obs.flight import FlightRecorder, attach_flight
@@ -129,6 +131,42 @@ def test_held_locks_and_span_stack():
     assert store[7] == ("op.write",)  # open spans ride on the event
     flight.on_unlock("inode:3")
     assert flight.held_locks_snapshot() == []
+
+
+@pytest.mark.parametrize("make_fs", [
+    lambda: MgspFilesystem(device_size=8 << 20, config=MgspConfig()),
+    lambda: MgspFilesystem(device_size=8 << 20, config=MgspConfig(greedy_locking=False)),
+    lambda: Nova(device_size=8 << 20),
+    lambda: Ext4Dax(device_size=8 << 20),
+], ids=["mgsp", "mgsp-no-greedy", "nova", "ext4dax"])
+def test_ring_holds_every_lock_segment_of_the_traces(make_fs):
+    """The ring sees the lock traffic the traces price — MGSP's MGL
+    locks included, which reach the recorder through ``fs.mgl`` and not
+    through ``fs.recorder``."""
+    fs = make_fs()
+    attach_telemetry(fs, registry=MetricsRegistry())
+    flight = attach_flight(fs, capacity=0)
+    handle = fs.create("f", capacity=1 << 20)
+    handle.write(0, b"a" * 4096)
+    handle.write(8192, b"b" * 100)
+    handle.fsync()
+    assert handle.read(0, 4096) == b"a" * 4096
+    if isinstance(fs, MgspFilesystem):
+        txn = fs.begin_transaction(handle)
+        txn.write(0, b"c" * 512)
+        txn.write(65536, b"d" * 512)
+        txn.commit()
+        fs.end_thread(0)
+    segments = [seg[0] for trace in fs.take_traces() for seg in trace.segments]
+    ring = flight.events_list()
+    kinds = [entry[0] for entry in ring]
+    assert kinds.count("lock") == segments.count("lock") > 0
+    assert kinds.count("unlock") == segments.count("unlock") > 0
+    assert flight.held_locks_snapshot() == []
+    # and a plain write is seen taking its lock inside its own op bracket
+    begin, end = (next(i for i, e in enumerate(ring) if e[0] == kind and e[2] == "write")
+                  for kind in ("op-begin", "op-end"))
+    assert "lock" in kinds[begin:end]
 
 
 def test_drain_resets_ring_and_index():

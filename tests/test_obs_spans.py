@@ -12,7 +12,8 @@ from repro.obs.attribution import (
     time_breakdown,
     write_breakdown,
 )
-from repro.obs.spans import NULL_SINK, NullSink, Telemetry
+from repro.core import MgspFilesystem
+from repro.obs.spans import NULL_SINK, NullSink, Telemetry, attach_telemetry
 
 
 class FakeClock:
@@ -125,6 +126,23 @@ def test_span_metrics_emitted():
         clock.clock_ns += 12
     assert tel.registry.counter("span_calls_total", span="metalog.commit").value == 1
     assert tel.registry.histogram("span_ns", span="metalog.commit").count == 1
+
+
+@pytest.mark.parametrize("attach_first", [True, False], ids=["attach-then-create", "create-then-attach"])
+def test_checkpoint_writeback_is_attributed_whenever_telemetry_attaches(attach_first):
+    """``write_back`` is handed the sink at call time, so a handle made
+    before ``attach_telemetry`` books its checkpoint like any other — a
+    sink cached on the handle's ``ShadowLog`` would record no writeback
+    span and book all 5,048 bytes to ``op.checkpoint``."""
+    fs = MgspFilesystem(device_size=8 << 20)
+    tel = attach_telemetry(fs) if attach_first else None
+    handle = fs.create("f", capacity=1 << 20)
+    tel = tel or attach_telemetry(fs)
+    handle.write(0, b"x" * 5000)
+    assert handle.checkpoint() == 5000
+    assert tel.spans["checkpoint.writeback"].self_bytes == 5000
+    assert tel.spans["op.checkpoint"].self_bytes == 48
+    assert tel.registry.counter("checkpoint_bytes_total").value == 5000
 
 
 def test_null_sink_is_inert():
