@@ -1,11 +1,11 @@
 """Persistence-order analysis: one dynamic engine, one static engine.
 
-- ``repro.analysis.analyzer`` — the dynamic engine: an event tap on
-  :class:`~repro.nvm.device.NvmDevice` that checks the MGSP ordering
-  protocol over the live store/flush/fence stream.
+- ``repro.analysis.analyzer`` — the dynamic engine: a fold over the
+  flight recorder's entries that checks the MGSP ordering protocol over
+  the store/flush/fence stream, live or saved.
 - ``repro.analysis.flow`` — the static engine: AST, CFG and call-graph
   rules over ``src/repro`` (``python -m repro.analysis.flow``).
-- ``repro.analysis.harness`` — attach the tap to a mounted fs, replay
+- ``repro.analysis.harness`` — follow a mounted fs's recorder, replay
   crash-sweep workloads, execute violation-corpus programs.
 - ``python -m repro.analysis`` — the dynamic CLI; see ``--help``.
 """

@@ -1,13 +1,15 @@
 """Persistence-order trace analyzer (the dynamic half of ``repro.analysis``).
 
 WITCHER-style: instead of *executing* crash states like the PR-3 sweep,
-the analyzer observes the live store/flush/fence stream as a tap on
-the device's observer list and checks the MGSP ordering protocol as an
-invariant over that stream. Event indices count exactly like the crash
-sweep's enumeration (one event per store / clwb call / fence, per
-element inside the vectorized ``_v`` entry points), so every finding can
-name the ``--at`` index a ``repro.crashsweep`` reproducer would crash
-at.
+the analyzer is a fold over the flight recorder's entries
+(:mod:`repro.obs.flight`) and checks the MGSP ordering protocol as an
+invariant over that stream — live, as ``flight.follow(analyzer)``, or
+offline, called on each entry of a saved ``events_list()`` / a bundle's
+``flight.events`` (sound only over a ring with ``dropped == 0``: an
+evicted flush makes the next fence look redundant). Event indices are
+read from the entries, which the recorder stamps exactly like the crash
+sweep's enumeration, so every finding can name the ``--at`` index a
+``repro.crashsweep`` reproducer would crash at.
 
 Rules
 -----
@@ -41,6 +43,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.fsapi.layout import VolumeLayout
+from repro.obs.flight import device_event
 from repro.util import CACHE_LINE
 
 ERROR = "error"
@@ -120,15 +123,14 @@ _PENDING = 1  # flushed (or nt-stored), not fenced
 
 
 class TraceAnalyzer:
-    """A device tap: mirrors line state at cache-line granularity and
-    checks the ordering rules online.
+    """A fold over flight-recorder entries: mirrors line state at
+    cache-line granularity and checks the ordering rules online.
 
-    Attach with :func:`repro.analysis.harness.attach_analyzer` (or
-    ``device.attach(analyzer)`` by hand, with ``recorder.attach(analyzer)``
-    for the op boundaries). ``on_drain`` resets both
-    line state and the event counter — aligned with the sweep's
-    drain-then-arm sequence, so reported indices match ``--at``
-    reproducer indices.
+    Follow a recorder with :func:`repro.analysis.harness.attach_analyzer`
+    (``attach_flight(fs).follow(analyzer)``) or call it on saved entries.
+    The recorder's ``("drain",)`` marker resets line state and the event
+    index — aligned with the sweep's drain-then-arm sequence, so
+    reported indices match ``--at`` reproducer indices.
     """
 
     def __init__(
@@ -145,10 +147,9 @@ class TraceAnalyzer:
         self.perf = perf
         self.max_events = max_events
         self.findings: List[Finding] = []
-        self.event_index = 0
+        self.event_index = 0  # one past the last device entry's index
         self.saturated = False  # hit max_events; stopped analyzing
         self._lines: Dict[int, list] = {}  # line -> [state, store_idx, commit]
-        self._op: Optional[str] = None
         self._boundary_reported: Set[int] = set()
 
     # -- bookkeeping -------------------------------------------------------
@@ -161,31 +162,41 @@ class TraceAnalyzer:
         observers = getattr(self.device, "observers", ())
         return any(getattr(observer, "fired", False) for observer in observers)
 
-    def _next_index(self) -> Optional[int]:
-        """Consume one event index; None once past the analysis budget."""
-        idx = self.event_index
-        self.event_index += 1
-        if self.max_events is not None and idx >= self.max_events:
-            if not self.saturated:
-                self.saturated = True
-                self._lines.clear()
-            return None
-        return idx
-
-    def _report(self, rule: str, idx: int, message: str) -> None:
+    def _report(self, rule: str, idx: int, message: str, op: Optional[str]) -> None:
         severity = RULES[rule][0]
         if severity == PERF and not self.perf:
             return
         self.findings.append(
-            Finding(rule=rule, severity=severity, event_index=idx, message=message, op=self._op)
+            Finding(rule=rule, severity=severity, event_index=idx, message=message, op=op)
         )
 
-    # -- device tap --------------------------------------------------------
+    # -- the fold ----------------------------------------------------------
 
-    def on_store(self, offset: int, length: int, kind: str) -> None:
-        idx = self._next_index()
-        if idx is None:
+    def __call__(self, entry) -> None:
+        event = device_event(entry)
+        if event is None:
+            if entry[0] == "op-end":
+                self._check_boundary(entry[2])
+            elif entry[0] == "drain":
+                self._lines.clear()
+                self._boundary_reported.clear()
+                self.event_index = 0
+                self.saturated = False
             return
+        kind, idx, offset, length, aux, op = event
+        self.event_index = idx + 1
+        if self.max_events is not None and idx >= self.max_events:
+            if not self.saturated:  # past the analysis budget
+                self.saturated = True
+                self._lines.clear()
+        elif kind == "store":
+            self._store(idx, offset, length, aux, op)
+        elif kind == "flush":
+            self._flush(idx, offset, length, aux, op)
+        else:
+            self._fence(idx, op)
+
+    def _store(self, idx: int, offset: int, length: int, kind: str, op) -> None:
         region = self.regions.classify(offset)
         if kind == "store" and length > 8 and region in _TORN_REGIONS:
             self._report(
@@ -194,6 +205,7 @@ class TraceAnalyzer:
                 f"plain {length}-byte store at offset {offset} in {region}; "
                 "words may persist independently — use atomic_store_u64 or "
                 "an nt_store + fence sequence",
+                op,
             )
         state = _PENDING if kind == "nt" else _DIRTY
         is_commit = region == "metalog" and length > 8
@@ -201,15 +213,13 @@ class TraceAnalyzer:
         for line in range(offset // CACHE_LINE, (offset + length - 1) // CACHE_LINE + 1):
             lines[line] = [state, idx, is_commit]
 
-    def on_flush(self, offset: int, length: int, nlines: int) -> None:
-        idx = self._next_index()
-        if idx is None:
-            return
+    def _flush(self, idx: int, offset: int, length: int, nlines: int, op) -> None:
         if nlines == 0:
             self._report(
                 "redundant-flush",
                 idx,
                 f"clwb of [{offset}, {offset + length}) covered no dirty line",
+                op,
             )
         lines = self._lines
         for line in range(offset // CACHE_LINE, (offset + length - 1) // CACHE_LINE + 1):
@@ -217,14 +227,11 @@ class TraceAnalyzer:
             if st is not None and st[0] == _DIRTY:
                 st[0] = _PENDING
 
-    def on_fence(self) -> None:
-        idx = self._next_index()
-        if idx is None:
-            return
+    def _fence(self, idx: int, op) -> None:
         lines = self._lines
         pending = [(line, st) for line, st in lines.items() if st[0] == _PENDING]
         if not pending:
-            self._report("redundant-fence", idx, "fence with nothing pending")
+            self._report("redundant-fence", idx, "fence with nothing pending", op)
         commits = [(line, st) for line, st in pending if st[2]]
         if commits:
             commit_idx = min(st[1] for _, st in commits)
@@ -244,29 +251,13 @@ class TraceAnalyzer:
                     f"while {len(offenders)} guarded line(s) are volatile "
                     f"({dirty_n} dirty; earliest guarded store at event {worst}) — "
                     "the data fence before the commit point is missing",
+                    op,
                 )
         for line, _ in pending:
             del lines[line]
 
-    def on_drain(self) -> None:
-        self._lines.clear()
-        self._boundary_reported.clear()
-        self.event_index = 0
-        self.saturated = False
-
-    # -- op boundaries (a TraceRecorder listener) -------------------------
-
-    def on_op_begin(self, name: str) -> None:
-        self._op = name
-
-    def on_op_end(self, name: str) -> None:
-        self._op = name  # boundary findings anchor to the op that just ended
-        try:
-            self._check_boundary(name)
-        finally:
-            self._op = None
-
     def _check_boundary(self, name: str) -> None:
+        """An ``op-end`` entry; findings anchor to the op that just ended."""
         if self.async_writeback or self.saturated or self._crashed():
             return
         classify = self.regions.classify
@@ -287,4 +278,5 @@ class TraceAnalyzer:
                 self.event_index,
                 f"op {name!r} returned with {len(fresh)} dirty line(s) at "
                 f"offset(s) {shown}{more} and async write-back is off",
+                name,
             )

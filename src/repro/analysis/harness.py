@@ -3,7 +3,8 @@
 Two entry paths:
 
 - :func:`run_workload` replays a deterministic ``repro.crashsweep``
-  workload with the tap attached and returns an :class:`AnalysisReport`
+  workload with the analyzer following a flight recorder and returns an
+  :class:`AnalysisReport`
   whose event indices line up with the sweep's crash-point enumeration
   (verified against :func:`repro.nvm.crash.count_events` parity).
 - :func:`run_program` executes one violation-corpus program (a ``.py``
@@ -14,13 +15,13 @@ Two entry paths:
 from __future__ import annotations
 
 import importlib.util
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, ContextManager, Dict, List, Optional, Tuple
 
 from repro.analysis.analyzer import Finding, RegionMap, TraceAnalyzer
 from repro.nvm.crash import count_events
 from repro.nvm.device import NvmDevice
+from repro.obs.flight import attach_flight
 
 #: CLI-friendly aliases -> registry names
 WORKLOAD_ALIASES: Dict[str, str] = {
@@ -45,19 +46,16 @@ def resolve_config(name: str) -> str:
 def attach_analyzer(
     fs, perf: bool = True, max_events: Optional[int] = None
 ) -> TraceAnalyzer:
-    """Instrument a mounted filesystem: attach to the device and to the
-    recorder, whose op boundaries reach the analyzer. Returns the analyzer
-    (its ``findings`` accumulate for the life of the mount)."""
-    analyzer = TraceAnalyzer(
+    """Instrument a mounted filesystem: attach a flight recorder and
+    have the analyzer follow it. Returns the analyzer (its ``findings``
+    accumulate for the life of the mount)."""
+    return attach_flight(fs).follow(TraceAnalyzer(
         regions=RegionMap.from_layout(fs.volume.layout),
         device=fs.device,
         async_writeback=bool(getattr(fs.config, "async_writeback", False)),
         perf=perf,
         max_events=max_events,
-    )
-    fs.device.attach(analyzer)
-    fs.recorder.attach(analyzer)
-    return analyzer
+    ))
 
 
 @dataclass
@@ -68,7 +66,7 @@ class AnalysisReport:
     config_name: str
     findings: List[Finding]
     events: int  # persistence events analyzed (crash-point count)
-    parity_ok: bool  # tap event count == DeviceStats-derived count
+    parity_ok: bool  # stamped event count == DeviceStats-derived count
     saturated: bool = False  # analysis stopped at --budget
     seed: int = 0
 
@@ -118,7 +116,7 @@ def run_workload(
     max_events: Optional[int] = None,
     seed: int = 0,
 ) -> AnalysisReport:
-    """Replay one crash-sweep workload to completion under the tap."""
+    """Replay one crash-sweep workload to completion under the analyzer."""
     from repro.crashsweep.workloads import get_workload
 
     wname = resolve_workload(workload)
@@ -152,6 +150,8 @@ class ProgramCtx:
     device: NvmDevice
     regions: RegionMap
     analyzer: TraceAnalyzer
+    #: ``with ctx.op(name):`` brackets an operation (drives the boundary rule)
+    op: Callable[[str], ContextManager]
     #: handy region anchors (line-aligned starts)
     data_off: int = field(init=False)
     metalog_off: int = field(init=False)
@@ -163,22 +163,14 @@ class ProgramCtx:
         self.metalog_off = layout.metalog.start
         self.node_tables_off = layout.node_tables.start
 
-    @contextmanager
-    def op(self, name: str):
-        """Bracket an operation (drives the boundary rule)."""
-        self.analyzer.on_op_begin(name)
-        try:
-            yield
-        finally:
-            self.analyzer.on_op_end(name)
-
 
 def program_context(device_size: int = PROGRAM_DEVICE_SIZE) -> ProgramCtx:
-    device = NvmDevice(device_size)
+    from repro.crashsweep.workloads import RawSystem
+
+    system = RawSystem(device_size)
     regions = RegionMap.for_device(device_size)
-    analyzer = TraceAnalyzer(regions, device=device, async_writeback=False)
-    device.attach(analyzer)
-    return ProgramCtx(device=device, regions=regions, analyzer=analyzer)
+    analyzer = attach_flight(system).follow(TraceAnalyzer(regions, device=system.device))
+    return ProgramCtx(device=system.device, regions=regions, analyzer=analyzer, op=system.op)
 
 
 def load_program(path: str):

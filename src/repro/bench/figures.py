@@ -184,7 +184,7 @@ def recovery_experiment(file_size: int = 64 << 20) -> RecoveryResult:
     except CrashRequested:
         pass
     image = fs.device.crash_image(rng=random.Random(3))
-    _, stats = recover(NvmDevice.from_image(bytes(image)), config=config)
+    _, stats = recover(NvmDevice.from_image(image), config=config)
     return RecoveryResult(
         file_size=file_size,
         writes_before_crash=writes,

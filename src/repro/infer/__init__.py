@@ -1,7 +1,7 @@
 """Inferred-invariant crash testing (WITCHER-style).
 
 Pipeline: collect persistence-event traces from passing runs
-(:mod:`repro.infer.events`, index-parity with crashsweep) → mine
+(:mod:`repro.infer.events`, folded from the flight recorder's ring) → mine
 candidate invariants with support counts (:mod:`repro.infer.miner`) →
 falsify survivors at exactly the crash points that would violate them
 (:mod:`repro.infer.falsify`) → emit a deterministic JSON report
@@ -13,7 +13,7 @@ from its own traces, so it covers NOVA, Libnvmmio, and raw-device
 structures (the durable MPSC queue) as easily as MGSP.
 """
 
-from repro.infer.events import EventCollector, PersistEvent, Trace, attach_collector
+from repro.infer.events import PersistEvent, Trace, from_flight
 from repro.infer.falsify import RETIREMENTS, Verdict, falsify
 from repro.infer.miner import Candidate, mine
 from repro.infer.report import build_report, render
@@ -21,16 +21,15 @@ from repro.infer.subjects import SUBJECTS, collect_traces, resolve
 
 __all__ = [
     "Candidate",
-    "EventCollector",
     "PersistEvent",
     "RETIREMENTS",
     "SUBJECTS",
     "Trace",
     "Verdict",
-    "attach_collector",
     "build_report",
     "collect_traces",
     "falsify",
+    "from_flight",
     "mine",
     "render",
     "resolve",

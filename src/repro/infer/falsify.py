@@ -282,7 +282,7 @@ def falsify(
             verdicts.append(verdict)
             continue
         keep = sorted(reachable - set(drop))
-        image = bytes(device.crash_image(persist_words=keep))
+        image = device.crash_image(persist_words=keep)
         violations = workload.check(image, config_name, outcome.oracles)
         if violations:
             verdict.status = TRUE_BUG

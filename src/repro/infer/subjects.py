@@ -13,7 +13,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.crashsweep.census import count_events
 from repro.crashsweep.workloads import get_workload
 
-from repro.infer.events import Trace, attach_collector
+from repro.infer.events import Trace, from_flight
+from repro.obs.flight import attach_flight
 
 #: fs alias -> (config name, {workload alias -> registry workload})
 SUBJECTS: Dict[str, Tuple[str, Dict[str, str]]] = {
@@ -28,7 +29,7 @@ SUBJECTS: Dict[str, Tuple[str, Dict[str, str]]] = {
 
 
 class ParityError(RuntimeError):
-    """Collected event count disagrees with the device's census count —
+    """Recorded event count disagrees with the device's census count —
     the index-parity contract with crashsweep is broken."""
 
 
@@ -49,29 +50,28 @@ def resolve(fs: str, workload: str) -> Tuple[str, str]:
 def collect_trace(
     workload, workload_name: str, config_name: str, max_events: Optional[int] = None
 ) -> Trace:
-    """One passing instrumented run; raises :class:`ParityError` if the
-    collector's index count drifts from the census event count."""
-
-    def instrument(system):
-        regions = workload.region_map(system)
-        return attach_collector(system, regions=regions, max_events=max_events)
-
-    outcome = workload.run(config_name, plan=None, instrument=instrument)
+    """One passing run under an unbounded flight recorder; raises
+    :class:`ParityError` if the recorder's index count drifts from the
+    census event count."""
+    outcome = workload.run(
+        config_name, plan=None, instrument=lambda system: attach_flight(system, capacity=0)
+    )
     if outcome.crashed:
         raise RuntimeError(f"{workload_name}: passing run crashed with no plan armed")
-    collector = outcome.attached
+    flight = outcome.attached
     counted = count_events(outcome.fs.device, since=outcome.stats_base)
-    if not collector.saturated and collector.event_index != counted:
+    if flight.event_index != counted:
         raise ParityError(
-            f"{workload_name}/{config_name}: collector indexed "
-            f"{collector.event_index} events, census counted {counted}"
+            f"{workload_name}/{config_name}: recorder indexed "
+            f"{flight.event_index} events, census counted {counted}"
         )
+    events = from_flight(flight.events_list(), workload.region_map(outcome.fs), max_events)
     return Trace(
         workload=workload_name,
         config_name=config_name,
-        events=collector.events,
-        ops=collector.op_seq + 1,
-        saturated=collector.saturated,
+        events=events,
+        ops=flight.op_seq + 1,
+        saturated=len(events) < counted,
     )
 
 

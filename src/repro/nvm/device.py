@@ -61,7 +61,7 @@ class DeviceStats:
 #:   ``on_batch(n, kinds)`` to consume a whole ``_v`` batch at once;
 #: - a *cost recorder* (:class:`repro.sim.trace.TraceRecorder`): the
 #:   ``io_*`` hooks, pricing each media operation once it is applied;
-#: - a *tap* (analyzer, event collector, flight recorder): ``on_store`` /
+#: - a *tap* (:class:`repro.obs.flight.FlightRecorder`): ``on_store`` /
 #:   ``on_flush`` / ``on_fence`` once per persistence event, ``on_drain``.
 _PRICING_HOOKS = ("io_cached", "io_write", "io_read", "io_flush", "io_fence")
 _EVENT_HOOKS = ("on_event", "on_store", "on_flush", "on_fence", "on_drain")

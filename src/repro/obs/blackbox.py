@@ -93,7 +93,7 @@ def capture(
     def instrument(system):
         return (
             attach_telemetry(system, registry=MetricsRegistry()),
-            attach_flight(system, capacity=capacity, regions=workload.region_map(system)),
+            attach_flight(system, capacity=capacity),
         )
 
     outcome = workload.run(config_name, CrashPlan(crash_after), instrument=instrument)

@@ -1,12 +1,15 @@
-"""The black-box flight recorder: a bounded ring of recent events.
+"""The black-box flight recorder: the indexed persistence-event stream.
 
-Always-on observability for the failure detectors: a
-:class:`FlightRecorder` keeps the *tail* of the run's history — device
-persistence events (store/flush/fence), span open/close, lock
-acquire/release, op boundaries, and explicit protocol-step markers —
-in a fixed-capacity ring stamped with the virtual clock. When a check
-fails, the ring is exactly the context a human needs: what the system
-was doing in the moments before the crash point.
+A :class:`FlightRecorder` is *the* tap on the device's observer list:
+it stamps every store / clwb call / fence with its crash index, the
+virtual clock, the open op and the open spans, and keeps the tail of
+that history — with span open/close, lock acquire/release, op
+boundaries and explicit protocol-step markers — in a fixed-capacity
+ring. When a check fails, the ring is the context a human needs; and
+everything else that wants persistence events (the trace analyzer,
+the ``repro.infer`` miner, the post-mortem) is a *fold* over its
+entries — live, through :meth:`FlightRecorder.follow`, or offline over
+a saved ``events_list()`` / a bundle's ``flight.events``.
 
 Design constraints, in order:
 
@@ -17,11 +20,18 @@ Design constraints, in order:
   attached is byte-identical (crash images, ``DeviceStats``, verdicts)
   to the same run without it — the determinism gate in
   ``tests/test_obs_flight.py`` asserts both.
-- **Index parity.** Device events consume indices exactly like
-  :class:`repro.infer.events.EventCollector` and the crashsweep census:
-  one index per store / clwb call / fence (per element inside the
-  vectorized entry points), reset to zero by ``on_drain``. A ring
-  entry's index therefore *is* a ``--at N`` crash index.
+- **Index parity.** Device events consume indices exactly like the
+  ``CrashPlan`` gate and ``count_events(DeviceStats)``: one index per
+  store / clwb call / fence (per element inside the vectorized entry
+  points), reset to zero by ``on_drain``. A ring entry's index
+  therefore *is* a ``--at N`` crash index; the gate counts, the
+  recorder stamps, every fold reads.
+- **Live == saved.** A followed recorder hands each entry to its folds
+  as it is recorded (a bounded ring's followers lose nothing), plus a
+  never-stored ``("drain",)`` marker where the ring is cleared and
+  indices restart — so after it a live fold has seen exactly the
+  unbounded ``events_list()``. Offline, a fold is sound only over a
+  ring with ``dropped == 0``.
 - **Detachment.** ``Telemetry.flight`` is ``None`` when no recorder is
   attached; hot paths that keep a ``flight`` reference pay one ``is
   None`` check when recording is off.
@@ -45,7 +55,8 @@ mark        ``(t_ns, text)``
 
 ``spans`` is the tuple of currently-open span names (innermost last)
 at the moment of the device event — the "protocol step" forensics the
-postmortem narrator leans on.
+postmortem narrator leans on. :func:`device_event` is the one reader
+of the three device rows' positions.
 """
 
 from __future__ import annotations
@@ -62,18 +73,30 @@ def _render_key(key) -> str:
     return str(key)
 
 
+def device_event(entry) -> Optional[tuple]:
+    """``(kind, index, offset, length, aux, op)`` of a store / flush /
+    fence row — a ring tuple or a bundle's list — else ``None``. *aux*
+    is the store kind of a store and ``nlines`` of a flush; a fence has
+    no range (``0, 0, ""``)."""
+    kind = entry[0]
+    if kind == "store" or kind == "flush":
+        return kind, entry[1], entry[3], entry[4], entry[5], entry[6]
+    if kind == "fence":
+        return kind, entry[1], 0, 0, "", entry[3]
+    return None
+
+
 class FlightRecorder:
     """Bounded, virtual-time-stamped event ring with crashsweep-parity
     device-event indices.
 
-    ``capacity=0`` means unbounded (used by the postmortem replays that
-    need the whole stream); any positive capacity bounds memory and
-    keeps only the tail, counting evictions in :attr:`dropped`.
+    ``capacity=0`` means unbounded (used by the replays that need the
+    whole stream); any positive capacity bounds memory and keeps only
+    the tail, counting evictions in :attr:`dropped`.
     """
 
-    def __init__(self, capacity: int = 256, regions=None) -> None:
+    def __init__(self, capacity: int = 256) -> None:
         self.capacity = capacity
-        self.regions = regions
         self._ring = deque() if capacity == 0 else deque(maxlen=capacity)
         self.recorded = 0
         #: crashsweep-parity device-event index (see module docstring)
@@ -85,6 +108,7 @@ class FlightRecorder:
         self._spans: Tuple[str, ...] = ()
         self.op: Optional[str] = None
         self.op_seq = -1
+        self._folds: tuple = ()
 
     # -- binding / clock ----------------------------------------------------
 
@@ -96,48 +120,68 @@ class FlightRecorder:
         """Virtual time (:meth:`bind` installs the reader; 0 unbound)."""
         return 0.0
 
-    # -- ring ---------------------------------------------------------------
+    # -- ring and its followers ---------------------------------------------
 
     @property
     def dropped(self) -> int:
         """Entries the bounded ring has evicted."""
         return self.recorded - len(self._ring)
 
+    def follow(self, fold):
+        """Call ``fold(entry)`` with every entry from now on, as it is
+        recorded, and with ``("drain",)`` at each drain; returns *fold*."""
+        self._folds += (fold,)
+        return fold
+
+    def _feed(self, entry: tuple) -> None:
+        for fold in self._folds:
+            fold(entry)
+
     def _append(self, entry: tuple) -> None:
         self._ring.append(entry)
         self.recorded += 1
+        if self._folds:
+            self._feed(entry)
 
     def events_list(self) -> List[tuple]:
         return list(self._ring)
 
-    # -- device tap (index parity with EventCollector) ----------------------
+    # -- device tap (the hooks are _append, inlined: the hot path) ----------
 
     def on_store(self, offset: int, length: int, kind: str) -> None:
         idx = self.event_index
         self.event_index = idx + 1
-        self._ring.append(
-            ("store", idx, self.now(), offset, length, kind, self.op, self._spans))
+        entry = ("store", idx, self.now(), offset, length, kind, self.op, self._spans)
+        self._ring.append(entry)
         self.recorded += 1
+        if self._folds:
+            self._feed(entry)
 
     def on_flush(self, offset: int, length: int, nlines: int) -> None:
         idx = self.event_index
         self.event_index = idx + 1
-        self._ring.append(
-            ("flush", idx, self.now(), offset, length, nlines, self.op, self._spans))
+        entry = ("flush", idx, self.now(), offset, length, nlines, self.op, self._spans)
+        self._ring.append(entry)
         self.recorded += 1
+        if self._folds:
+            self._feed(entry)
 
     def on_fence(self) -> None:
         idx = self.event_index
         self.event_index = idx + 1
-        self._ring.append(("fence", idx, self.now(), self.op, self._spans))
+        entry = ("fence", idx, self.now(), self.op, self._spans)
+        self._ring.append(entry)
         self.recorded += 1
+        if self._folds:
+            self._feed(entry)
 
     def on_drain(self) -> None:
         """Setup boundary: pre-history is discarded and indices restart,
-        exactly like the collector and the census baseline."""
+        exactly like the census baseline; folds are told to do the same."""
         self._ring.clear()
         self.recorded = 0
         self.event_index = 0
+        self._feed(("drain",))
 
     # -- recorder listener hooks (ops + locks) ------------------------------
 
@@ -164,8 +208,11 @@ class FlightRecorder:
 
     def on_span_open(self, name: str, t_ns: float) -> None:
         self._spans += (name,)
-        self._ring.append(("span-open", t_ns, name))
+        entry = ("span-open", t_ns, name)
+        self._ring.append(entry)
         self.recorded += 1
+        if self._folds:
+            self._feed(entry)
 
     def on_span_close(self, name: str, t_ns: float, dur_ns: float) -> None:
         spans = self._spans
@@ -179,8 +226,11 @@ class FlightRecorder:
             while depth and spans[depth - 1] != name:
                 depth -= 1
             self._spans = spans[:max(depth - 1, 0)]
-        self._ring.append(("span-close", t_ns, name, dur_ns))
+        entry = ("span-close", t_ns, name, dur_ns)
+        self._ring.append(entry)
         self.recorded += 1
+        if self._folds:
+            self._feed(entry)
 
     # -- protocol-step markers ----------------------------------------------
 
@@ -203,7 +253,7 @@ class FlightRecorder:
         }
 
 
-def attach_flight(system, capacity: int = 256, telemetry=None, regions=None) -> FlightRecorder:
+def attach_flight(system, capacity: int = 256, telemetry=None) -> FlightRecorder:
     """Attach a flight recorder to a workload system (a mounted file
     system or a crashsweep ``RawSystem``).
 
@@ -213,7 +263,7 @@ def attach_flight(system, capacity: int = 256, telemetry=None, regions=None) -> 
     attached afterwards finds the recorder on the device, so either
     order works.
     """
-    flight = FlightRecorder(capacity=capacity, regions=regions)
+    flight = FlightRecorder(capacity=capacity)
     flight.bind(system_clocks(system))
     system.device.attach(flight)
     system.recorder.attach(flight)

@@ -64,9 +64,7 @@ def run_workload(
             return telemetry, None
         from repro.obs.flight import attach_flight
 
-        return telemetry, attach_flight(
-            fs, capacity=flight_capacity, regions=wl.region_map(fs)
-        )
+        return telemetry, attach_flight(fs, capacity=flight_capacity)
 
     outcome = wl.run(cname, instrument=instrument)
     telemetry, flight = outcome.attached

@@ -3,9 +3,9 @@
 Given a bundle from :mod:`repro.obs.blackbox`, :func:`analyze` replays
 the workload twice — once to completion with an unbounded flight
 recorder (the full event stream, each device event tagged with the op
-and open spans that issued it) and once crashed at the bundle's event
-index (the device state the failure was judged on) — and correlates the
-two with the crash image:
+and open spans that issued it) and once, unobserved, crashed at the
+bundle's event index (the device state the failure was judged on) — and
+correlates the two with the crash image:
 
 - **which words were non-durable** at the crash point and got dropped
   by the bundle's policy / surgical keep-set;
@@ -14,6 +14,10 @@ two with the crash image:
 - **which fence would have saved them** — the first fence at or after
   the crash index that makes each word durable in the passing run
   (or the finding that no flush ever covered it).
+
+An ``analysis-finding`` bundle's failure is an ordering fact, not a bad
+image: it reproduces when the trace analyzer, folded over the replayed
+stream, reports the bundle's rule at the bundle's event index again.
 
 Both runs are seed-deterministic and the flight recorder is
 non-perturbing, so the replayed prefix is bit-identical to the run the
@@ -41,12 +45,12 @@ MAX_WORD_ROWS = 64
 WORD = 8
 
 
-def _run_with_flight(workload, config_name: str, plan):
+def _run_with_flight(workload, config_name: str):
     def instrument(system):
         attach_telemetry(system, registry=MetricsRegistry())
-        return attach_flight(system, capacity=0, regions=workload.region_map(system))
+        return attach_flight(system, capacity=0)
 
-    outcome = workload.run(config_name, plan, instrument=instrument)
+    outcome = workload.run(config_name, instrument=instrument)
     return outcome, outcome.attached
 
 
@@ -139,26 +143,37 @@ def analyze(bundle: Dict[str, object]) -> Dict[str, object]:
     workload = get_workload(workload_name)
 
     # the full passing run: the event stream past the crash point
-    full, full_flight = _run_with_flight(workload, config_name, plan=None)
+    full, full_flight = _run_with_flight(workload, config_name)
     events = _device_events(full_flight.events_list())
+    regions = workload.region_map(full.fs)
 
     # the crashed run: the device state the failure was judged on
-    outcome, crash_flight = _run_with_flight(
-        workload, config_name, plan=CrashPlan(crash_after)
-    )
+    outcome = workload.run(config_name, CrashPlan(crash_after))
     device = outcome.fs.device
-    regions = crash_flight.regions
     candidates = sorted(device.unfenced_words())
     kept = blackbox.kept_words(
         device, policy, seed, crash_after, persist_words=persist_words
     )
     dropped = sorted(set(candidates) - set(kept))
-    image = bytes(device.crash_image(persist_words=kept))
+    image = device.crash_image(persist_words=kept)
     violations = (
         list(workload.check(image, config_name, outcome.oracles))
         if outcome.crashed
         else []
     )
+    if bundle.get("kind") == "analysis-finding":
+        # an ordering fact, not a bad image: it recurs iff the analyzer,
+        # folded over the replayed stream, reports it at the same event
+        from repro.analysis.analyzer import TraceAnalyzer
+
+        analyzer = TraceAnalyzer(regions, async_writeback=full.fs.config.async_writeback)
+        for entry in full_flight.events_list():
+            analyzer(entry)
+        violations += [
+            f"{finding.rule}: {finding.message}"
+            for finding in analyzer.findings
+            if finding.rule == bundle.get("rule") and finding.event_index == crash_after
+        ]
 
     info = _forensics(events, dropped, crash_after)
 
@@ -167,7 +182,7 @@ def analyze(bundle: Dict[str, object]) -> Dict[str, object]:
     rows = []
     for w in dropped:
         rec = info[w]
-        region = regions.classify(w) if regions is not None else "device"
+        region = regions.classify(w)
         writer = rec["writer"]
         op = writer["op"] if writer else None
         step = writer["spans"][-1] if writer and writer["spans"] else None

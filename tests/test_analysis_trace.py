@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.analysis import (
     RULES,
     RegionMap,
+    TraceAnalyzer,
     attach_analyzer,
     program_context,
     run_workload,
 )
 from repro.core import MgspConfig, MgspFilesystem
+from repro.crashsweep.workloads import get_workload
 from repro.nvm.crash import count_events
 from repro.nvm.timing import TimingModel
+from repro.obs.flight import FlightRecorder, attach_flight
 from repro.sim.trace import TraceRecorder
 
 
@@ -282,8 +287,13 @@ def test_attach_analyzer_wraps_live_mount():
     fs = make_fs()
     recorder = fs.recorder
     analyzer = attach_analyzer(fs, perf=False)
-    assert analyzer in fs.device.observers
-    assert analyzer in fs.recorder.listeners
+    # the analyzer taps nothing itself: it follows the one flight recorder
+    # that joined both seams, and the cost recorder is still never replaced
+    (flight,) = [obs for obs in fs.device.observers if isinstance(obs, FlightRecorder)]
+    assert flight._folds == (analyzer,)
+    assert flight in fs.recorder.listeners
+    assert analyzer not in fs.device.observers and analyzer not in fs.recorder.listeners
+    assert not any(hasattr(analyzer, hook) for hook in ("on_store", "on_fence", "on_op_end"))
     assert fs.recorder is recorder and fs.mgl.recorder is recorder
     f = fs.create("a", capacity=1 << 16)
     f.write(0, b"hello" * 100)
@@ -359,3 +369,26 @@ def test_report_reproducer_names_crashsweep_at_index():
     line = report.reproducer(fake)
     assert "--at 42" in line and "repro.crashsweep" in line
     assert "--workload txn-mixed" in line
+
+
+# -- live == saved -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("workload, config, nfindings", [
+    ("fio-randwrite", "async", 7), ("txn-mixed", "sync", None), ("ycsb-a", "sync", None)])
+def test_analyzer_over_a_saved_ring_equals_the_live_analyzer(workload, config, nfindings):
+    """The analyzer is a fold: called on each entry of a whole-run ring
+    as a bundle stores it (JSON lists), it reports what the analyzer
+    that followed the live recorder reported, at the same indices."""
+    outcome = get_workload(workload).run(
+        config, instrument=lambda fs: (attach_analyzer(fs), attach_flight(fs, capacity=0)))
+    live, full = outcome.attached
+    assert full.dropped == 0
+    saved = TraceAnalyzer(live.regions, async_writeback=live.async_writeback)
+    for entry in json.loads(json.dumps(full.snapshot()))["events"]:
+        saved(entry)
+    assert saved.findings == live.findings
+    assert saved.event_index == live.event_index == count_events(
+        outcome.fs.device, since=outcome.stats_base)
+    if nfindings is not None:  # the equality is not vacuous
+        assert len(live.findings) == nfindings

@@ -4,7 +4,8 @@ A batch goes through the buffer's bulk call and then notifies each
 observer per element; ``device_oracle`` is the loop of single-op calls it
 must be indistinguishable from. For each entry point and each observer
 set — cost recorder alone, recorder + telemetry + flight recorder, the
-trace analyzer, the inference event collector, a counting crash plan, a
+trace analyzer and the inference event fold over a flight recorder's
+entries, a counting crash plan, a
 plan armed at *every* index of a five-element batch, a bad element
 mid-batch — both devices must end with identical working and durable
 images, ``DeviceStats``, ``OpTrace.segments`` and virtual clock, and every
@@ -20,7 +21,7 @@ import device_oracle
 from repro.analysis.analyzer import RegionMap, TraceAnalyzer
 from repro.crashsweep.workloads import RawSystem
 from repro.errors import CrashRequested, OutOfRangeError, TornWriteError
-from repro.infer.events import attach_collector
+from repro.infer.events import from_flight
 from repro.nvm.crash import CrashPlan, counting_plan
 from repro.obs import attach_flight, attach_telemetry
 
@@ -61,9 +62,7 @@ def _make_system() -> RawSystem:
 
 def _attach_analyzer(system):
     analyzer = TraceAnalyzer(RegionMap.for_device(SIZE), device=system.device)
-    system.device.attach(analyzer)
-    system.recorder.attach(analyzer)
-    return analyzer
+    return attach_flight(system).follow(analyzer)
 
 
 #: observer set name -> attaches it to a system, returns {label: observer}
@@ -74,8 +73,7 @@ OBSERVER_SETS = {
         "flight": attach_flight(system, capacity=0),
     },
     "analyzer": lambda system: {"analyzer": _attach_analyzer(system)},
-    "collector": lambda system: {
-        "collector": attach_collector(system, regions=RegionMap.for_device(SIZE))},
+    "collector": lambda system: {"collector": attach_flight(system, capacity=0)},
     "counting-plan": lambda system: {"plan": system.device.attach(counting_plan())},
     "store-only-plan": lambda system: {
         "plan": system.device.attach(counting_plan(kinds={"store"})),
@@ -105,7 +103,9 @@ def _observed(system, observers, raised) -> dict:
         elif label == "analyzer":
             seen[label] = (observer.findings, observer.event_index)
         elif label == "collector":
-            seen[label] = (observer.events, observer.event_index)
+            events = from_flight(observer.events_list(), RegionMap.for_device(SIZE))
+            assert [event.index for event in events] == list(range(observer.event_index))
+            seen[label] = (events, observer.event_index)
         else:
             seen[label] = (observer.count, observer.fired, observer.fired_kind)
     return seen

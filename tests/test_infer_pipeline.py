@@ -8,14 +8,17 @@ report is byte-identical across two runs of the same command.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 from repro.infer.__main__ import main as infer_main
 from repro.infer.falsify import RETIREMENTS
+from repro.infer.subjects import collect_trace
 
 from repro.crashsweep.__main__ import main as crashsweep_main
+from repro.crashsweep.workloads import get_workload
 
 FAST = ["--budget", "120", "--seed", "7"]
 
@@ -162,3 +165,28 @@ class TestOtherSubjects:
         with pytest.raises(SystemExit) as exc:
             infer_main(["--workload", "mpsc", "--fs", "mgsp"])
         assert exc.value.code == 2
+
+
+#: (workload, config, max_events) -> (events, ops, saturated, digest) of the
+#: miner's input, captured at PR 20 when a dedicated collector tap built it
+MINER_INPUT = {
+    ("fio-randwrite", "sync", None): (5359, 375, False, "77b1f0b28ce7c943"),
+    ("txn-mixed", "async", None): (2387, 202, False, "3a4ed16de6f1b8bb"),
+    ("pqueue-mpsc", "sync", None): (335, 58, False, "e4aaab0e8d5f0f81"),
+    ("nova-fio", "sync", None): (491, 45, False, "516e532c35f5fb26"),
+    ("libnvmmio-fio", "sync", None): (274, 56, False, "52602dc4b158403a"),
+    ("ycsb-a", "sync", None): (558, 201, False, "761a551105b6378d"),
+    ("fio-randwrite", "sync", 1000): (1000, 375, True, "354c880bc4a832c1"),
+}
+
+
+@pytest.mark.parametrize("case", MINER_INPUT, ids=lambda case: "-".join(map(str, case)))
+def test_miner_input_folded_from_the_ring_is_pinned(case):
+    """``from_flight`` over the whole-run ring: every event's index,
+    range, store kind, region, op and ``op_seq``."""
+    workload, config, max_events = case
+    trace = collect_trace(get_workload(workload), workload, config, max_events=max_events)
+    rows = [(e.index, e.kind, e.offset, e.length, e.store_kind, e.region, e.op, e.op_seq)
+            for e in trace.events]
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+    assert (len(rows), trace.ops, trace.saturated, digest) == MINER_INPUT[case]

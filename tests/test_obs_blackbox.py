@@ -129,6 +129,28 @@ def test_postmortem_cli_not_reproduced(tmp_path):
     assert obs_main(["postmortem", path]) == 3
 
 
+def test_analysis_finding_reproduces_in_its_own_postmortem(tmp_path, capsys):
+    """``repro.analysis --bundle-dir`` bundles ordering facts, not bad
+    images: the post-mortem folds the analyzer over the replayed stream
+    and reproduces the finding at the bundle's event — and only there."""
+    from repro.analysis.__main__ import main as analysis_main
+
+    argv = ["--workload", "fio", "--config", "mgsp-async", "--strict"]
+    assert analysis_main([*argv, "--bundle-dir", str(tmp_path)]) == 1
+    capsys.readouterr()
+    paths = sorted(tmp_path.iterdir(), key=lambda p: int(p.stem.rpartition("at")[2]))
+    assert len(paths) == 5
+    assert all(p.name.startswith("blackbox-analysis-redundant-fence-at") for p in paths)
+    bundle = blackbox.load_bundle(str(paths[0]))
+    assert (bundle["kind"], bundle["rule"]) == ("analysis-finding", "redundant-fence")
+    report = postmortem.analyze(bundle)
+    assert report["reproduced"] is True
+    assert report["violations"] == ["redundant-fence: fence with nothing pending"]
+    assert obs_main(["postmortem", str(paths[0])]) == 0
+    bundle["crash_after"] += 1
+    assert not postmortem.analyze(bundle)["reproduced"]
+
+
 def test_service_error_bundle(tmp_path):
     from repro.service.service import MgspService, Request, ServiceConfig
 

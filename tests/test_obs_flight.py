@@ -226,3 +226,32 @@ def test_snapshot_deterministic(config):
     _, one = _run("txn-mixed", config, flight_capacity=64)
     _, two = _run("txn-mixed", config, flight_capacity=64)
     assert one.snapshot() == two.snapshot()
+
+
+def test_followers_hear_the_whole_stream_whatever_the_ring_keeps():
+    """``follow``: a fold hears each entry as it is recorded, plus the
+    never-stored drain marker — after it, exactly the unbounded ring."""
+    unbounded = None
+    for capacity in (0, 8):
+        first, second = [], []
+
+        def instrument(system):
+            attach_telemetry(system, registry=MetricsRegistry())
+            flight = attach_flight(system, capacity=capacity)
+            hear = first.append
+            assert flight.follow(hear) is hear
+            flight.follow(second.append)
+            return flight
+
+        flight = get_workload("txn-mixed").run("async", instrument=instrument).attached
+        ring = flight.events_list()
+        if capacity == 0:
+            unbounded = ring
+        assert first == second
+        assert first.count(("drain",)) == 1 and ("drain",) not in ring
+        heard = first[first.index(("drain",)) + 1:]
+        assert heard == unbounded and len(heard) > 2000
+        if capacity:
+            assert ring == heard[-8:] and flight.dropped == len(heard) - 8
+        else:
+            assert flight.dropped == 0

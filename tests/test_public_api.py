@@ -72,3 +72,16 @@ class TestTopLevel:
                      "Ext4-wb", "Ext4-ordered", "Ext4-journal"):
             fs = make_fs(name, device_size=32 << 20)
             assert fs.name == name
+
+    def test_infer_events_come_from_the_flight_ring(self):
+        """The collector tap is gone for good, not aliased."""
+        import repro.infer
+        import repro.infer.events
+
+        assert "from_flight" in repro.infer.__all__
+        for module in (repro.infer, repro.infer.events):
+            assert callable(module.from_flight)
+            assert not hasattr(module, "EventCollector")
+            assert not hasattr(module, "attach_collector")
+        for name in repro.infer.__all__:
+            assert hasattr(repro.infer, name), name
