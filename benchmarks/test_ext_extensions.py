@@ -1,10 +1,10 @@
 """Extension benchmarks beyond the paper's evaluation.
 
-1. **YCSB** — key-value traffic the paper did not measure; checks that
-   MGSP's advantage tracks the write intensity of the mix.
-2. **FS-level transactions** — the paper's §IV-D future work,
+1. **FS-level transactions** — the paper's §IV-D future work,
    implemented in :mod:`repro.core.txn`: a database-like multi-write
    commit through MGSP transactions vs the same group as WAL commits.
+2. **SplitFS (strict)** — the §II-C related system the paper discusses
+   but does not measure, against MGSP on synced sequential writes.
 """
 
 from __future__ import annotations
@@ -15,31 +15,6 @@ from repro.bench.figures import FS_SET
 from repro.bench.harness import Table
 from repro.bench.registry import make_fs
 from repro.core import MgspConfig, MgspFilesystem
-from repro.workloads.ycsb import run_ycsb
-
-
-def run_ycsb_matrix() -> Table:
-    table = Table(title="Extension — YCSB ops/s (WAL journal)")
-    for name in ("Ext4-DAX", "NOVA", "MGSP"):
-        for workload in ("A", "B", "C", "F"):
-            fs = make_fs(name, device_size=96 << 20)
-            result = run_ycsb(fs, workload=workload, records=600, operations=150)
-            table.set(name, workload, result.ops_per_sec)
-    return table
-
-
-def test_ycsb_extension(bench_table):
-    table = bench_table(run_ycsb_matrix)
-    v = table.value
-    # Update-heavy mixes: MGSP ahead of Ext4-DAX.
-    for workload in ("A", "F"):
-        assert v("MGSP", workload) > v("Ext4-DAX", workload)
-    # Read-only: everyone within ~25% (page-cache bound).
-    assert 0.75 <= v("MGSP", "C") / v("Ext4-DAX", "C") <= 1.35
-    # The MGSP advantage grows with write share (A vs B).
-    gain_a = v("MGSP", "A") / v("Ext4-DAX", "A")
-    gain_b = v("MGSP", "B") / v("Ext4-DAX", "B")
-    assert gain_a > gain_b
 
 
 GROUP = 8  # writes per atomic group
@@ -123,27 +98,6 @@ def test_splitfs_extension(bench_table):
     gap_fine = v("MGSP", "1K") / v("SplitFS", "1K")
     gap_coarse = v("MGSP", "16K") / v("SplitFS", "16K")
     assert gap_fine > gap_coarse
-
-
-def run_filebench_matrix():
-    from repro.workloads.filebench import run_filebench
-
-    table = Table(title="Extension — Filebench personalities, ops/s")
-    for name in ("Ext4-DAX", "NOVA", "MGSP"):
-        for personality in ("fileserver", "varmail"):
-            fs = make_fs(name, device_size=96 << 20)
-            result = run_filebench(fs, personality=personality, operations=150)
-            table.set(name, personality, result.ops_per_sec)
-    return table
-
-
-def test_filebench_extension(bench_table):
-    table = bench_table(run_filebench_matrix)
-    v = table.value
-    # fsync-heavy varmail: MGSP beats Ext4-DAX (cheap sync).
-    assert v("MGSP", "varmail") > v("Ext4-DAX", "varmail")
-    # sync-free fileserver: the always-synchronized guarantee costs MGSP.
-    assert v("Ext4-DAX", "fileserver") > 0
 
 
 def test_txn_extension(bench_table):

@@ -20,7 +20,6 @@ class OpenFlags(enum.Flag):
     RDONLY = 0
     RDWR = enum.auto()
     CREAT = enum.auto()
-    ATOMIC = enum.auto()  # the paper's O_ATOMIC: route through the library
 
 
 @dataclass

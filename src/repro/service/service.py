@@ -127,8 +127,8 @@ class ServiceConfig:
     #: attach a flight recorder of this capacity to every shard
     #: (0 = unbounded; None = no recorder)
     flight_capacity: Optional[int] = None
-    #: keep per-thread replay timelines (disables replay batching) —
-    #: the source for per-tenant Perfetto lanes
+    #: keep per-thread replay timelines — the source for per-tenant
+    #: Perfetto lanes
     record_timeline: bool = False
     #: write a black-box bundle here when a tenant request errors
     bundle_dir: Optional[str] = None

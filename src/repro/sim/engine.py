@@ -56,13 +56,15 @@ def _batch_segments(segments: List[Segment]) -> List[Segment]:
     """Coalesce runs of consecutive compute segments into one
     ``("computes", (ns, ns, ...))`` dispatch.
 
-    Compute segments advance only the owning thread, so the run's
-    intermediate wake-ups cannot interact with locks, channels, or other
-    threads — only the arrival time at the next shared-state segment
-    matters. The batched handler replays the per-segment float additions
-    in the original order, so clocks and compute_ns accumulate through
-    the bit-identical sequence of operations; the batching removes one
-    heap push/pop and one dispatch per merged segment.
+    Compute segments advance only the owning thread, so a run is one
+    wake-up: the handler replays the per-segment float additions in the
+    original order and pushes the thread once, at its arrival at the
+    next shared-state segment. Every run takes this path (a recorded
+    timeline gets its per-segment entries inside the handler), so the
+    float additions *and* the heap pushes are the same whether or not a
+    timeline is kept: ``seq`` breaks ties between threads at equal
+    virtual time, and a loop that pushed per segment would hand out
+    other ``seq`` values — another schedule.
     """
     out: List[Segment] = []
     i, n = 0, len(segments)
@@ -133,18 +135,14 @@ class ReplayEngine:
         started at zero; an empty stream simply finishes on arrival.
 
         Runs of consecutive compute segments are coalesced into single
-        dispatches at flatten time (see :func:`_batch_segments`), except
-        when a timeline is recorded: the timeline wants one entry per
-        original segment, so that run takes the segment-at-a-time loop.
+        dispatches at flatten time (see :func:`_batch_segments`).
         """
         threads = []
         for tid, traces in enumerate(per_thread_traces):
             segments: List[Segment] = []
             for trace in traces:
                 segments.extend(trace.segments)
-            if not record_timeline:
-                segments = _batch_segments(segments)
-            thread = _Thread(tid, segments)
+            thread = _Thread(tid, _batch_segments(segments))
             thread.stats.ops = len(traces)
             threads.append(thread)
 
@@ -195,12 +193,17 @@ class ReplayEngine:
                 wake(thread, thread.clock)
 
             elif kind == "computes":
-                # Batched compute run: replay the additions one segment
-                # at a time so clock and compute_ns go through the exact
-                # float-operation sequence of the unbatched loop.
+                # Batched compute run: one addition per original segment,
+                # in order — (t+a)+b, never t+(a+b).
                 thread.cursor += 1
                 clock = now
                 stats = thread.stats
+                if record_timeline:
+                    at = now
+                    for ns in segment[1]:
+                        if ns > 0:
+                            timeline.append((tid, at, at + ns, "compute"))
+                        at += ns
                 for ns in segment[1]:
                     clock += ns
                     stats.compute_ns += ns

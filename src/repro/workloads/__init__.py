@@ -1,21 +1,15 @@
-"""Workload generators: FIO, Mobibench, TPC-C, YCSB, Filebench."""
+"""Workload generators: FIO, Mobibench, TPC-C."""
 
-from repro.workloads.filebench import FilebenchResult, run_filebench
 from repro.workloads.fio import FioJob, FioResult, run_fio
 from repro.workloads.mobibench import MobibenchResult, run_mobibench
 from repro.workloads.tpcc import TpccResult, run_tpcc
-from repro.workloads.ycsb import YcsbResult, run_ycsb
 
 __all__ = [
-    "FilebenchResult",
     "FioJob",
     "FioResult",
     "MobibenchResult",
     "TpccResult",
-    "YcsbResult",
-    "run_filebench",
     "run_fio",
     "run_mobibench",
     "run_tpcc",
-    "run_ycsb",
 ]

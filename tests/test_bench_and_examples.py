@@ -168,3 +168,34 @@ def test_bench_e2e_appends_a_stamped_row_per_workload(monkeypatch, tmp_path, cap
     assert (first["provenance"]["seed"], second["provenance"]["seed"]) == (42, 9)
     assert first["provenance"]["config_digest"] != second["provenance"]["config_digest"]
     assert "crash_recover: 1.5 units/op" in capsys.readouterr().out
+
+
+def test_bench_e2e_files_what_the_driver_says_above_its_json_line(monkeypatch, tmp_path):
+    """The untraced driver's pass quartiles, calibration unit and
+    ``sim_digest`` (stdout lines in ``benchmarks/e2e/run.py``'s format)
+    land in the row beside the last line's metrics."""
+    import json
+    import subprocess
+    from types import SimpleNamespace
+
+    from repro.bench import e2e
+
+    digest = "dfefb7dc4f4bdb54f7d606010524bb25457085fac6478db9b88bfef8c9d57152"
+    stdout = (
+        "fio_mixed_mt: seed 42, op = read or write+fsync, 4 passes of 6000 ops (4 steady)\n"
+        "fio_mixed_mt: host_units_per_op quartiles 373.1014 / 383.9882 / 395.5309, "
+        "unit 254.0 ns, raw 10156.7 ops/s, gc runs 875\n"
+        f"fio_mixed_mt: sim_digest {digest}\n"
+        "fio_mixed_mt     setup_s      0.32 s\n"
+        + json.dumps({"correct": True, "attempted": 24000, "failed": 0,
+                      "metrics": {"host_units_per_op": {"value": 383.9882, "unit": "units/op"}}})
+        + "\n"
+    )
+    monkeypatch.setattr(
+        subprocess, "run", lambda cmd, **kwargs: SimpleNamespace(stdout=stdout, stderr="", returncode=0))
+    monkeypatch.setattr(e2e, "BENCH_FILE", tmp_path / "BENCH_e2e.json")
+    assert e2e.main(["--workload", "fio_mixed_mt", "--seconds", "3"]) == 0
+    (row,) = json.loads(e2e.BENCH_FILE.read_text())["rows"]
+    assert row["host_units_quartiles"] == [373.1014, 383.9882, 395.5309]
+    assert row["unit_ns"] == 254.0 and row["sim_digest"] == digest
+    assert row["metrics"] == {"host_units_per_op": 383.9882}

@@ -1,4 +1,4 @@
-"""POSIX interposition layer + the failure-atomic mmap view."""
+"""The failure-atomic mmap view."""
 
 from __future__ import annotations
 
@@ -6,87 +6,7 @@ import pytest
 
 from repro.core import MgspFilesystem
 from repro.core.mmio import MgspMmap
-from repro.errors import BadFileDescriptor, FileNotFound, FsError
-from repro.posix import Interposer
-
-
-@pytest.fixture
-def posix():
-    return Interposer(device_size=64 << 20)
-
-
-class TestInterposer:
-    def test_open_create_routes_by_flag(self, posix):
-        atomic_fd = posix.open("a", posix.O_CREAT | posix.O_ATOMIC)
-        plain_fd = posix.open("b", posix.O_CREAT)
-        assert posix.is_atomic(atomic_fd)
-        assert not posix.is_atomic(plain_fd)
-        assert posix.mgsp.exists("a") and not posix.underlying.exists("a")
-        assert posix.underlying.exists("b") and not posix.mgsp.exists("b")
-
-    def test_pread_pwrite(self, posix):
-        fd = posix.open("f", posix.O_CREAT | posix.O_ATOMIC)
-        assert posix.pwrite(fd, b"hello", 100) == 5
-        assert posix.pread(fd, 5, 100) == b"hello"
-
-    def test_cursor_io_and_lseek(self, posix):
-        fd = posix.open("f", posix.O_CREAT | posix.O_ATOMIC)
-        posix.write(fd, b"abc")
-        posix.write(fd, b"def")
-        posix.lseek(fd, 0)
-        assert posix.read(fd, 6) == b"abcdef"
-        assert posix.lseek(fd, -2, posix.SEEK_END) == 4
-        assert posix.read(fd, 2) == b"ef"
-        posix.lseek(fd, 1, posix.SEEK_CUR)
-        assert posix.lseek(fd, 0, posix.SEEK_CUR) == 7
-
-    def test_seek_before_start_rejected(self, posix):
-        fd = posix.open("f", posix.O_CREAT)
-        with pytest.raises(FsError):
-            posix.lseek(fd, -1)
-
-    def test_open_missing_without_creat(self, posix):
-        with pytest.raises(FileNotFound):
-            posix.open("ghost", posix.O_RDWR)
-
-    def test_close_invalidates_fd(self, posix):
-        fd = posix.open("f", posix.O_CREAT)
-        posix.close(fd)
-        with pytest.raises(BadFileDescriptor):
-            posix.pread(fd, 1, 0)
-
-    def test_fds_are_distinct(self, posix):
-        a = posix.open("x", posix.O_CREAT)
-        b = posix.open("y", posix.O_CREAT)
-        assert a != b
-
-    def test_fsync_and_fstat(self, posix):
-        fd = posix.open("f", posix.O_CREAT | posix.O_ATOMIC)
-        posix.pwrite(fd, b"123456", 0)
-        posix.fsync(fd)
-        assert posix.fstat_size(fd) == 6
-
-    def test_unlink_searches_both_namespaces(self, posix):
-        fd = posix.open("gone", posix.O_CREAT | posix.O_ATOMIC)
-        posix.close(fd)
-        posix.unlink("gone")
-        assert not posix.mgsp.exists("gone")
-        with pytest.raises(FileNotFound):
-            posix.unlink("gone")
-
-    def test_atomic_writes_cheaper_than_plain_synced(self, posix):
-        """The headline: O_ATOMIC (MGSP) write+fsync beats the kernel FS."""
-        a = posix.open("fast", posix.O_CREAT | posix.O_ATOMIC)
-        b = posix.open("slow", posix.O_CREAT)
-        posix.mgsp.take_traces()
-        posix.underlying.take_traces()
-        posix.pwrite(a, b"z" * 4096, 0)
-        posix.fsync(a)
-        posix.pwrite(b, b"z" * 4096, 0)
-        posix.fsync(b)
-        fast = sum(t.duration_ns(32) for t in posix.mgsp.take_traces())
-        slow = sum(t.duration_ns(32) for t in posix.underlying.take_traces())
-        assert fast < slow
+from repro.errors import FsError
 
 
 class TestMgspMmap:
@@ -157,10 +77,3 @@ class TestMgspMmap:
             mm[0:2] = b"ok"
         with pytest.raises(FsError):
             mm[0:2]
-
-    def test_through_interposer(self):
-        posix = Interposer(device_size=64 << 20)
-        fd = posix.open("mapped", posix.O_CREAT | posix.O_ATOMIC)
-        mm = posix.mmap(fd)
-        mm[0:9] = b"memmapped"
-        assert posix.pread(fd, 9, 0) == b"memmapped"

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
+import pathlib
 
 import pytest
 
@@ -47,9 +49,7 @@ class TestTopLevel:
             "repro.db",
             "repro.workloads",
             "repro.bench",
-            "repro.posix",
             "repro.inspect",
-            "repro.shell",
             "repro.errors",
             "repro.util",
         ],
@@ -58,8 +58,6 @@ class TestTopLevel:
         importlib.import_module(module)
 
     def test_every_public_module_has_docstring(self):
-        import pathlib
-
         root = pathlib.Path(repro.__file__).parent
         for path in root.rglob("*.py"):
             module = path.read_text()
@@ -73,6 +71,18 @@ class TestTopLevel:
             fs = make_fs(name, device_size=32 << 20)
             assert fs.name == name
 
+    def test_workloads_are_the_papers(self):
+        """FIO, Mobibench and TPC-C are what the paper evaluates; a
+        workload beyond them needs a BENCH row or a checker subject."""
+        import repro.workloads
+        from repro.fsapi import OpenFlags
+
+        assert sorted(repro.workloads.__all__) == [
+            "FioJob", "FioResult", "MobibenchResult", "TpccResult",
+            "run_fio", "run_mobibench", "run_tpcc",
+        ]
+        assert not hasattr(OpenFlags, "ATOMIC")
+
     def test_infer_events_come_from_the_flight_ring(self):
         """The collector tap is gone for good, not aliased."""
         import repro.infer
@@ -85,3 +95,38 @@ class TestTopLevel:
             assert not hasattr(module, "attach_collector")
         for name in repro.infer.__all__:
             assert hasattr(repro.infer, name), name
+
+
+def _imported_names(path: pathlib.Path) -> set:
+    """Every dotted name *path* imports, at module level or lazily;
+    ``from pkg import leaf`` counts as ``pkg`` and ``pkg.leaf``. The
+    repo uses absolute imports only."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_no_orphan_modules():
+    """A module nothing under src/, benchmarks/ or examples/ imports is
+    reachable from tests and docs only: it serves no figure, no checker
+    and no CLI, and leaves (ROADMAP item 7). No allowlist."""
+    repo = pathlib.Path(__file__).resolve().parent.parent
+    src = repo / "src"
+    imported_by = {
+        path: _imported_names(path)
+        for top in (src, repo / "benchmarks", repo / "examples")
+        for path in top.rglob("*.py")
+    }
+    orphans = []
+    for path in (src / "repro").rglob("*.py"):
+        if path.stem in ("__init__", "__main__"):
+            continue
+        name = ".".join(path.relative_to(src).with_suffix("").parts)
+        if not any(name in names for other, names in imported_by.items() if other != path):
+            orphans.append(name)
+    assert orphans == []

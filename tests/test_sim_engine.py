@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.errors import SimulationError
@@ -174,9 +176,9 @@ class TestReplayBasics:
 
 
 class TestBatchedReplayDifferential:
-    """Compute-run batching must be invisible: identical ReplayResult to
-    the segment-at-a-time loop (the ``record_timeline=True`` run) on real
-    recorded workloads."""
+    """Keeping a timeline changes no result: ``record_timeline=True``
+    replays the measured (compute-run batched) schedule and only adds
+    the entries, on real recorded workloads."""
 
     def _compare(self, streams, background=0, lock_ns=0.0, channels=4):
         engine = ReplayEngine(timing(channels=channels, lock_ns=lock_ns))
@@ -224,6 +226,8 @@ class TestBatchedReplayDifferential:
         self._compare(streams, lock_ns=50.0, channels=2)
 
     def test_batching_disabled_when_recording_timeline(self):
+        # The name is pinned, not true: batching stays on and the batched
+        # handler emits the per-segment entries itself.
         segs = [("compute", 5.0), ("compute", 7.0), ("io", 10.0)]
         streams = [[OpTrace(name="t", segments=segs)]]
         engine = ReplayEngine(timing())
@@ -242,3 +246,49 @@ class TestBatchedReplayDifferential:
         reference = engine.run(streams, record_timeline=True)
         assert batched.makespan_ns == reference.makespan_ns
         assert batched.threads[0].compute_ns == reference.threads[0].compute_ns
+        t = 0.0
+        for v in vals:
+            t += v
+        assert batched.makespan_ns == t
+        assert batched.threads[0].compute_ns == t
+
+    @pytest.mark.parametrize("seed, nops", [(2, 6000), (4, 2000), (5, 2000)])
+    def test_timeline_is_the_measured_schedule(self, seed, nops):
+        """Streams long enough for threads to tie at equal virtual time:
+        the tie-break is the heap's push counter, so a timeline run that
+        pushed per compute segment drew another schedule (seed 2:
+        makespan 2,371,598.08 ns measured, 2,364,339.08 ns drawn)."""
+        from repro.bench.registry import make_fs
+
+        fs = make_fs("MGSP", device_size=64 << 20)
+        handle = fs.create("f", capacity=16 << 20)
+        fs.take_traces()
+        rng = random.Random(seed)
+        reads = [j < nops // 2 for j in range(nops)]
+        rng.shuffle(reads)
+        streams = [[] for _ in range(4)]
+        for j, read in enumerate(reads):
+            fs.current_thread = j % 4
+            off = rng.randrange(16384) * 1024
+            if read:
+                handle.read(off, 1024)
+            else:
+                handle.write(off, b"\xab" * 1024)
+                handle.fsync()
+            streams[j % 4].extend(fs.take_traces())
+        for t in range(4):
+            fs.end_thread(t)
+            streams[t].extend(fs.take_traces())
+
+        engine = ReplayEngine(fs.timing)
+        measured = engine.run(streams)
+        drawn = engine.run(streams, record_timeline=True)
+        assert drawn.makespan_ns == measured.makespan_ns
+        assert drawn.threads == measured.threads
+        for tid, stats in enumerate(drawn.threads):
+            compute = sum(
+                end - start
+                for who, start, end, kind in drawn.timeline
+                if who == tid and kind == "compute"
+            )
+            assert compute == pytest.approx(stats.compute_ns)
