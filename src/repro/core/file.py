@@ -385,14 +385,15 @@ class MgspFile(FileHandle):
                 return b""
             covering = self._covering_node(offset, length)
             saved = self._mst_savings(offset, length)
-            path = self._lock_path(covering)
+            greedy = self._greedy_node(covering)
             lock_keys = fs.mgl.acquire(
                 fs.current_thread,
                 self.inode.id,
-                path,
+                # one coarse lock replaces the intention-lock path
+                [] if greedy is not None else self._lock_path(covering),
                 [covering],
                 write=False,
-                greedy_node=self._greedy_node(covering),
+                greedy_node=greedy,
             )
             data, visited = self.shadow.read_range(offset, length)
             rec.compute(fs.timing.tree_node_ns * max(1, visited - saved))

@@ -519,94 +519,92 @@ class ShadowLog:
     # ------------------------------------------------------------------- read
 
     def read_range(self, offset: int, length: int) -> Tuple[bytes, int]:
-        """Assemble the latest bytes; returns (data, nodes_visited)."""
-        out = bytearray(length)
-        visited = self._read_rec(
-            self.tree.root, 0, self.inode.base, 0, offset, length, out, offset
-        )
-        return bytes(out), visited
+        """Assemble the latest bytes; returns (data, nodes_visited).
 
-    def _read_rec(
-        self,
-        node: Optional[Node],
-        path_gen: int,
-        last_base: int,
-        last_start: int,
-        off: int,
-        length: int,
-        out: bytearray,
-        out_base: int,
-    ) -> int:
+        One depth-first walk from the root in file-offset order, one
+        device load per source: a child that was never materialised or a
+        non-leaf without its existing bit serves its whole span from the
+        last valid ancestor, and a leaf serves each run of equal valid
+        bits from its own log (set) or that ancestor (clear). Children
+        are looked up, never created. Every source lies in a log block
+        or in the file extent below the size, so no load is clipped.
+        """
+        tree = self.tree
+        root = tree.root
         if length <= 0:
-            return 0
-        if node is None:
-            self._copy_from(last_base + (off - last_start), off, length, out, out_base)
-            return 0
-
-        if node.level == 0:
-            return 1 + self._read_leaf(node, path_gen, last_base, last_start, off, length, out, out_base)
-
-        is_root = node.level == self.tree.height and node.index == 0
-        eff = bitmap.effective_nonleaf(node.word, path_gen)
-        if eff.valid and not is_root:
-            last_base, last_start = node.log_off, node.start
-        elif is_root:
-            last_base, last_start = self.inode.base, 0
-
-        if not eff.existing:
-            self._copy_from(last_base + (off - last_start), off, length, out, out_base)
-            return 1
-
-        visited = 1
-        child_size = self.tree.gran(node.level - 1)
-        first, last_idx = self.tree.child_range(node, off, length)
-        for i in range(first, last_idx + 1):
-            child_off = max(off, i * child_size)
-            child_end = min(off + length, (i + 1) * child_size)
-            child = self.tree.peek(node.level - 1, i)
-            visited += self._read_rec(
-                child, eff.sub_gen, last_base, last_start,
-                child_off, child_end - child_off, out, out_base,
-            )
-        return visited
-
-    def _read_leaf(
-        self,
-        node: Node,
-        path_gen: int,
-        last_base: int,
-        last_start: int,
-        off: int,
-        length: int,
-        out: bytearray,
-        out_base: int,
-    ) -> int:
-        cfg = self.config
-        nbits = cfg.effective_leaf_bits
-        sub = cfg.leaf_size // nbits
-        eff = bitmap.effective_leaf(node.word, path_gen)
-        pos = off
-        end = off + length
-        while pos < end:
-            i = (pos - node.start) // sub
-            bit = (eff.mask >> i) & 1
-            # Coalesce the run of sub-blocks served by the same source.
-            j = i
-            while node.start + (j + 1) * sub < end and ((eff.mask >> (j + 1)) & 1) == bit:
-                j += 1
-            run_end = min(end, node.start + (j + 1) * sub)
-            take = run_end - pos
-            if bit:
-                src = node.log_off + (pos - node.start)
-            else:
-                src = last_base + (pos - last_start)
-            self._copy_from(src, pos, take, out, out_base)
-            pos = run_end
-        return 0
-
-    def _copy_from(self, dev_off: int, file_off: int, length: int, out: bytearray, out_base: int) -> None:
-        data = self._read_clipped(dev_off, length)
-        out[file_off - out_base : file_off - out_base + length] = data
+            return b"", 0
+        nodes = tree.nodes
+        gran = tree.gran
+        load = self.device.load
+        gen_mask = bitmap.GEN_MASK
+        mask32 = bitmap.MASK32
+        sub = self.config.leaf_size // self.config.effective_leaf_bits
+        chunks = []
+        visited = 0
+        # Spans still to read, last first: (node or None, path_gen,
+        # last valid base, its start, off, end). The walk descends into
+        # the first child in place and parks the later ones here.
+        stack = [(root, 0, self.inode.base, 0, offset, offset + length)]
+        while stack:
+            node, path_gen, last_base, last_start, off, end = stack.pop()
+            while True:
+                if node is None:
+                    chunks.append(load(last_base + (off - last_start), end - off))
+                    break
+                visited += 1
+                word = node.word
+                level = node.level
+                if level == 0:
+                    mask = 0 if (word >> 32) & gen_mask < path_gen else word & mask32
+                    start = node.start
+                    log_delta = node.log_off - start
+                    anc_delta = last_base - last_start
+                    i = (off - start) // sub
+                    last = (end - 1 - start) // sub
+                    while True:
+                        # j: the last sub-block of the run of equal bits
+                        # from i, by trailing ones / trailing zeros.
+                        m = mask >> i
+                        if m & 1:
+                            j = i + (m ^ (m + 1)).bit_length() - 2
+                            delta = log_delta
+                        else:
+                            j = i + (m & -m).bit_length() - 2 if m else last
+                            delta = anc_delta
+                        if j >= last:
+                            break
+                        i = j + 1
+                        run_end = start + i * sub
+                        chunks.append(load(off + delta, run_end - off))
+                        off = run_end
+                    chunks.append(load(off + delta, end - off))
+                    break
+                # Inlined effective_nonleaf: a word older than the path
+                # generation predates a coarse ancestor commit (dead).
+                if (word >> 32) & gen_mask < path_gen:
+                    valid = existing = 0
+                else:
+                    valid = word & 1
+                    existing = word & 2
+                    sub_gen = (word >> 8) & gen_mask
+                    if sub_gen > path_gen:
+                        path_gen = sub_gen
+                if valid and node is not root:  # the root's "log" is the file
+                    last_base, last_start = node.log_off, node.start
+                if not existing:
+                    chunks.append(load(last_base + (off - last_start), end - off))
+                    break
+                level -= 1
+                child_size = gran(level)
+                first = off // child_size
+                hi = end
+                for i in range((end - 1) // child_size, first, -1):
+                    lo = i * child_size
+                    stack.append((nodes.get((level, i)), path_gen, last_base, last_start, lo, hi))
+                    hi = lo
+                end = hi
+                node = nodes.get((level, first))
+        return b"".join(chunks), visited
 
     # -------------------------------------------------------------- write-back
 

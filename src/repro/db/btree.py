@@ -25,13 +25,16 @@ directory) and a split cuts it at the ``nkeys // 2`` offset.
 The directory cannot go stale and is never invalidated: the pager
 *replaces* a cached image on ``write`` / ``rollback`` and never edits it
 (see :class:`Pager`), so a directory is exact for as long as its image
-exists, and eviction, rollback and rewrite drop it with the image. This
-lives in DRAM only -- no byte the pager, the WAL or the file system sees
-moves. A rewrite that fits its page knows the one cell it spliced, so it
-derives the new image's directory from the old one rather than pay a
-decode per insert of a run into one leaf; it builds *new* lists, because
-a scan suspended mid-leaf is still walking the old ones. Split halves
-and rolled-back pages are decoded on their next search.
+exists. Rollback and rewrite drop it with the image; eviction does not:
+the pager keeps an evicted image and a miss re-adopts it, directory and
+all, only when the bytes it fetched equal it. This lives in DRAM only
+-- no byte the pager, the WAL or the file system sees moves. A rewrite
+that fits its page knows the one cell it spliced, so it derives the new
+image's directory from the old one rather than pay a decode per insert
+of a run into one leaf; it builds *new* lists, because a scan suspended
+mid-leaf is still walking the old ones. Split halves, rolled-back pages
+and pages whose bytes changed while evicted are decoded on their next
+search.
 
 The layout, the bytes handed to :meth:`Pager.write` and the order of
 ``read`` / ``write`` / ``allocate`` calls are pinned: the pager's LRU

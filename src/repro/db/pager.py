@@ -3,7 +3,10 @@
 The pager holds decoded page images in DRAM. A transaction collects the
 set of dirty pages plus their before-images (for rollback); how dirty
 pages reach the file at commit is the journal mode's business
-(:mod:`repro.db.wal` / :mod:`repro.db.engine`).
+(:mod:`repro.db.wal` / :mod:`repro.db.engine`). An image the cache
+evicts is kept, and a later miss re-adopts it only when the page it
+fetches has the same bytes, so what a reader decoded from a page
+outlives eviction exactly as long as those bytes do.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ DEFAULT_CACHE_PAGES = 256  # SQLite-like bounded page cache
 
 
 class PageImage(bytearray):
-    """One cached page: its bytes plus whatever its reader decoded from
+    """One page image: its bytes plus whatever its reader decoded from
     them. ``index`` is opaque to the pager, which neither sets nor reads
-    it; it dies with the image."""
+    it; it lives and dies with the image."""
 
     index = None
 
@@ -36,14 +39,24 @@ class Pager:
     call, however long the caller holds it -- a scan suspended mid-leaf
     keeps walking the image it started on while statements rewrite the
     page under it -- and what a reader hangs on ``PageImage.index`` stays
-    true of those bytes with no invalidation: eviction, rewrite and
-    rollback drop it with the image. Callers must not write into an
-    image either; that would desynchronise its ``index``.
+    true of those bytes with no invalidation. Callers must not write into
+    an image either; that would desynchronise its ``index``.
+
+    An evicted image is kept in ``evicted``. A miss still fetches the
+    page -- that read is the modelled cost -- and re-adopts the kept
+    image, ``index`` and all, only when the fetched bytes equal it; a
+    page rewritten or corrupted while evicted comes back as a fresh
+    image. :meth:`write`, :meth:`allocate` and :meth:`rollback` drop the
+    kept image of a page they put in the cache, so a page is cached or
+    kept, never both, and ``evicted`` holds at most ``page_count``
+    images.
     """
 
     def __init__(self, handle: FileHandle, cache_pages: int = DEFAULT_CACHE_PAGES) -> None:
         self.handle = handle
         self.cache: "OrderedDict[int, PageImage]" = OrderedDict()
+        #: clean images evicted from ``cache``, by page number
+        self.evicted: Dict[int, PageImage] = {}
         self.cache_pages = cache_pages
         self.page_count = max(1, (handle.size + PAGE_SIZE - 1) // PAGE_SIZE)
         self.dirty: Set[int] = set()
@@ -60,7 +73,7 @@ class Pager:
         while len(self.cache) > self.cache_pages:
             for page_no in self.cache:
                 if page_no not in self.dirty:
-                    del self.cache[page_no]
+                    self.evicted[page_no] = self.cache.pop(page_no)
                     break
             else:
                 return  # everything dirty: cannot evict
@@ -81,7 +94,11 @@ class Pager:
         page = self.cache.get(page_no)
         if page is None:
             self.cache_misses += 1
-            page = self.cache[page_no] = PageImage(self._fetch(page_no))
+            raw = self._fetch(page_no)
+            page = self.evicted.pop(page_no, None)
+            if page is None or page != raw:
+                page = PageImage(raw)
+            self.cache[page_no] = page
             self._evict_if_needed()
         else:
             self.cache_hits += 1
@@ -99,6 +116,7 @@ class Pager:
                 self.before_images[page_no] = bytes(self._fetch(page_no))
             else:
                 self.before_images[page_no] = b""  # fresh page
+        self.evicted.pop(page_no, None)
         self.cache[page_no] = PageImage(data.ljust(PAGE_SIZE, b"\0"))
         self.cache.move_to_end(page_no)
         self.dirty.add(page_no)
@@ -108,6 +126,7 @@ class Pager:
     def allocate(self) -> int:
         page_no = self.page_count
         self.page_count += 1
+        self.evicted.pop(page_no, None)
         self.cache[page_no] = PageImage(PAGE_SIZE)
         self.dirty.add(page_no)
         self.before_images.setdefault(page_no, b"")
@@ -126,6 +145,7 @@ class Pager:
     def rollback(self) -> None:
         """Restore before-images, dropping this transaction's changes."""
         for page_no, image in self.before_images.items():
+            self.evicted.pop(page_no, None)
             if image:
                 self.cache[page_no] = PageImage(image)
             else:

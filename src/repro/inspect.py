@@ -3,34 +3,14 @@
 All functions return strings; nothing here mutates state. Typical use
 in a REPL or a failing test::
 
-    from repro.inspect import dump_tree, dump_metalog, describe_volume
-    print(describe_volume(fs.volume))
+    from repro.inspect import dump_tree
     print(dump_tree(handle))
-    print(dump_metalog(fs.metalog))
 """
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.core import bitmap
 from repro.util import fmt_size
-
-
-def describe_device(device) -> str:
-    stats = device.stats
-    lines = [
-        f"device {device.name}: {fmt_size(device.size)}",
-        f"  stores        : {stats.stores:,} ({stats.stored_bytes:,} bytes)",
-        f"  loads         : {stats.loads:,} ({stats.loaded_bytes:,} bytes)",
-        f"  flushed lines : {stats.flushed_lines:,} ({stats.flush_calls:,} calls)",
-        f"  fences        : {stats.fences:,}",
-        f"  redundant     : {stats.redundant_flushes:,} flushes, "
-        f"{stats.redundant_fences:,} fences",
-        f"  dirty ranges  : {len(device.buffer.dirty)}",
-        f"  pending ranges: {len(device.buffer.pending_set())}",
-    ]
-    return "\n".join(lines)
 
 
 def render_breakdown(rows, total: float, unit: str = "ns", width: int = 40) -> str:
@@ -49,26 +29,6 @@ def render_breakdown(rows, total: float, unit: str = "ns", width: int = 40) -> s
         bar = "#" * int(round(width * value / total)) if total > 0 else ""
         lines.append(f"{label:<{label_w}}  {value:>14,.0f}  {pct:>6.1f}  {bar}")
     lines.append(f"{'total':<{label_w}}  {total:>14,.0f}  {100.0 if total else 0.0:>6.1f}")
-    return "\n".join(lines)
-
-
-def describe_volume(volume) -> str:
-    layout = volume.layout
-    lines = ["volume layout:"]
-    for name in ("superblock", "metalog", "node_tables", "journal", "log_area", "data_area"):
-        region = getattr(layout, name)
-        lines.append(
-            f"  {name:<12} [{region.start:#012x}, {region.end:#012x})  {fmt_size(region.size)}"
-        )
-    lines.append("files:")
-    for inode in volume.files():
-        lines.append(
-            f"  id={inode.id:<3} {inode.name:<16} base={inode.base:#x} "
-            f"size={inode.size:,}/{inode.capacity:,}"
-            + (f" ntable={inode.node_table_off:#x}" if inode.node_table_len else "")
-        )
-    if not volume.files():
-        lines.append("  (none)")
     return "\n".join(lines)
 
 
@@ -111,23 +71,6 @@ def dump_tree(handle, max_nodes: int = 200) -> str:
     return "\n".join(lines)
 
 
-def dump_metalog(metalog) -> str:
-    entries = metalog.scan()
-    if not entries:
-        return "metadata log: empty (all entries retired)"
-    lines: List[str] = [f"metadata log: {len(entries)} live entries"]
-    for entry in entries:
-        kind = "txn-commit" if entry.is_txn_commit else ("txn-member" if entry.is_txn_member else "write")
-        lines.append(
-            f"  [{entry.index:2d}] {kind:<10} file={entry.file_id} "
-            f"len={entry.length} gen={entry.gen} slots={len(entry.slots)}"
-        )
-        for slot in entry.slots:
-            detail = f"mask={slot.leaf_mask:#x}" if slot.is_leaf else f"valid={int(slot.valid)}"
-            lines.append(f"        ord={slot.ordinal} {'leaf' if slot.is_leaf else 'node'} {detail}")
-    return "\n".join(lines)
-
-
 def render_timeline(result, width: int = 72) -> str:
     """ASCII Gantt of a replay run (needs run(record_timeline=True)).
 
@@ -149,28 +92,3 @@ def render_timeline(result, width: int = 72) -> str:
         lines.append(f"t{tid:<3}|" + "".join(rows[tid]) + "|")
     return "\n".join(lines)
 
-
-def summarize_traces(traces, lock_ns: float = 32.0) -> str:
-    """Aggregate a batch of op traces into a cost breakdown."""
-    from collections import Counter
-
-    count = Counter()
-    total = Counter()
-    compute = Counter()
-    io = Counter()
-    for trace in traces:
-        count[trace.name] += 1
-        total[trace.name] += trace.duration_ns(lock_ns)
-        for seg in trace.segments:
-            if seg[0] == "compute":
-                compute[trace.name] += seg[1]
-            elif seg[0] == "io":
-                io[trace.name] += seg[1]
-    lines = [f"{'op':<14}{'n':>7}{'total us':>12}{'avg ns':>10}{'cpu %':>8}{'io %':>8}"]
-    for name in sorted(total, key=total.get, reverse=True):
-        t = total[name]
-        lines.append(
-            f"{name:<14}{count[name]:>7}{t / 1e3:>12.1f}{t / count[name]:>10.0f}"
-            f"{100 * compute[name] / t if t else 0:>8.0f}{100 * io[name] / t if t else 0:>8.0f}"
-        )
-    return "\n".join(lines)

@@ -7,6 +7,8 @@ import pytest
 from repro.core.metalog import (
     ENTRY_SIZE,
     MAX_SLOTS,
+    TXN_COMMIT,
+    TXN_MEMBER,
     MetadataLog,
     MetaSlot,
 )
@@ -48,6 +50,17 @@ class TestWriteScan:
         assert entry.offset == 4096
         assert entry.file_size == 8192
         assert entry.slots == slots(4)
+
+    def test_txn_flags_roundtrip(self, metalog):
+        metalog.write(0, 1, 10, 1, 0, 10, slots(1))
+        metalog.write(1, 1, 10, 2, 77, 10, slots(1), flags=TXN_MEMBER)
+        metalog.write(2, 1, 10, 3, 77, 10, slots(1), flags=TXN_MEMBER | TXN_COMMIT)
+        plain, member, commit = sorted(metalog.scan(), key=lambda e: e.index)
+        assert not plain.is_txn_member and not plain.is_txn_commit
+        assert member.is_txn_member and not member.is_txn_commit
+        assert commit.is_txn_member and commit.is_txn_commit
+        assert member.txn_id == commit.txn_id == 77
+        assert commit.slots == slots(1)
 
     def test_retired_entry_invisible(self, metalog):
         metalog.write(0, 1, 10, 1, 0, 10, slots(1))
