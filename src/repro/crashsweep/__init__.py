@@ -7,11 +7,14 @@ package finds the rest by construction:
   persistence event (per element inside vectorized device ops) and
   proves the count matches what an armed plan would see;
 - :mod:`~repro.crashsweep.workloads` is the registry of deterministic
-  drivers (FIO-style, transactional, YCSB/KV) with byte-level oracles,
-  each run under sync and async-write-back configs;
+  drivers (one file-stream driver for MGSP, NOVA and Libnvmmio,
+  transactional, YCSB/KV, the durable queue), each judged by the oracle
+  of its consistency level — per-op, commit-group, fsync byte-wise,
+  queue abstract state or structural only;
 - :mod:`~repro.crashsweep.invariants` mounts each crash image through
   recovery and checks the §III-D contract, including that recovery
-  itself is an idempotent fixpoint;
+  itself is an idempotent fixpoint, and holds the one content check
+  every file subject shares;
 - :mod:`~repro.crashsweep.sweep` drives the whole loop, crashing at
   every sampled index under every :class:`~repro.nvm.crash.CrashPolicy`
   and shrinking failures to minimal seeded reproducers.

@@ -12,9 +12,9 @@ promises. Checks, in order:
    survivors to re-apply).
 3. **Plain files**: every node table is durably cleared and the log
    area is reclaimed — recovery leaves no fresh-log indirection behind.
-4. **Content legality**: each oracle file reads back exactly one of its
-   legal states (all completed atomic ops, in-flight group
-   all-or-nothing).
+4. **Content legality**: each oracle file reads back a state its
+   consistency level permits (:func:`content_violations`, the one
+   content check the NOVA and Libnvmmio checkers share).
 5. **Idempotence**: recovering the recovered image again is a byte-level
    no-op (recovery itself may crash and be rerun, so it must be a
    fixpoint).
@@ -34,7 +34,7 @@ from repro.core.recovery import recover
 from repro.fsapi.layout import VolumeLayout
 from repro.nvm.device import NvmDevice
 
-from repro.crashsweep.workloads import FileOracle, make_config
+from repro.crashsweep.workloads import FileOracle, FsyncOracle, make_config
 
 
 def pending_entries(image: bytes) -> int:
@@ -79,6 +79,24 @@ def idempotence_violations(
     return [f"{subject} is not idempotent: second pass changed {diff} bytes{did}"]
 
 
+def content_violations(
+    read: Callable[[str, int], bytes], oracles: Dict[str, FileOracle | FsyncOracle]
+) -> List[str]:
+    """Every oracle's file, as ``read(name, capacity)`` returns it after
+    recovery, must be a state the oracle's consistency level permits."""
+    violations: List[str] = []
+    for name, oracle in oracles.items():
+        try:
+            got = read(name, oracle.capacity)
+        except Exception as exc:
+            violations.append(f"{name}: unreadable after recovery: {exc!r}")
+            continue
+        why = oracle.illegal(got)
+        if why is not None:
+            violations.append(f"{name}: {why}")
+    return violations
+
+
 def check_image(
     image: bytes,
     config_name: str,
@@ -119,18 +137,9 @@ def check_image(
     if fs.logs.in_use:
         violations.append(f"log area not reclaimed: {fs.logs.in_use} bytes live")
 
-    for name, oracle in oracles.items():
-        try:
-            handle = fs.open(name)
-            got = handle.read(0, oracle.capacity).ljust(oracle.capacity, b"\0")
-        except Exception as exc:
-            violations.append(f"{name}: unreadable after recovery: {exc!r}")
-            continue
-        if got not in oracle.legal_states():
-            violations.append(
-                f"{name}: recovered content is not a legal synced state "
-                f"(size={handle.size})"
-            )
+    violations += content_violations(
+        lambda name, n: fs.open(name).read(0, n).ljust(n, b"\0"), oracles
+    )
 
     if idempotence:
 

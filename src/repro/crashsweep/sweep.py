@@ -21,13 +21,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from repro.nvm.crash import CrashPlan, CrashPolicy, compose_image, policy_words
 
 from repro.crashsweep.census import Census, sample_points, take_census
-from repro.crashsweep.invariants import check_image
-from repro.crashsweep.workloads import (
-    CONFIGS,
-    WORKLOADS,
-    FileOracle,
-    get_workload,
-)
+from repro.crashsweep.workloads import CONFIGS, WORKLOADS, get_workload
 
 POLICIES = (CrashPolicy.DROP_ALL, CrashPolicy.KEEP_ALL, CrashPolicy.RANDOM)
 PERSIST_PROBABILITY = 0.5
@@ -107,24 +101,20 @@ class SweepReport:
 def minimize_failure(
     device,
     config_name: str,
-    oracles: Dict[str, FileOracle],
+    oracles: Dict[str, object],
     chosen: Sequence[int],
+    checker,
     idempotence: bool = True,
-    checker=None,
 ) -> List[int]:
     """Greedy 1-minimal shrink of a failing persisted-word set: drop each
-    word whose removal keeps the image failing. O(n) recoveries.
-
-    ``checker`` defaults to the module-level MGSP :func:`check_image`;
-    workloads with their own recovery path (NOVA, pqueue, …) pass their
-    ``check`` method instead."""
+    word whose removal keeps the image failing under ``checker`` (the
+    workload's ``check``). O(n) recoveries."""
     words = list(chosen)
     i = 0
     while i < len(words):
         trial = words[:i] + words[i + 1 :]
         image = device.crash_image(persist_words=trial)
-        check = checker if checker is not None else check_image
-        if check(image, config_name, oracles, idempotence=idempotence):
+        if checker(image, config_name, oracles, idempotence=idempotence):
             words = trial
         else:
             i += 1

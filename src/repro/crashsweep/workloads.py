@@ -7,30 +7,32 @@ system must expose after any crash. Determinism is the whole point — the
 sweep re-runs the same workload once per sampled crash index and every
 run must emit the identical persistence-event sequence.
 
-The registry started MGSP-only; it now carries three kinds of subject
-behind one :class:`SweepWorkload` surface:
+A subject's oracle is its consistency level: one object that issues the
+stream's updates (``write`` / ``fsync``) and judges a recovered file
+(``illegal``). A state is legal iff it equals the model after an
+op-prefix the level permits.
 
-- **MGSP** workloads (fio/txn/ycsb) run under each named config in
-  :data:`CONFIGS` — ``sync`` is the paper's baseline, ``async`` arms the
-  background write-back scheduler — and check the full §III-D contract
-  via :func:`repro.crashsweep.invariants.check_image`.
-- **Baseline file systems** (NOVA, Libnvmmio) run their own recovery and
-  their own (per-op-atomic resp. fsync-granular) oracles; the MGSP
-  config axis does not apply, so they declare ``supported_configs``.
-- **Raw-device structures** (the durable MPSC queue) run on a bare
-  :class:`RawSystem` shim with an abstract-state oracle.
+- :class:`FileOracle`, per-op (MGSP, NOVA): every completed atomic
+  group applied, the one in flight all-or-nothing. A transaction widens
+  the group to its write set while ``commit`` runs; staged-but-
+  uncommitted writes are *not* pending — they must roll back.
+- :class:`FsyncOracle`, fsync-granular and byte-wise (Libnvmmio).
+- :class:`QueueOracle`, the durable MPSC queue's abstract state.
+
+One driver, :class:`FioSweepWorkload`, issues the single-file write
+stream of MGSP, NOVA and Libnvmmio; the baselines override only
+:meth:`~SweepWorkload.make_system` and :meth:`~SweepWorkload.check`.
+MGSP workloads run under each named config in :data:`CONFIGS` (``sync``
+is the paper's baseline, ``async`` arms the background write-back
+scheduler) and are judged by
+:func:`repro.crashsweep.invariants.check_image`. The baselines have no
+config axis, so they declare ``supported_configs``; the queue runs on a
+bare :class:`RawSystem` shim.
 
 Subclass hooks: :meth:`make_system` builds the subject, :meth:`check`
 judges a composed crash image, :meth:`region_map` names device regions
 for the invariant miner, and :meth:`variant` derives a reseeded twin for
 cross-run invariant pruning.
-
-The MGSP oracle model: MGSP promises per-operation failure atomicity, so
-at any instant a file's legal post-crash content is "all completed
-atomic ops applied" (``synced``) plus the single in-flight atomic group
-applied all-or-nothing (``pending``). Transactions widen the group to
-the whole write set while ``commit`` is in flight; staged-but-
-uncommitted transaction writes are *not* pending — they must roll back.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import copy
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core import MgspConfig, MgspFilesystem
 from repro.errors import CrashRequested
@@ -68,28 +70,71 @@ def make_config(name: str) -> MgspConfig:
     return factory()
 
 
-@dataclass
 class FileOracle:
-    """Reference content of one file under per-op failure atomicity."""
+    """One file under per-op failure atomicity: ``synced`` has every
+    completed atomic group applied, ``pending`` is the one in flight."""
 
-    capacity: int
-    synced: bytearray
-    #: the in-flight atomic group; persists all-or-nothing
-    pending: Optional[List[Tuple[int, bytes]]] = None
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.synced = bytearray(capacity)
+        self.pending: Optional[List[Tuple[int, bytes]]] = None
 
-    def apply_pending(self) -> None:
-        for off, payload in self.pending or ():
+    @contextmanager
+    def atomic(self, group: List[Tuple[int, bytes]]):
+        """*group* is pending while the body runs; a crash inside leaves
+        it pending, a return applies it."""
+        self.pending = group
+        yield
+        for off, payload in group:
             self.synced[off : off + len(payload)] = payload
         self.pending = None
 
-    def legal_states(self) -> Set[bytes]:
-        states = {bytes(self.synced)}
+    def write(self, handle, off: int, payload: bytes) -> None:
+        with self.atomic([(off, payload)]):
+            handle.write(off, payload)
+
+    def fsync(self, handle) -> None:
+        handle.fsync()
+
+    def illegal(self, got: bytes) -> Optional[str]:
+        if got == self.synced:
+            return None
         if self.pending:
             new = bytearray(self.synced)
             for off, payload in self.pending:
                 new[off : off + len(payload)] = payload
-            states.add(bytes(new))
-        return states
+            if got == new:
+                return None
+        return "recovered content is neither the synced nor the synced+pending state"
+
+
+class FsyncOracle:
+    """One file under fsync-granular byte-wise atomicity: every byte
+    reads as its last-synced or its latest-written value (a checkpoint
+    interrupted mid-flight writes back any subset of logged bytes; it
+    never invents other values)."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.synced = bytearray(capacity)
+        self.current = bytearray(capacity)
+
+    def write(self, handle, off: int, payload: bytes) -> None:
+        handle.write(off, payload)
+        self.current[off : off + len(payload)] = payload
+
+    def fsync(self, handle) -> None:
+        handle.fsync()
+        self.synced[:] = self.current
+
+    def illegal(self, got: bytes) -> Optional[str]:
+        for i, b in enumerate(got):
+            if b != self.synced[i] and b != self.current[i]:
+                return (
+                    f"byte {i} reads {b}, neither last-synced ({self.synced[i]}) "
+                    f"nor latest-written ({self.current[i]})"
+                )
+        return None
 
 
 @dataclass
@@ -218,49 +263,54 @@ class SweepWorkload:
 
 
 class FioSweepWorkload(SweepWorkload):
-    """Single-file write stream mirroring the FIO job surface
-    (``op``/``bs``-mix/``fsync`` cadence) at sweep scale."""
+    """Single-file write stream mirroring the FIO job surface (block-size
+    mix, random or sequential offsets, fsync cadence) at sweep scale,
+    judged by the consistency level ``oracle_type``."""
+
+    oracle_type = FileOracle
+    fname = "f"
 
     def __init__(
         self,
         name: str,
-        op: str = "randwrite",
-        nops: int = 300,
-        fsync_every: int = 4,
-        seed: int = 0xF10,
+        description: str,
+        sizes: Tuple[int, ...],
+        nops: int,
+        fsync_every: int,
+        seed: int,
+        sequential: bool = False,
+        align: int = 1,
     ) -> None:
         self.name = name
-        self.op = op
+        self.description = description
+        self.sizes = sizes
         self.nops = nops
         self.fsync_every = fsync_every
         self.seed = seed
-        self.description = f"{op}, {nops} ops, fsync every {fsync_every}"
+        self.sequential = sequential
+        self.align = align
 
     def setup(self, fs) -> dict:
-        handle = fs.create("f", capacity=FILE_CAP)
-        oracle = FileOracle(FILE_CAP, bytearray(FILE_CAP))
-        return {"handle": handle, "oracles": {"f": oracle}}
+        handle = fs.create(self.fname, capacity=FILE_CAP)
+        return {"handle": handle, "oracles": {self.fname: self.oracle_type(FILE_CAP)}}
 
     def body(self, fs, state: dict) -> None:
         handle = state["handle"]
-        oracle = state["oracles"]["f"]
+        oracle = state["oracles"][self.fname]
         rng = random.Random(self.seed)
-        sizes = (64, 512, 2048, 4096)
-        span = FILE_CAP - max(sizes)
+        span = FILE_CAP - max(self.sizes)
         pos = 0
         for i in range(self.nops):
-            size = sizes[rng.randrange(len(sizes))]
-            if self.op == "randwrite":
-                off = rng.randrange(0, span)
-            else:
+            size = self.sizes[rng.randrange(len(self.sizes))]
+            if self.sequential:
                 off = pos
                 pos = (pos + size) % span
-            payload = bytes([1 + i % 250]) * size
-            oracle.pending = [(off, payload)]
-            handle.write(off, payload)
-            oracle.apply_pending()
-            if self.fsync_every and (i + 1) % self.fsync_every == 0:
-                handle.fsync()
+            else:
+                off = rng.randrange(0, span)
+                off -= off % self.align
+            oracle.write(handle, off, bytes([1 + i % 250]) * size)
+            if (i + 1) % self.fsync_every == 0:
+                oracle.fsync(handle)
 
 
 class TxnSweepWorkload(SweepWorkload):
@@ -276,8 +326,7 @@ class TxnSweepWorkload(SweepWorkload):
 
     def setup(self, fs) -> dict:
         handle = fs.create("t", capacity=FILE_CAP)
-        oracle = FileOracle(FILE_CAP, bytearray(FILE_CAP))
-        return {"handle": handle, "oracles": {"t": oracle}}
+        return {"handle": handle, "oracles": {"t": FileOracle(FILE_CAP)}}
 
     def body(self, fs, state: dict) -> None:
         handle = state["handle"]
@@ -287,10 +336,7 @@ class TxnSweepWorkload(SweepWorkload):
         for i in range(self.rounds):
             # One plain synchronized write.
             off = rng.randrange(0, span)
-            payload = bytes([1 + i % 250]) * rng.choice([256, 1024])
-            oracle.pending = [(off, payload)]
-            handle.write(off, payload)
-            oracle.apply_pending()
+            oracle.write(handle, off, bytes([1 + i % 250]) * rng.choice([256, 1024]))
 
             # One transaction; every 5th one rolls back instead.
             group = [
@@ -304,9 +350,8 @@ class TxnSweepWorkload(SweepWorkload):
             if i % 5 == 4:
                 txn.rollback()
             else:
-                oracle.pending = group
-                txn.commit()
-                oracle.apply_pending()
+                with oracle.atomic(group):
+                    txn.commit()
 
 
 class YcsbSweepWorkload(SweepWorkload):
@@ -364,7 +409,7 @@ class YcsbSweepWorkload(SweepWorkload):
 # -- baseline file-system subjects ------------------------------------------
 
 
-class NovaSweepWorkload(SweepWorkload):
+class NovaSweepWorkload(FioSweepWorkload):
     """NOVA under the sweep: per-operation CoW atomicity, checked through
     :meth:`repro.fs.nova.Nova.recover` (journal roll-forward).
 
@@ -373,67 +418,24 @@ class NovaSweepWorkload(SweepWorkload):
     """
 
     supported_configs = ("sync",)
-
-    def __init__(self, name: str, pattern: str = "randwrite", nops: int = 40,
-                 seed: int = 0x404A) -> None:
-        self.name = name
-        self.pattern = pattern
-        self.nops = nops
-        self.seed = seed
-        self.description = f"NOVA CoW {pattern}, {nops} ops (per-op atomic oracle)"
+    fname = "n"
 
     def make_system(self, config_name: str):
         from repro.fs.nova import Nova
 
         return Nova(device_size=DEVICE_SIZE)
 
-    def setup(self, fs) -> dict:
-        handle = fs.create("n", capacity=FILE_CAP)
-        oracle = FileOracle(FILE_CAP, bytearray(FILE_CAP))
-        return {"handle": handle, "oracles": {"n": oracle}}
-
-    def body(self, fs, state: dict) -> None:
-        handle = state["handle"]
-        oracle = state["oracles"]["n"]
-        rng = random.Random(self.seed)
-        if self.pattern == "randwrite":
-            sizes = (512, 4096, 8192)
-        else:  # multi-page bursts: stress the chunked journal commit
-            sizes = (8192, 12288, 20480)
-        span = FILE_CAP - max(sizes)
-        for i in range(self.nops):
-            size = sizes[rng.randrange(len(sizes))]
-            off = rng.randrange(0, span)
-            if self.pattern != "randwrite":
-                off &= ~4095  # page-aligned whole-page overwrites
-            payload = bytes([1 + i % 250]) * size
-            oracle.pending = [(off, payload)]
-            handle.write(off, payload)
-            oracle.apply_pending()
-            if i % 8 == 7:
-                handle.fsync()
-
     def check(self, image, config_name, oracles, idempotence=True) -> List[str]:
-        from repro.crashsweep.invariants import idempotence_violations
+        from repro.crashsweep.invariants import content_violations, idempotence_violations
         from repro.fs.nova import Nova
 
-        violations: List[str] = []
         try:
             fs = Nova.recover(NvmDevice.from_image(image))
         except Exception as exc:
             return [f"NOVA recovery raised {type(exc).__name__}: {exc}"]
-        for name, oracle in oracles.items():
-            try:
-                handle = fs.open(name)
-                got = handle.read(0, oracle.capacity).ljust(oracle.capacity, b"\0")
-            except Exception as exc:
-                violations.append(f"{name}: unreadable after recovery: {exc!r}")
-                continue
-            if got not in oracle.legal_states():
-                violations.append(
-                    f"{name}: recovered content is neither the synced nor the "
-                    f"synced+pending state (size={handle.size})"
-                )
+        violations = content_violations(
+            lambda name, n: fs.open(name).read(0, n).ljust(n, b"\0"), oracles
+        )
         if idempotence:
 
             def recover_again(device: NvmDevice) -> str:
@@ -446,74 +448,28 @@ class NovaSweepWorkload(SweepWorkload):
         return violations
 
 
-@dataclass
-class LibnvmmioOracle:
-    """Byte-wise fsync-granularity oracle: after a crash every file byte
-    must read as either its last-synced value or its latest-written
-    value (a checkpoint interrupted mid-flight writes back any subset of
-    logged bytes; it never invents other values)."""
-
-    capacity: int
-    synced: bytearray
-    current: bytearray
-
-
-class LibnvmmioSweepWorkload(SweepWorkload):
-    """Libnvmmio under the sweep. Write-only streams keep every epoch in
-    redo mode — the undo epoch writes in place and deliberately breaks
-    crash atomicity between syncs (pinned by the baseline-semantics
-    tests), which no byte-wise oracle can bound."""
+class LibnvmmioSweepWorkload(FioSweepWorkload):
+    """Libnvmmio under the sweep, at the fsync-granular byte-wise level.
+    Write-only streams keep every epoch in redo mode — the undo epoch
+    writes in place and deliberately breaks crash atomicity between
+    syncs (pinned by the baseline-semantics tests), which no byte-wise
+    oracle can bound."""
 
     supported_configs = ("sync",)
-
-    def __init__(self, name: str, pattern: str = "randwrite", nops: int = 48,
-                 fsync_every: int = 6, seed: int = 0x11B0) -> None:
-        self.name = name
-        self.pattern = pattern
-        self.nops = nops
-        self.fsync_every = fsync_every
-        self.seed = seed
-        self.description = (
-            f"Libnvmmio redo-log {pattern}, {nops} ops, fsync every {fsync_every}"
-        )
+    oracle_type = FsyncOracle
+    fname = "l"
 
     def make_system(self, config_name: str):
         from repro.fs.libnvmmio import Libnvmmio
 
         return Libnvmmio(device_size=DEVICE_SIZE)
 
-    def setup(self, fs) -> dict:
-        handle = fs.create("l", capacity=FILE_CAP)
-        oracle = LibnvmmioOracle(FILE_CAP, bytearray(FILE_CAP), bytearray(FILE_CAP))
-        return {"handle": handle, "oracles": {"l": oracle}}
-
-    def body(self, fs, state: dict) -> None:
-        handle = state["handle"]
-        oracle = state["oracles"]["l"]
-        rng = random.Random(self.seed)
-        sizes = (64, 1024, 4096) if self.pattern == "randwrite" else (2048, 4096)
-        span = FILE_CAP - max(sizes)
-        pos = 0
-        for i in range(self.nops):
-            size = sizes[rng.randrange(len(sizes))]
-            if self.pattern == "randwrite":
-                off = rng.randrange(0, span)
-            else:
-                off = pos
-                pos = (pos + size) % span
-            payload = bytes([1 + i % 250]) * size
-            handle.write(off, payload)
-            oracle.current[off : off + size] = payload
-            if (i + 1) % self.fsync_every == 0:
-                handle.fsync()
-                oracle.synced[:] = oracle.current
-
     def check(self, image, config_name, oracles, idempotence=True) -> List[str]:
+        from repro.crashsweep.invariants import content_violations
         from repro.fs.libnvmmio import Libnvmmio
         from repro.fsapi.layout import VolumeLayout
         from repro.fsapi.volume import Volume
 
-        violations: List[str] = []
         device = NvmDevice.from_image(image)
         try:
             volume = Volume.mount(
@@ -522,22 +478,10 @@ class LibnvmmioSweepWorkload(SweepWorkload):
             )
         except Exception as exc:
             return [f"Libnvmmio remount raised {type(exc).__name__}: {exc}"]
-        for name, oracle in oracles.items():
-            try:
-                inode = volume.lookup(name)
-            except Exception as exc:
-                violations.append(f"{name}: lost after crash: {exc!r}")
-                continue
-            got = device.buffer.load(inode.base, oracle.capacity)
-            for i, b in enumerate(got):
-                if b != oracle.synced[i] and b != oracle.current[i]:
-                    violations.append(
-                        f"{name}: byte {i} reads {b}, neither last-synced "
-                        f"({oracle.synced[i]}) nor latest-written ({oracle.current[i]})"
-                    )
-                    break
         # No recovery pass exists to re-run: idempotence is vacuous here.
-        return violations
+        return content_violations(
+            lambda name, n: device.buffer.load(volume.lookup(name).base, n), oracles
+        )
 
 
 # -- raw-device subject: the durable MPSC queue -----------------------------
@@ -744,15 +688,24 @@ class PqueueRegionMap:
 WORKLOADS: Dict[str, SweepWorkload] = {
     w.name: w
     for w in (
-        FioSweepWorkload("fio-randwrite", op="randwrite"),
-        FioSweepWorkload("fio-write", op="write", fsync_every=8, seed=0xF11),
+        FioSweepWorkload("fio-randwrite", "randwrite, 300 ops, fsync every 4",
+                         (64, 512, 2048, 4096), nops=300, fsync_every=4, seed=0xF10),
+        FioSweepWorkload("fio-write", "write, 300 ops, fsync every 8", (64, 512, 2048, 4096),
+                         nops=300, fsync_every=8, seed=0xF11, sequential=True),
         TxnSweepWorkload(),
         YcsbSweepWorkload(),
-        NovaSweepWorkload("nova-fio", pattern="randwrite"),
-        NovaSweepWorkload("nova-txn", pattern="multipage", nops=24, seed=0x404B),
-        LibnvmmioSweepWorkload("libnvmmio-fio", pattern="randwrite"),
-        LibnvmmioSweepWorkload("libnvmmio-txn", pattern="write", nops=36,
-                               fsync_every=4, seed=0x11B1),
+        NovaSweepWorkload("nova-fio", "NOVA CoW randwrite, 40 ops (per-op atomic oracle)",
+                          (512, 4096, 8192), nops=40, fsync_every=8, seed=0x404A),
+        # Page-aligned multi-page bursts: stress the chunked journal commit.
+        NovaSweepWorkload("nova-txn", "NOVA CoW multipage, 24 ops (per-op atomic oracle)",
+                          (8192, 12288, 20480), nops=24, fsync_every=8, seed=0x404B,
+                          align=4096),
+        LibnvmmioSweepWorkload("libnvmmio-fio",
+                               "Libnvmmio redo-log randwrite, 48 ops, fsync every 6",
+                               (64, 1024, 4096), nops=48, fsync_every=6, seed=0x11B0),
+        LibnvmmioSweepWorkload("libnvmmio-txn", "Libnvmmio redo-log write, 36 ops, fsync every 4",
+                               (2048, 4096), nops=36, fsync_every=4, seed=0x11B1,
+                               sequential=True),
         PqueueSweepWorkload(),
     )
 }

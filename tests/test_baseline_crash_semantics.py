@@ -1,21 +1,30 @@
-"""What each baseline promises (and doesn't) across a crash.
+"""What each baseline promises (and doesn't) across a crash, named by
+the consistency level (``repro.crashsweep.workloads``) that accepts its
+recovered state:
 
-The paper's comparison table in prose: Ext4/Ext4-DAX lose or tear
-unsynced data, Libnvmmio is atomic only at fsync boundaries, NOVA and
-MGSP are atomic per operation. These tests pin the semantics the
-simulated baselines implement.
+- Ext4 (page cache): unsynced data is lost whole.
+- Ext4-DAX: :class:`FsyncOracle` — an unsynced write tears, each byte
+  old or new; :class:`FileOracle` rejects the torn region.
+- Libnvmmio (redo epoch): :class:`FsyncOracle` — unsynced writes are
+  lost cleanly.
+- NOVA (and MGSP): :class:`FileOracle` — atomic per operation.
 """
 
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from repro.crashsweep.workloads import FileOracle, FsyncOracle
 from repro.fs import Ext4, Ext4Dax, Libnvmmio, Nova
 from repro.nvm.device import NvmDevice
 
 CAP = 256 * 1024
+
+#: a handle stand-in: a level follows a stream issued nowhere
+NOWHERE = SimpleNamespace(write=lambda off, payload: None, fsync=lambda: None)
 
 
 def crash_image(fs, seed=1, p=0.5):
@@ -50,14 +59,20 @@ class TestExt4DaxTearing:
         just loss (the reason 'metadata consistency' isn't enough)."""
         fs = Ext4Dax(device_size=64 << 20)
         f = fs.create("x", CAP)
-        f.write(0, b"A" * 256)
-        f.fsync()
-        f.write(0, b"B" * 256)
+        fsync_level, per_op = FsyncOracle(256), FileOracle(256)
+        fsync_level.write(f, 0, b"A" * 256)
+        fsync_level.fsync(f)
+        fsync_level.write(f, 0, b"B" * 256)
+        per_op.write(NOWHERE, 0, b"A" * 256)
+        per_op.fsync(NOWHERE)
+        per_op.write(NOWHERE, 0, b"B" * 256)
         words = fs.device.unfenced_words()
         half = words[: len(words) // 2]
         dev = NvmDevice.from_image(bytes(fs.device.crash_image(persist_words=half)))
         region = bytes(dev.buffer.working[f.inode.base : f.inode.base + 256])
         assert b"A" in region and b"B" in region  # torn!
+        assert fsync_level.illegal(region) is None
+        assert per_op.illegal(region) is not None
 
 
 class TestLibnvmmioFsyncGranularity:
@@ -66,13 +81,15 @@ class TestLibnvmmioFsyncGranularity:
         never corrupts the file (old data intact)."""
         fs = Libnvmmio(device_size=64 << 20)
         f = fs.create("x", CAP)
-        f.write(0, b"OLD" * 1000)
-        f.fsync()
+        level = FsyncOracle(3000)
+        level.write(f, 0, b"OLD" * 1000)
+        level.fsync(f)
         fs.device.drain()
-        f.write(0, b"NEW" * 1000)  # logged, unsynced
+        level.write(f, 0, b"NEW" * 1000)  # logged, unsynced
         dev = crash_image(fs, p=0.0)
         base = f.inode.base
         assert bytes(dev.buffer.working[base : base + 3]) == b"OLD"
+        assert level.illegal(bytes(dev.buffer.working[base : base + 3000])) is None
 
     def test_synced_epoch_durable(self):
         fs = Libnvmmio(device_size=64 << 20)
@@ -114,13 +131,17 @@ class TestNovaPerOpAtomicity:
 
     def test_page_pointer_swing_is_atomic(self):
         """Overwrite a page, crash with nothing unfenced persisted: the
-        page table must point at either the old or the new page image."""
+        page table must point at either the old or the new page image —
+        what the per-op level accepts with the overwrite in flight."""
         fs = Nova(device_size=64 << 20)
         f = fs.create("x", CAP)
-        f.write(0, b"1" * 4096)
+        level = FileOracle(4096)
+        level.write(f, 0, b"1" * 4096)
         fs.device.drain()
-        f.write(0, b"2" * 4096)
-        dev = crash_image(fs, p=0.0)
-        remounted = Nova.remount(dev)
-        data = remounted.open("x").read(0, 4096)
-        assert data in (b"1" * 4096, b"2" * 4096)
+        with level.atomic([(0, b"2" * 4096)]):
+            f.write(0, b"2" * 4096)
+            dev = crash_image(fs, p=0.0)
+            remounted = Nova.remount(dev)
+            data = remounted.open("x").read(0, 4096)
+            assert data in (b"1" * 4096, b"2" * 4096)
+            assert level.illegal(data) is None

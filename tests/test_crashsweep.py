@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,6 +27,7 @@ from repro.crashsweep import (
 from repro.crashsweep.__main__ import main as sweep_main
 from repro.crashsweep.invariants import idempotence_violations
 from repro.crashsweep.sweep import PERSIST_PROBABILITY
+from repro.crashsweep.workloads import FileOracle, FsyncOracle
 from repro.errors import CrashRequested
 from repro.fsapi.layout import VolumeLayout
 from repro.nvm.crash import CrashPlan, CrashPolicy, compose_image, count_events, policy_words
@@ -176,7 +179,7 @@ class TestImagePipelineCost:
 
 
 class TestMinimizer:
-    def test_shrinks_to_failing_core(self, monkeypatch):
+    def test_shrinks_to_failing_core(self):
         """With a checker that fails iff one specific word persisted, the
         greedy minimizer must shrink any chosen superset to that word."""
         device = NvmDevice(1 << 20)
@@ -190,16 +193,65 @@ class TestMinimizer:
                 return ["culprit word persisted"]
             return []
 
-        import sys
-
-        # `repro.crashsweep.sweep` the attribute is the sweep() function
-        # (re-exported by __init__), so go through sys.modules.
-        monkeypatch.setattr(
-            sys.modules["repro.crashsweep.sweep"], "check_image", fake_check
-        )
         chosen = device.unfenced_words()
         assert culprit in chosen and len(chosen) > 1
-        assert minimize_failure(device, "sync", {}, chosen) == [culprit]
+        assert minimize_failure(device, "sync", {}, chosen, fake_check) == [culprit]
+
+
+#: a handle stand-in: a level follows a stream issued nowhere
+NOWHERE = SimpleNamespace(write=lambda off, payload: None, fsync=lambda: None)
+
+
+class TestConsistencyLevels:
+    """Each level accepts what its protocol may leave behind and rejects
+    the rest — and which level judges a subject changes the verdict."""
+
+    def test_per_op_level_rejects_a_half_applied_group(self):
+        level = FileOracle(16)
+        level.write(NOWHERE, 0, b"a" * 16)
+        synced = b"a" * 16
+        with level.atomic([(0, b"b" * 8), (8, b"c" * 8)]):
+            assert level.illegal(synced) is None
+            assert level.illegal(b"b" * 8 + b"c" * 8) is None
+            assert level.illegal(b"b" * 8 + b"a" * 8) is not None
+            assert level.illegal(b"a" * 8 + b"c" * 8) is not None
+        # Applied on return: the old state is no longer legal.
+        assert level.pending is None
+        assert level.illegal(synced) is not None
+        assert level.illegal(b"b" * 8 + b"c" * 8) is None
+
+    def test_a_crash_inside_atomic_leaves_the_group_pending(self):
+        level = FileOracle(8)
+        with pytest.raises(CrashRequested):
+            with level.atomic([(0, b"x" * 8)]):
+                raise CrashRequested
+        assert level.pending == [(0, b"x" * 8)]
+        assert level.synced == bytes(8)
+        assert level.illegal(bytes(8)) is None and level.illegal(b"x" * 8) is None
+
+    def test_fsync_level_accepts_any_byte_mix_and_names_a_third_value(self):
+        level = FsyncOracle(4)
+        level.write(NOWHERE, 0, b"AAAA")
+        level.fsync(NOWHERE)
+        level.write(NOWHERE, 0, b"BBBB")
+        for mix in (b"AAAA", b"BBBB", b"ABAB", b"BAAB"):
+            assert level.illegal(mix) is None, mix
+        assert level.illegal(b"ABCB") == (
+            "byte 2 reads 67, neither last-synced (65) nor latest-written (66)"
+        )
+
+    def test_the_level_decides_the_verdict(self, monkeypatch):
+        """Libnvmmio keeps unsynced writes in a redo log that a crash may
+        drop: its own level passes every image, the per-op level fails
+        most of them."""
+        own = sweep_unit("libnvmmio-fio", "sync", budget=40, seed=7, minimize=False)
+        assert own.ok and own.images_checked == 120
+        per_op = copy.copy(get_workload("libnvmmio-fio"))
+        per_op.oracle_type = FileOracle
+        monkeypatch.setitem(WORKLOADS, "libnvmmio-fio", per_op)
+        judged = sweep_unit("libnvmmio-fio", "sync", budget=40, seed=7, minimize=False)
+        assert judged.images_checked == 120
+        assert len(judged.failures) > 60, len(judged.failures)
 
 
 def make_fs():

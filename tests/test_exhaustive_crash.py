@@ -2,8 +2,12 @@
 
 Instead of sampling random persistence subsets, pick crash points where
 the number of unfenced 8-byte words is small and enumerate EVERY subset
-— recovery must produce a legal state for all 2^k of them. This is the
-strongest statement the simulator can make about the commit protocol.
+— recovery must produce a state the per-op level (:class:`FileOracle`)
+accepts for all 2^k of them: every completed write, the in-flight one
+all-or-nothing. This is the strongest statement the simulator can make
+about the commit protocol. Under ``async`` the background write-back
+scheduler runs with a tiny epoch threshold, so crashes land before,
+inside and after checkpoint drains.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import random
 import pytest
 
 from repro.core import MgspConfig, MgspFilesystem, recover
+from repro.crashsweep.workloads import CONFIGS, FileOracle, make_config
 from repro.errors import CrashRequested
 from repro.nvm.crash import CrashPlan
 from repro.nvm.device import NvmDevice
@@ -21,68 +26,61 @@ from repro.nvm.device import NvmDevice
 CAP = 128 * 1024
 MAX_ENUM_WORDS = 8  # 2^8 = 256 recoveries per crash point
 
+#: config -> (op-stream seed, crash indices tried, enumeration cap)
+SCHEDULE = {
+    "sync": (21, range(1, 260, 13), 600),
+    "async": (33, range(5, 400, 17), 500),
+}
 
-def build_crashed_state(crash_after, seed=21):
-    fs = MgspFilesystem(device_size=4 << 20, config=MgspConfig(degree=16))
+
+def build_crashed_state(config_name, crash_after, seed):
+    fs = MgspFilesystem(device_size=4 << 20, config=make_config(config_name))
     f = fs.create("e", capacity=CAP)
     fs.device.drain()
     rng = random.Random(seed)
-    ref = bytearray(CAP)
-    pending = None
+    oracle = FileOracle(CAP)
     fs.device.attach(CrashPlan(crash_after))
     try:
         for _ in range(10_000):
             off = rng.randrange(0, CAP - 2048)
             payload = bytes([rng.randrange(1, 255)]) * rng.choice([96, 1024, 2048])
-            pending = (off, payload)
-            f.write(off, payload)
-            ref[off : off + len(payload)] = payload
-            pending = None
+            oracle.write(f, off, payload)  # under async, may also fire an epoch drain
     except CrashRequested:
-        return fs, ref, pending
+        return fs, oracle
     return None
 
 
-def legal_states(ref, pending):
-    old = bytes(ref)
-    states = {old}
-    if pending is not None:
-        off, payload = pending
-        new = bytearray(ref)
-        new[off : off + len(payload)] = payload
-        states.add(bytes(new))
-    return states
-
-
-def test_every_persistence_subset_recovers_legally():
+@pytest.mark.parametrize("config_name", sorted(CONFIGS))
+def test_every_persistence_subset_recovers_legally(config_name):
+    seed, crash_points, cap = SCHEDULE[config_name]
     checked_points = 0
     enumerated = 0
-    for crash_after in range(1, 260, 13):
-        state = build_crashed_state(crash_after)
+    drained_any = False
+    for crash_after in crash_points:
+        state = build_crashed_state(config_name, crash_after, seed)
         if state is None:
             break
-        fs, ref, pending = state
+        fs, oracle = state
+        drained_any |= fs.flusher is not None and fs.flusher.epochs > 0
         words = fs.device.unfenced_words()
         if len(words) > MAX_ENUM_WORDS:
             continue  # enumerate only tractable frontiers
         checked_points += 1
-        legal = legal_states(ref, pending)
-        if enumerated > 600:
+        if enumerated > cap:
             break  # plenty of coverage; keep the suite fast
         for r in range(len(words) + 1):
             for subset in itertools.combinations(words, r):
                 enumerated += 1
                 image = fs.device.crash_image(persist_words=subset)
-                fs2, _ = recover(
-                    NvmDevice.from_image(bytes(image)), config=MgspConfig(degree=16)
-                )
+                fs2, _ = recover(NvmDevice.from_image(image), config=make_config(config_name))
                 got = fs2.open("e").read(0, CAP).ljust(CAP, b"\0")
-                assert got in legal, (
-                    f"crash_after={crash_after} subset={subset}: illegal state"
-                )
+                why = oracle.illegal(got)
+                assert why is None, f"crash_after={crash_after} subset={subset}: {why}"
     # The sweep must actually have exercised enumerable frontiers.
     assert checked_points >= 3, checked_points
     assert enumerated >= 40, enumerated
+    # ...and, under async, crashes after a checkpoint drain.
+    assert drained_any == (config_name == "async")
 
 
 def test_commit_frontier_is_narrow():
@@ -99,3 +97,21 @@ def test_commit_frontier_is_narrow():
     # Between ops only the retired metalog length word (+ maybe the
     # size field and a handful of table slots) can be unfenced.
     assert worst <= 6, worst
+
+
+def test_epoch_drains_preserve_contents_without_crash():
+    """Sanity: with aggressive epochs, drains fire and the file reads
+    back exactly what was written."""
+    fs = MgspFilesystem(device_size=32 << 20, config=make_config("async"))
+    f = fs.create("e", capacity=CAP)
+    fs.device.drain()
+    rng = random.Random(8)
+    ref = bytearray(CAP)
+    for i in range(200):
+        off = rng.randrange(0, CAP - 2048)
+        payload = bytes([(i % 250) + 1]) * rng.choice([96, 1024, 2048])
+        f.write(off, payload)
+        ref[off : off + len(payload)] = payload
+    assert fs.flusher is not None and fs.flusher.epochs > 0
+    assert fs.flusher.bytes_drained > 0
+    assert f.read(0, CAP).ljust(CAP, b"\0") == bytes(ref)

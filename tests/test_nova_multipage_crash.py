@@ -78,7 +78,10 @@ class TestExhaustiveBurstSweep:
         """All crash points of a small multi-page burst run, all three
         policies: the per-op atomic oracle (all-old or all-new file
         content) plus recovery idempotence must hold everywhere."""
-        workload = NovaSweepWorkload("nova-burst-small", pattern="multipage", nops=3)
+        workload = NovaSweepWorkload(
+            "nova-burst-small", "NOVA CoW multipage, 3 ops",
+            sizes=(8192, 12288, 20480), nops=3, fsync_every=8, seed=0x404A, align=4096,
+        )
         census = take_census(workload, "sync")
         assert census.parity_ok
         failures = []

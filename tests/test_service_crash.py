@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 
 from repro.core import recover
+from repro.crashsweep.workloads import FileOracle
 from repro.errors import CrashRequested
 from repro.nvm.crash import CrashPlan
 from repro.nvm.device import NvmDevice
@@ -57,9 +58,9 @@ def _payload(i: int) -> bytes:
 def _build(crash_after):
     """Run the service workload with shard 0 armed to crash.
 
-    Returns (service, tenants, refs, pending) where refs[shard] is the
-    expected post-crash content and pending the in-flight write on
-    shard 0 (None if the crash landed between ops or never fired).
+    Returns (service, tenants, oracles): one per-op level per shard,
+    each write+fsync one atomic group — shard 0's oracle holds the
+    in-flight one as pending. None if the crash never fired.
     """
     config = ServiceConfig(shards=2, device_size=16 << 20, file_capacity=CAPACITY)
     service = MgspService(config)
@@ -69,8 +70,7 @@ def _build(crash_after):
         for req in _requests():
             assert service.submit(name, req)
 
-    refs = {0: bytearray(CAPACITY), 1: bytearray(CAPACITY)}
-    pending = None
+    oracles = {0: FileOracle(CAPACITY), 1: FileOracle(CAPACITY)}
     crashed = False
 
     # Shard 1 first: it must be fully durable before shard 0 crashes,
@@ -84,28 +84,16 @@ def _build(crash_after):
                 assert name == tenant
                 session = service.sessions[name]
                 fs.current_thread = session.thread
-                i = req.offset // BS
-                pending = (shard, req.offset, _payload(i))
-                session.handle.write(req.offset, _payload(i))
-                session.handle.fsync()
-                refs[shard][req.offset : req.offset + BS] = _payload(i)
-                pending = None
+                payload = _payload(req.offset // BS)
+                with oracles[shard].atomic([(req.offset, payload)]):
+                    session.handle.write(req.offset, payload)
+                    session.handle.fsync()
         except CrashRequested:
             assert shard == 0
             crashed = True
     if not crashed:
         return None
-    return service, (t0, t1), refs, pending
-
-
-def _legal_states(ref, pending):
-    states = {bytes(ref)}
-    if pending is not None:
-        _, off, payload = pending
-        with_pending = bytearray(ref)
-        with_pending[off : off + len(payload)] = payload
-        states.add(bytes(with_pending))
-    return states
+    return service, (t0, t1), oracles
 
 
 def _recover_content(image: bytes, config, tenant: str):
@@ -125,21 +113,20 @@ def test_service_crash_sweep_shard_independence_and_idempotence():
         built = _build(crash_after)
         if built is None:
             break
-        service, (t0, t1), refs, pending = built
+        service, (t0, t1), oracles = built
         fs_config = service.config.make_fs_config()
 
         # Per-shard independence: shard 1 was never crashed; its image
         # (no extra persistence help at all) recovers to the full run.
         image1 = bytes(service.shards[1].device.crash_image(persist_words=()))
         _, got1 = _recover_content(image1, fs_config, t1)
-        assert got1 == bytes(refs[1]).ljust(CAPACITY, b"\0")
+        assert oracles[1].pending is None and got1 == oracles[1].synced
         shard1_contents.add(got1)
 
         words = service.shards[0].device.unfenced_words()
         if len(words) > MAX_ENUM_WORDS:
             continue
         checked += 1
-        legal = _legal_states(refs[0], pending)
         if enumerated > 400:
             break
         for r in range(len(words) + 1):
@@ -149,7 +136,8 @@ def test_service_crash_sweep_shard_independence_and_idempotence():
                     service.shards[0].device.crash_image(persist_words=subset)
                 )
                 fs2, got0 = _recover_content(image0, fs_config, t0)
-                assert got0 in legal, f"crash_after={crash_after} subset={subset}"
+                why = oracles[0].illegal(got0)
+                assert why is None, f"crash_after={crash_after} subset={subset}: {why}"
                 # Idempotence: recovery output is a fixed point.
                 stable = bytes(fs2.device.crash_image(persist_words=()))
                 fs3, got_again = _recover_content(stable, fs_config, t0)
