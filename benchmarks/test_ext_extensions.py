@@ -1,17 +1,13 @@
-"""Extension benchmarks beyond the paper's evaluation.
-
-1. **FS-level transactions** — the paper's §IV-D future work,
-   implemented in :mod:`repro.core.txn`: a database-like multi-write
-   commit through MGSP transactions vs the same group as WAL commits.
-2. **SplitFS (strict)** — the §II-C related system the paper discusses
-   but does not measure, against MGSP on synced sequential writes.
+"""Extension benchmark beyond the paper's evaluation: FS-level
+transactions, the paper's §IV-D future work, implemented in
+:mod:`repro.core.txn` — a database-like multi-write commit through MGSP
+transactions vs the same group as WAL commits.
 """
 
 from __future__ import annotations
 
 import random
 
-from repro.bench.figures import FS_SET
 from repro.bench.harness import Table
 from repro.bench.registry import make_fs
 from repro.core import MgspConfig, MgspFilesystem
@@ -71,33 +67,6 @@ def run_txn_experiment() -> Table:
     elapsed = sum(t.duration_ns(dax.timing.lock_ns) for t in dax.take_traces())
     table.set("Ext4-DAX WAL", "us/group", elapsed / GROUPS / 1e3)
     return table
-
-
-def run_splitfs_matrix():
-    from repro.util import fmt_size
-    from repro.workloads.fio import FioJob
-
-    table = Table(title="Extension — SplitFS(strict) vs MGSP, write MB/s (fsync/op)")
-    for bs in (1024, 4096, 16384):
-        job = FioJob(op="write", bs=bs, fsize=16 << 20, fsync=1, nops=250)
-        for name in ("SplitFS", "MGSP"):
-            from repro.bench.harness import run_one
-
-            table.set(name, fmt_size(bs), run_one(name, job).throughput_mb_s)
-    return table
-
-
-def test_splitfs_extension(bench_table):
-    """§II-C: SplitFS strict mode pays CoW for small writes and relink
-    churn per sync; MGSP avoids both."""
-    table = bench_table(run_splitfs_matrix)
-    v = table.value
-    for col in ("1K", "4K", "16K"):
-        assert v("MGSP", col) > v("SplitFS", col), col
-    # The gap is largest for sub-block writes (strict-mode CoW).
-    gap_fine = v("MGSP", "1K") / v("SplitFS", "1K")
-    gap_coarse = v("MGSP", "16K") / v("SplitFS", "16K")
-    assert gap_fine > gap_coarse
 
 
 def test_txn_extension(bench_table):

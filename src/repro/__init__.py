@@ -16,7 +16,7 @@ TPC-C, and :mod:`repro.bench` for the per-figure harnesses.
 """
 
 from repro.core import MgspConfig, MgspFilesystem, MgspTransaction, recover, verify_file
-from repro.fs import Ext4, Ext4Dax, Libnvmmio, Nova, Splitfs
+from repro.fs import Ext4, Ext4Dax, Libnvmmio, Nova
 from repro.fsapi import FileSystem, OpenFlags
 from repro.nvm import NvmDevice, OptaneTiming
 
@@ -33,7 +33,6 @@ __all__ = [
     "MgspFilesystem",
     "Nova",
     "NvmDevice",
-    "Splitfs",
     "OpenFlags",
     "OptaneTiming",
     "recover",

@@ -14,14 +14,13 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.bench.harness import Table, run_one
-from repro.bench.registry import make_fs
+from repro.bench.registry import FS_NAMES, make_fs
 from repro.core import MgspConfig
 from repro.util import fmt_size
 from repro.workloads.fio import FioJob
 from repro.workloads.mobibench import run_mobibench
 from repro.workloads.tpcc import run_tpcc
 
-FS_SET = ("Ext4-DAX", "Libnvmmio", "NOVA", "MGSP")
 FSIZE = 16 << 20
 
 #: Fig 7 extension beyond the paper: MGSP with asynchronous write-back
@@ -41,7 +40,7 @@ def fig01(nops: int = 300) -> Table:
 def fig07(nops: int = 300) -> Table:
     table = Table(title="Fig 7 — 4KB seq write MB/s vs sync interval")
     intervals = ((1, "fsync-1"), (10, "fsync-10"), (100, "fsync-100"), (0, "no-sync"))
-    for name in FS_SET:
+    for name in FS_NAMES:
         for interval, label in intervals:
             job = FioJob(op="write", bs=4096, fsize=FSIZE, fsync=interval, nops=nops)
             table.set(name, label, run_one(name, job).throughput_mb_s)
@@ -55,7 +54,7 @@ def fig08(op: str, nops: int = 300) -> Table:
     table = Table(title=f"Fig 8 — {op} MB/s by block size (fsync per op)")
     for bs in (512, 1024, 2048, 4096, 16384, 65536):
         job = FioJob(op=op, bs=bs, fsize=FSIZE, fsync=1, nops=nops)
-        for name in FS_SET:
+        for name in FS_NAMES:
             table.set(name, fmt_size(bs), run_one(name, job).throughput_mb_s)
     return table
 
@@ -65,7 +64,7 @@ def fig09(nops: int = 300) -> Table:
     for ratio in (0.1, 0.3, 0.5, 0.7, 0.9):
         col = f"{int(ratio * 100)}%w"
         base = None
-        for name in FS_SET:
+        for name in FS_NAMES:
             job = FioJob(op="randrw", bs=4096, fsize=FSIZE, fsync=1, write_ratio=ratio, nops=nops)
             mbps = run_one(name, job).throughput_mb_s
             if name == "Ext4-DAX":
@@ -76,7 +75,7 @@ def fig09(nops: int = 300) -> Table:
 
 def fig10(op: str, bs: int, ops_per_thread: int = 150) -> Table:
     table = Table(title=f"Fig 10 — {op} bs={fmt_size(bs)} MB/s by threads")
-    for name in FS_SET:
+    for name in FS_NAMES:
         for threads in (1, 2, 4, 8, 16):
             job = FioJob(
                 op=op, bs=bs, fsize=FSIZE, fsync=1, threads=threads,
@@ -88,7 +87,7 @@ def fig10(op: str, bs: int, ops_per_thread: int = 150) -> Table:
 
 def fig11(journal_mode: str, transactions: int = 150) -> Table:
     table = Table(title=f"Fig 11 — Mobibench tx/s (journal={journal_mode})")
-    for name in FS_SET:
+    for name in FS_NAMES:
         for mode in ("insert", "update", "delete"):
             fs = make_fs(name, device_size=96 << 20)
             result = run_mobibench(fs, mode=mode, journal_mode=journal_mode, transactions=transactions)
@@ -98,7 +97,7 @@ def fig11(journal_mode: str, transactions: int = 150) -> Table:
 
 def fig12(journal_mode: str, transactions: int = 120) -> Table:
     table = Table(title=f"Fig 12 — TPC-C tpm (journal={journal_mode})")
-    for name in FS_SET:
+    for name in FS_NAMES:
         fs = make_fs(name, device_size=192 << 20)
         table.set(name, "tpm", run_tpcc(fs, journal_mode=journal_mode, transactions=transactions).tpm)
     return table

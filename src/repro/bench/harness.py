@@ -1,9 +1,9 @@
-"""Shared experiment plumbing: run FIO sweeps, render result tables."""
+"""Shared experiment plumbing: run FIO jobs, render result tables."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.bench.registry import device_size_for, make_fs
 from repro.core import MgspConfig
@@ -126,19 +126,3 @@ def run_one(
         )
     return result
 
-
-def sweep_fio(
-    fs_names: Sequence[str],
-    jobs: Sequence[FioJob],
-    title: str,
-    column_of=lambda job: str(job.bs),
-    mgsp_config: Optional[MgspConfig] = None,
-) -> Table:
-    """Run every (fs, job) pair into one table of MB/s."""
-    table = Table(title=title)
-    for job in jobs:
-        col = column_of(job)
-        for fs_name in fs_names:
-            result = run_one(fs_name, job, mgsp_config=mgsp_config)
-            table.set(fs_name, col, result.throughput_mb_s)
-    return table

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core import MgspConfig, MgspFilesystem
-from repro.fs import Ext4, Ext4Dax, Libnvmmio, Nova, Splitfs
+from repro.fs import Ext4, Ext4Dax, Libnvmmio, Nova
 from repro.fsapi.interface import FileSystem
 from repro.nvm.timing import TimingModel
 
@@ -28,8 +28,6 @@ def make_fs(
         return Nova(device_size=device_size, timing=timing)
     if name == "MGSP":
         return MgspFilesystem(device_size=device_size, timing=timing, config=mgsp_config)
-    if name == "SplitFS":
-        return Splitfs(device_size=device_size, timing=timing)
     if name.startswith("Ext4-"):
         mode = name.split("-", 1)[1]
         return Ext4(device_size=device_size, timing=timing, mode=mode)

@@ -26,7 +26,6 @@ class MgspFilesystem(FileSystem):
 
     name = "MGSP"
     kernel_space = False
-    consistency = "operation"
     log_fraction = 0.40
     #: the async write-back flusher replays as a daemon thread
     bg_daemon = True

@@ -66,17 +66,12 @@ class MgspMmap:
         if frame is not None:
             obs.span_end(frame)
         # Reads past EOF within the mapping observe zeros (fresh pages).
-        data = data.ljust(stop - start, b"\0")
-        return data if isinstance(key, slice) else data
+        return data.ljust(stop - start, b"\0")
 
-    def __setitem__(self, key, value: bytes) -> None:
+    def __setitem__(self, key, value: Union[int, bytes]) -> None:
         self._check()
-        if isinstance(key, int):
-            value = bytes(value) if not isinstance(value, (bytes, bytearray)) else value
-            if isinstance(value, int):  # pragma: no cover - defensive
-                value = bytes([value])
         start, stop = self._bounds(key)
-        value = bytes(value)
+        value = bytes([value]) if isinstance(value, int) else bytes(value)
         if len(value) != stop - start:
             raise ValueError(
                 f"store of {len(value)} bytes into a {stop - start}-byte range"

@@ -14,6 +14,5 @@ from repro.fs.ext4 import Ext4
 from repro.fs.ext4dax import Ext4Dax
 from repro.fs.libnvmmio import Libnvmmio
 from repro.fs.nova import Nova
-from repro.fs.splitfs import Splitfs
 
-__all__ = ["Ext4", "Ext4Dax", "Libnvmmio", "Nova", "Splitfs"]
+__all__ = ["Ext4", "Ext4Dax", "Libnvmmio", "Nova"]

@@ -147,7 +147,6 @@ class Ext4(FileSystem):
     """Non-DAX Ext4; ``mode`` selects wb / ordered / journal."""
 
     kernel_space = True
-    consistency = "metadata"
 
     def __init__(self, *args, mode: str = "ordered", **kwargs) -> None:
         if mode not in MODES:

@@ -97,7 +97,6 @@ class Ext4DaxFile(FileHandle):
 class Ext4Dax(FileSystem):
     name = "Ext4-DAX"
     kernel_space = True
-    consistency = "metadata"
 
     def create(self, name: str, capacity: int) -> Ext4DaxFile:
         inode = self.volume.create(name, capacity)

@@ -16,7 +16,7 @@ The model reproduces the behaviours the paper leans on:
   background only under log-space pressure; those ops are recorded on a
   separate background trace whose per-block write locks conflict with
   foreground threads in the multi-thread replay (Fig 9/10).
-- atomicity is only at ``fsync`` granularity (``consistency="fsync"``):
+- atomicity is only at ``fsync`` granularity:
   a crash between syncs loses (redo) or rolls back (undo) unsynced data.
 """
 
@@ -225,7 +225,6 @@ class LibnvmmioFile(FileHandle):
 class Libnvmmio(FileSystem):
     name = "Libnvmmio"
     kernel_space = False
-    consistency = "fsync"
     log_fraction = 0.45
 
     #: start draining in the background past this log-area utilization

@@ -6,7 +6,7 @@ Model of the properties the paper measures:
   of partially-covered pages (CoW write amplification for sub-page
   writes), persists them, commits a checksummed journal entry, then
   swings the per-page pointers in a persistent page table;
-- data atomicity holds for every operation (``consistency="operation"``);
+- data atomicity holds for every operation;
 - ``fsync`` is nearly free (data is already durable at op return);
 - writes serialize on the per-inode log (exclusive inode lock, Fig 10);
 - remapping pages under an mmap costs a TLB shootdown, part of why CoW
@@ -186,7 +186,6 @@ class NovaFile(FileHandle):
 class Nova(FileSystem):
     name = "NOVA"
     kernel_space = True
-    consistency = "operation"
     log_fraction = 0.05  # pages come from the data area instead
 
     def __init__(self, *args, **kwargs) -> None:

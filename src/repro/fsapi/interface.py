@@ -128,8 +128,6 @@ class FileSystem(abc.ABC):
 
     name = "fs"
     kernel_space = True
-    #: What the FS guarantees: "metadata" | "fsync" | "operation"
-    consistency = "metadata"
 
     #: fraction of the device given to the log/CoW area (per-FS override)
     log_fraction = 0.30

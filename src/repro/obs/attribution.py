@@ -20,8 +20,9 @@ the bench breakdown sidecars, and the conservation tests share.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Tuple
+from typing import Dict, List, Tuple
 
+from repro.obs.flight import render_key
 from repro.obs.spans import Telemetry
 
 #: span-name prefix -> fig13 layer, first match wins (order matters:
@@ -143,17 +144,11 @@ def lock_contention(tel: Telemetry, top: int = 10) -> List[Tuple[str, int, float
     wait time descending then key (for deterministic output on ties).
     """
     rows = [
-        (_render_key(key), int(entry[0]), float(entry[1]))
+        (render_key(key), int(entry[0]), float(entry[1]))
         for key, entry in tel.lock_waits.items()
     ]
     rows.sort(key=lambda r: (-r[2], r[0]))
     return rows[:top]
-
-
-def _render_key(key: Hashable) -> str:
-    if isinstance(key, tuple):
-        return "/".join(str(part) for part in key)
-    return str(key)
 
 
 def span_table(tel: Telemetry) -> List[Tuple[str, int, float, float, int]]:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.nvm.crash import CrashPlan, CrashPolicy, policy_words
 
@@ -54,16 +54,27 @@ def _word_list(words: Sequence[int]) -> Dict[str, object]:
     }
 
 
-def kept_words(device, policy: Optional[str], seed: int, crash_after: int,
-               persist_words: Optional[Sequence[int]] = None) -> List[int]:
-    """The persisted-word set a bundle's crash image keeps: an explicit
-    surgical set when given, else the policy's deterministic choice."""
+def crash_verdict(workload, config_name: str, crash_after: int, policy: Optional[str],
+                  seed: int, persist_words: Optional[Sequence[int]] = None, instrument=None):
+    """Re-run *workload* crashed after *crash_after* events, keep an
+    explicit surgical word set when given (else the policy's
+    deterministic choice), compose that crash image and check it if the
+    run crashed. Returns ``(outcome, kept, dropped, image, violations)``."""
     from repro.crashsweep.sweep import PERSIST_PROBABILITY, point_seed
 
+    outcome = workload.run(config_name, CrashPlan(crash_after), instrument=instrument)
+    device = outcome.fs.device
+    candidates = set(device.unfenced_words())
     if persist_words is not None:
-        return sorted(set(int(w) for w in persist_words) & set(device.unfenced_words()))
-    pol = CrashPolicy(policy) if policy is not None else CrashPolicy.DROP_ALL
-    return policy_words(device, pol, point_seed(seed, crash_after), PERSIST_PROBABILITY)
+        kept = sorted(set(int(w) for w in persist_words) & candidates)
+    else:
+        pol = CrashPolicy(policy) if policy is not None else CrashPolicy.DROP_ALL
+        kept = policy_words(device, pol, point_seed(seed, crash_after), PERSIST_PROBABILITY)
+    image = device.crash_image(persist_words=kept)
+    violations = []
+    if outcome.crashed:
+        violations = list(workload.check(image, config_name, outcome.oracles))
+    return outcome, kept, sorted(candidates - set(kept)), image, violations
 
 
 def capture(
@@ -88,35 +99,19 @@ def capture(
     """
     from repro.crashsweep.workloads import get_workload
 
-    workload = get_workload(workload_name)
-
     def instrument(system):
         return (
             attach_telemetry(system, registry=MetricsRegistry()),
             attach_flight(system, capacity=capacity),
         )
 
-    outcome = workload.run(config_name, CrashPlan(crash_after), instrument=instrument)
+    policy_value = policy.value if policy is not None else None
+    outcome, kept, dropped, image, found = crash_verdict(
+        get_workload(workload_name), config_name, crash_after, policy_value, seed,
+        persist_words=persist_words, instrument=instrument,
+    )
     telemetry, flight = outcome.attached
     device = outcome.fs.device
-
-    candidates = sorted(device.unfenced_words())
-    kept = kept_words(
-        device,
-        policy.value if policy is not None else None,
-        seed,
-        crash_after,
-        persist_words=persist_words,
-    )
-    image = device.crash_image(persist_words=kept)
-    found = (
-        list(workload.check(image, config_name, outcome.oracles))
-        if outcome.crashed
-        else []
-    )
-    dropped = sorted(set(candidates) - set(kept))
-
-    policy_value = policy.value if policy is not None else None
     if reproducer is None:
         repro_policy = policy_value or CrashPolicy.DROP_ALL.value
         reproducer = (

@@ -67,7 +67,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.obs.spans import clock_reader, system_clocks
 
 
-def _render_key(key) -> str:
+def render_key(key) -> str:
+    """A lock key as text: tuple parts joined with ``/``."""
     if isinstance(key, tuple):
         return "/".join(str(part) for part in key)
     return str(key)
@@ -195,12 +196,12 @@ class FlightRecorder:
         self.op = None
 
     def on_lock(self, key, mode) -> None:
-        rendered = _render_key(key)
+        rendered = render_key(key)
         self.held_locks[rendered] = str(mode)
         self._append(("lock", self.now(), rendered, str(mode)))
 
     def on_unlock(self, key) -> None:
-        rendered = _render_key(key)
+        rendered = render_key(key)
         self.held_locks.pop(rendered, None)
         self._append(("unlock", self.now(), rendered))
 

@@ -31,8 +31,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence
 
-from repro.nvm.crash import CrashPlan
-
 from repro.obs import blackbox
 from repro.obs.flight import attach_flight
 from repro.obs.registry import MetricsRegistry
@@ -148,18 +146,8 @@ def analyze(bundle: Dict[str, object]) -> Dict[str, object]:
     regions = workload.region_map(full.fs)
 
     # the crashed run: the device state the failure was judged on
-    outcome = workload.run(config_name, CrashPlan(crash_after))
-    device = outcome.fs.device
-    candidates = sorted(device.unfenced_words())
-    kept = blackbox.kept_words(
-        device, policy, seed, crash_after, persist_words=persist_words
-    )
-    dropped = sorted(set(candidates) - set(kept))
-    image = device.crash_image(persist_words=kept)
-    violations = (
-        list(workload.check(image, config_name, outcome.oracles))
-        if outcome.crashed
-        else []
+    outcome, kept, dropped, _image, violations = blackbox.crash_verdict(
+        workload, config_name, crash_after, policy, seed, persist_words=persist_words
     )
     if bundle.get("kind") == "analysis-finding":
         # an ordering fact, not a bad image: it recurs iff the analyzer,
@@ -242,7 +230,7 @@ def analyze(bundle: Dict[str, object]) -> Dict[str, object]:
         "reproduced": bool(violations),
         "violations": violations,
         "bundle_violations": list(bundle.get("violations") or []),
-        "candidate_words": len(candidates),
+        "candidate_words": len(kept) + len(dropped),
         "kept_words": len(kept),
         "dropped_words": len(dropped),
         "words": rows,

@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import attach_analyzer
+from repro.bench.registry import EXT4_MODES, FS_NAMES, make_fs
 from repro.core import MgspConfig, MgspFilesystem
-from repro.fs import Ext4, Ext4Dax, Libnvmmio, Nova, Splitfs
 from repro.nvm.device import NvmDevice
 
 SMALL_DEVICE = 32 << 20
@@ -31,34 +31,9 @@ def mgsp():
     )
 
 
-_FACTORIES = {
-    "Ext4-DAX": lambda size: Ext4Dax(device_size=size),
-    "Ext4-wb": lambda size: Ext4(device_size=size, mode="wb"),
-    "Ext4-ordered": lambda size: Ext4(device_size=size, mode="ordered"),
-    "Ext4-journal": lambda size: Ext4(device_size=size, mode="journal"),
-    "NOVA": lambda size: Nova(device_size=size),
-    "Libnvmmio": lambda size: Libnvmmio(device_size=size),
-    "SplitFS": lambda size: Splitfs(device_size=size),
-    "MGSP": lambda size: MgspFilesystem(device_size=size),
-}
-
-
-def make_filesystem(name, device_size=64 << 20):
-    return _FACTORIES[name](device_size)
+ALL_FS_NAMES = FS_NAMES + EXT4_MODES
 
 
 def make_all_filesystems(device_size=64 << 20):
     """Fresh instances of every file system (for contract tests)."""
-    return [factory(device_size) for factory in _FACTORIES.values()]
-
-
-ALL_FS_NAMES = [
-    "Ext4-DAX",
-    "Ext4-wb",
-    "Ext4-ordered",
-    "Ext4-journal",
-    "NOVA",
-    "Libnvmmio",
-    "SplitFS",
-    "MGSP",
-]
+    return [make_fs(name, device_size=device_size) for name in ALL_FS_NAMES]

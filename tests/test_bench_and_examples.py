@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench.figures import EXPERIMENTS, run_all, tab02
-from repro.bench.harness import Table, run_one, sweep_fio
+from repro.bench.harness import Table, run_one
 from repro.bench.registry import FS_NAMES, device_size_for, make_fs
 from repro.workloads.fio import FioJob
 
@@ -60,12 +60,6 @@ class TestHarness:
         result = run_one("MGSP", FioJob(op="write", bs=4096, fsize=4 << 20, nops=20))
         assert result.fs_name == "MGSP"
         assert result.throughput_mb_s > 0
-
-    def test_sweep_fio(self):
-        jobs = [FioJob(op="write", bs=bs, fsize=4 << 20, nops=20) for bs in (1024, 4096)]
-        table = sweep_fio(("Ext4-DAX", "MGSP"), jobs, title="sweep")
-        assert table.value("MGSP", "4096") > 0
-        assert set(table.rows) == {"Ext4-DAX", "MGSP"}
 
 
 class TestFigures:

@@ -6,12 +6,13 @@ import random
 
 import pytest
 
+from repro.bench.registry import make_fs
 from repro.core import MgspConfig, MgspFilesystem
 from repro.core.verify import verify_file
 from repro.errors import ReadOnlyError
 from repro.fsapi.interface import OpenFlags
 
-from tests.conftest import ALL_FS_NAMES, make_filesystem
+from tests.conftest import ALL_FS_NAMES
 
 CAP = 512 * 1024
 
@@ -88,7 +89,7 @@ class TestCheckpoint:
 class TestReadOnly:
     @pytest.mark.parametrize("name", ALL_FS_NAMES)
     def test_rdonly_blocks_writes_everywhere(self, name):
-        fs = make_filesystem(name, device_size=32 << 20)
+        fs = make_fs(name, device_size=32 << 20)
         f = fs.create("r", 64 * 1024)
         f.write(0, b"data")
         f.close()
@@ -98,7 +99,7 @@ class TestReadOnly:
             ro.write(0, b"nope")
 
     def test_rdwr_default_is_writable(self):
-        fs = make_filesystem("MGSP", device_size=32 << 20)
+        fs = make_fs("MGSP", device_size=32 << 20)
         f = fs.create("r", 64 * 1024)
         f.close()
         rw = fs.open("r")

@@ -63,7 +63,7 @@ class TestDeterminism:
 
 
 class TestPrefill:
-    @pytest.mark.parametrize("fs_name", ["Ext4-DAX", "NOVA", "Libnvmmio", "MGSP", "SplitFS"])
+    @pytest.mark.parametrize("fs_name", ["Ext4-DAX", "NOVA", "Libnvmmio", "MGSP"])
     def test_reads_return_prefilled_pattern(self, fs_name):
         fs = make_fs(fs_name, device_size=64 << 20)
         job = FioJob(op="read", bs=4096, fsize=2 << 20, nops=10)

@@ -6,10 +6,11 @@ import random
 
 import pytest
 
+from repro.bench.registry import make_fs
 from repro.errors import BadFileDescriptor, FileNotFound, FsError
 from repro.fsapi.interface import OpenFlags
 
-from tests.conftest import ALL_FS_NAMES, make_all_filesystems, make_filesystem
+from tests.conftest import ALL_FS_NAMES, make_all_filesystems
 
 CAP = 256 * 1024
 SMALL = 8 * 1024
@@ -17,7 +18,7 @@ SMALL = 8 * 1024
 
 @pytest.fixture(params=ALL_FS_NAMES)
 def any_fs(request):
-    return make_filesystem(request.param, device_size=32 << 20)
+    return make_fs(request.param, device_size=32 << 20)
 
 
 @pytest.fixture
@@ -197,13 +198,6 @@ class TestContract:
 
 
 class TestConsistencyLevels:
-    def test_declared_levels(self):
-        levels = {fs.name: fs.consistency for fs in make_all_filesystems()}
-        assert levels["MGSP"] == "operation"
-        assert levels["NOVA"] == "operation"
-        assert levels["Libnvmmio"] == "fsync"
-        assert levels["Ext4-DAX"] == "metadata"
-
     def test_kernel_vs_user_space(self):
         spaces = {fs.name: fs.kernel_space for fs in make_all_filesystems()}
         assert spaces["MGSP"] is False

@@ -24,6 +24,13 @@ class TestMgspMmap:
         mm[10:11] = b"!"
         assert mm[10] == b"!"
 
+    def test_int_store_is_one_byte(self, mm):
+        mm[3] = 0x41
+        assert mm[3] == b"A"
+        assert mm[3:5] == b"A\0"
+        with pytest.raises(ValueError):
+            mm[4] = 256
+
     def test_negative_index(self, mm):
         mm[len(mm) - 1 : len(mm)] = b"z"
         assert mm[-1] == b"z"

@@ -31,7 +31,6 @@ class TestTopLevel:
             NvmDevice,
             OpenFlags,
             OptaneTiming,
-            Splitfs,
             recover,
             verify_file,
         )
@@ -64,10 +63,9 @@ class TestTopLevel:
             assert module.lstrip().startswith(('"""', "'''")), path
 
     def test_registry_covers_all_filesystems(self):
-        from repro.bench.registry import make_fs
+        from repro.bench.registry import EXT4_MODES, FS_NAMES, make_fs
 
-        for name in ("Ext4-DAX", "Libnvmmio", "NOVA", "MGSP", "SplitFS",
-                     "Ext4-wb", "Ext4-ordered", "Ext4-journal"):
+        for name in FS_NAMES + EXT4_MODES:
             fs = make_fs(name, device_size=32 << 20)
             assert fs.name == name
 
@@ -82,6 +80,33 @@ class TestTopLevel:
             "run_fio", "run_mobibench", "run_tpcc",
         ]
         assert not hasattr(OpenFlags, "ATOMIC")
+
+    def test_comparators_are_the_papers(self):
+        """Ext4 (Fig 1), Ext4-DAX, NOVA and Libnvmmio are what the paper
+        measures MGSP against; the figures name them through the
+        registry, and what a backend promises after a crash is its
+        crash oracle, not a string on the class."""
+        import repro.bench.figures
+        import repro.fs
+        from repro.bench.registry import FS_NAMES
+        from repro.fsapi import FileSystem
+
+        assert sorted(repro.fs.__all__) == ["Ext4", "Ext4Dax", "Libnvmmio", "Nova"]
+        comparator_lists = [
+            name for name, value in vars(repro.bench.figures).items()
+            if isinstance(value, tuple) and "MGSP" in value
+        ]
+        assert comparator_lists == ["FS_NAMES"] and repro.bench.figures.FS_NAMES is FS_NAMES
+        pending, seen = [FileSystem], []
+        while pending:
+            cls = pending.pop()
+            seen.append(cls)
+            pending.extend(cls.__subclasses__())
+        declaring = [
+            cls.__qualname__ for cls in seen
+            if cls.__module__.startswith("repro") and "consistency" in vars(cls)
+        ]
+        assert len(seen) > 5 and declaring == []
 
     def test_infer_events_come_from_the_flight_ring(self):
         """The collector tap is gone for good, not aliased."""

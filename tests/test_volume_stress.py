@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.mmio import MgspMmap
 from repro.errors import AllocationError
-from repro.fs import Ext4Dax, Splitfs
+from repro.fs import Ext4Dax
 from repro.fsapi.volume import Volume
 from repro.nvm.device import NvmDevice
 
@@ -64,15 +64,6 @@ class TestMmapOverBaselines:
         mm[0:5] = b"plain"
         assert mm[0:5] == b"plain"
         assert handle.read(0, 5) == b"plain"
-
-    def test_over_splitfs_staging(self):
-        fs = Splitfs(device_size=64 << 20)
-        handle = fs.create("m", 256 * 1024)
-        mm = MgspMmap(handle)
-        mm[0:6] = b"staged"
-        assert mm[0:6] == b"staged"  # served from staging before relink
-        mm.flush()  # relink
-        assert handle.read(0, 6) == b"staged"
 
     def test_length_bounds_view(self):
         fs = Ext4Dax(device_size=64 << 20)
