@@ -19,28 +19,18 @@ from dataclasses import dataclass, field
 from typing import Callable, ContextManager, Dict, List, Optional, Tuple
 
 from repro.analysis.analyzer import Finding, RegionMap, TraceAnalyzer
+from repro.crashsweep.workloads import RawSystem, get_workload, subjects
 from repro.nvm.crash import count_events
 from repro.nvm.device import NvmDevice
 from repro.obs.flight import attach_flight
 
-#: CLI-friendly aliases -> registry names
-WORKLOAD_ALIASES: Dict[str, str] = {
-    "fio": "fio-randwrite",
-    "txn": "txn-mixed",
-    "ycsb": "ycsb-a",
-}
-CONFIG_ALIASES: Dict[str, str] = {
-    "mgsp-sync": "sync",
-    "mgsp-async": "async",
-}
 
-
-def resolve_workload(name: str) -> str:
-    return WORKLOAD_ALIASES.get(name, name)
-
-
-def resolve_config(name: str) -> str:
-    return CONFIG_ALIASES.get(name, name)
+def cli_names(workload: str, config: str) -> Tuple[str, str]:
+    """(registry name, config name) for the analysis and telemetry CLIs:
+    *workload* is an alias of the ``mgsp`` subject or any registry name,
+    *config* a sweep config, bare or ``mgsp-`` prefixed."""
+    _, aliases = subjects()["mgsp"]
+    return aliases.get(workload, workload), config.removeprefix("mgsp-")
 
 
 def attach_analyzer(
@@ -117,10 +107,7 @@ def run_workload(
     seed: int = 0,
 ) -> AnalysisReport:
     """Replay one crash-sweep workload to completion under the analyzer."""
-    from repro.crashsweep.workloads import get_workload
-
-    wname = resolve_workload(workload)
-    cname = resolve_config(config)
+    wname, cname = cli_names(workload, config)
     wl = get_workload(wname)
     outcome = wl.run(
         cname, instrument=lambda fs: attach_analyzer(fs, perf=perf, max_events=max_events)
@@ -165,8 +152,6 @@ class ProgramCtx:
 
 
 def program_context(device_size: int = PROGRAM_DEVICE_SIZE) -> ProgramCtx:
-    from repro.crashsweep.workloads import RawSystem
-
     system = RawSystem(device_size)
     regions = RegionMap.for_device(device_size)
     analyzer = attach_flight(system).follow(TraceAnalyzer(regions, device=system.device))

@@ -180,6 +180,10 @@ class SweepWorkload:
 
     name: str = "?"
     description: str = ""
+    #: the CLI subject (``--fs``) and its short name for this entry
+    #: (``--workload``); an entry with no alias is named in full only
+    subject: str = "mgsp"
+    alias: Optional[str] = None
     #: configs this workload runs under in a full sweep. Any config name
     #: is *accepted* by :meth:`run` (non-MGSP subjects ignore it), but
     #: :func:`repro.crashsweep.sweep.sweep` only schedules these.
@@ -280,9 +284,11 @@ class FioSweepWorkload(SweepWorkload):
         seed: int,
         sequential: bool = False,
         align: int = 1,
+        alias: Optional[str] = None,
     ) -> None:
         self.name = name
         self.description = description
+        self.alias = alias
         self.sizes = sizes
         self.nops = nops
         self.fsync_every = fsync_every
@@ -319,6 +325,7 @@ class TxnSweepWorkload(SweepWorkload):
 
     name = "txn-mixed"
     description = "plain writes + 2-3-write transactions (commit and rollback)"
+    alias = "txn"
 
     def __init__(self, rounds: int = 45, seed: int = 0x7A7) -> None:
         self.rounds = rounds
@@ -365,6 +372,7 @@ class YcsbSweepWorkload(SweepWorkload):
 
     name = "ycsb-a"
     description = "update-heavy KV mix via the embedded DB (structural checks)"
+    alias = "ycsb"
 
     def __init__(
         self, records: int = 60, operations: int = 60, seed: int = 0x4C5B
@@ -417,6 +425,7 @@ class NovaSweepWorkload(FioSweepWorkload):
     only one config is scheduled; the name is accepted and ignored.
     """
 
+    subject = "nova"
     supported_configs = ("sync",)
     fname = "n"
 
@@ -455,6 +464,7 @@ class LibnvmmioSweepWorkload(FioSweepWorkload):
     syncs (pinned by the baseline-semantics tests), which no byte-wise
     oracle can bound."""
 
+    subject = "libnvmmio"
     supported_configs = ("sync",)
     oracle_type = FsyncOracle
     fname = "l"
@@ -531,6 +541,8 @@ class PqueueSweepWorkload(SweepWorkload):
 
     name = "pqueue-mpsc"
     description = "durable MPSC queue: 2-phase + one-shot enqueues, dequeues"
+    subject = "pqueue"
+    alias = "mpsc"
     supported_configs = ("sync", "async")
 
     def __init__(self, rounds: int = 8, seed: int = 0x9CE) -> None:
@@ -689,39 +701,67 @@ WORKLOADS: Dict[str, SweepWorkload] = {
     w.name: w
     for w in (
         FioSweepWorkload("fio-randwrite", "randwrite, 300 ops, fsync every 4",
-                         (64, 512, 2048, 4096), nops=300, fsync_every=4, seed=0xF10),
+                         (64, 512, 2048, 4096), nops=300, fsync_every=4, seed=0xF10,
+                         alias="fio"),
         FioSweepWorkload("fio-write", "write, 300 ops, fsync every 8", (64, 512, 2048, 4096),
                          nops=300, fsync_every=8, seed=0xF11, sequential=True),
         TxnSweepWorkload(),
         YcsbSweepWorkload(),
         NovaSweepWorkload("nova-fio", "NOVA CoW randwrite, 40 ops (per-op atomic oracle)",
-                          (512, 4096, 8192), nops=40, fsync_every=8, seed=0x404A),
+                          (512, 4096, 8192), nops=40, fsync_every=8, seed=0x404A, alias="fio"),
         # Page-aligned multi-page bursts: stress the chunked journal commit.
         NovaSweepWorkload("nova-txn", "NOVA CoW multipage, 24 ops (per-op atomic oracle)",
                           (8192, 12288, 20480), nops=24, fsync_every=8, seed=0x404B,
-                          align=4096),
+                          align=4096, alias="txn"),
         LibnvmmioSweepWorkload("libnvmmio-fio",
                                "Libnvmmio redo-log randwrite, 48 ops, fsync every 6",
-                               (64, 1024, 4096), nops=48, fsync_every=6, seed=0x11B0),
+                               (64, 1024, 4096), nops=48, fsync_every=6, seed=0x11B0,
+                               alias="fio"),
         LibnvmmioSweepWorkload("libnvmmio-txn", "Libnvmmio redo-log write, 36 ops, fsync every 4",
                                (2048, 4096), nops=36, fsync_every=4, seed=0x11B1,
-                               sequential=True),
+                               sequential=True, alias="txn"),
         PqueueSweepWorkload(),
     )
 }
 
 
+def registry() -> Dict[str, SweepWorkload]:
+    """:data:`WORKLOADS` plus the planted-bug fixtures, which live in
+    :mod:`repro.infer.fixtures` so the default sweep never schedules them."""
+    from repro.infer.fixtures import FIXTURE_WORKLOADS
+
+    return {**WORKLOADS, **FIXTURE_WORKLOADS}
+
+
 def get_workload(name: str) -> SweepWorkload:
-    workload = WORKLOADS.get(name)
-    if workload is None:
-        # Planted-bug fixtures live in repro.infer so the default CI
-        # sweep never schedules them, but --at reproducers still resolve.
-        try:
-            from repro.infer import fixtures
-        except ImportError:
-            fixtures = None
-        if fixtures is not None:
-            workload = fixtures.FIXTURE_WORKLOADS.get(name)
+    workload = registry().get(name)
     if workload is None:
         raise ValueError(f"unknown workload {name!r}; choices: {sorted(WORKLOADS)}")
     return workload
+
+
+def subjects() -> Dict[str, Tuple[str, Dict[str, str]]]:
+    """The CLI subjects: ``--fs`` name -> (config, {alias -> registry
+    name}). An aliased entry belongs to its ``subject`` under ``sync``
+    and to ``<subject>-<config>`` under each other config it supports."""
+    table: Dict[str, Tuple[str, Dict[str, str]]] = {}
+    for workload in registry().values():
+        for config in workload.supported_configs if workload.alias else ():
+            fs = workload.subject if config == "sync" else f"{workload.subject}-{config}"
+            table.setdefault(fs, (config, {}))[1][workload.alias] = workload.name
+    return table
+
+
+def resolve(fs: str, workload: str) -> Tuple[str, str]:
+    """(registry name, config name) behind a CLI's subject and workload:
+    *workload* is one of *fs*'s aliases or the registry name it stands for."""
+    table = subjects()
+    if fs not in table:
+        raise ValueError(f"unknown fs {fs!r}; choices: {', '.join(sorted(table))}")
+    config_name, aliases = table[fs]
+    name = aliases.get(workload, workload if workload in aliases.values() else None)
+    if name is None:
+        raise ValueError(
+            f"fs {fs!r} has no workload {workload!r}; choices: {', '.join(sorted(aliases))}"
+        )
+    return name, config_name

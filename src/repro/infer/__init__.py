@@ -17,13 +17,12 @@ from repro.infer.events import PersistEvent, Trace, from_flight
 from repro.infer.falsify import RETIREMENTS, Verdict, falsify
 from repro.infer.miner import Candidate, mine
 from repro.infer.report import build_report, render
-from repro.infer.subjects import SUBJECTS, collect_traces, resolve
+from repro.infer.subjects import collect_traces
 
 __all__ = [
     "Candidate",
     "PersistEvent",
     "RETIREMENTS",
-    "SUBJECTS",
     "Trace",
     "Verdict",
     "build_report",
@@ -32,5 +31,4 @@ __all__ = [
     "from_flight",
     "mine",
     "render",
-    "resolve",
 ]

@@ -24,10 +24,11 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.crashsweep.workloads import resolve, subjects
 from repro.infer.falsify import TRUE_BUG, falsify
 from repro.infer.miner import mine
 from repro.infer.report import build_report, render
-from repro.infer.subjects import SUBJECTS, collect_traces, resolve
+from repro.infer.subjects import collect_traces
 
 
 def main(argv=None) -> int:
@@ -43,7 +44,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--fs",
         default="mgsp",
-        choices=sorted(SUBJECTS),
+        choices=sorted(subjects()),
         help="subject system (default mgsp)",
     )
     parser.add_argument(

@@ -56,6 +56,8 @@ class ToyMisorderedWorkload(SweepWorkload):
 
     name = "toy-misordered"
     description = "planted bug: commit word fenced before its data"
+    subject = "planted"
+    alias = "toy"
     supported_configs = ("sync",)
 
     def make_system(self, config_name: str):

@@ -1,14 +1,14 @@
-"""Inference subjects: (fs, workload) aliases → registered sweep
-workloads, plus multi-run trace collection with census parity checks.
+"""Multi-run trace collection with census parity checks.
 
-The CLI surface mirrors ``python -m repro.analysis`` (``--workload fio
---fs mgsp``), but inference also covers the non-MGSP backends and the
-raw-device structures, so the alias table is wider.
+A subject (``--fs``) and its workload aliases are carried by the
+crash-sweep registry entries and resolved by
+:func:`repro.crashsweep.workloads.resolve`; inference covers every
+subject there, the non-MGSP backends and raw-device structures too.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.crashsweep.census import count_events
 from repro.crashsweep.workloads import get_workload
@@ -16,35 +16,9 @@ from repro.crashsweep.workloads import get_workload
 from repro.infer.events import Trace, from_flight
 from repro.obs.flight import attach_flight
 
-#: fs alias -> (config name, {workload alias -> registry workload})
-SUBJECTS: Dict[str, Tuple[str, Dict[str, str]]] = {
-    "mgsp": ("sync", {"fio": "fio-randwrite", "txn": "txn-mixed", "ycsb": "ycsb-a"}),
-    "mgsp-async": ("async", {"fio": "fio-randwrite", "txn": "txn-mixed", "ycsb": "ycsb-a"}),
-    "nova": ("sync", {"fio": "nova-fio", "txn": "nova-txn"}),
-    "libnvmmio": ("sync", {"fio": "libnvmmio-fio", "txn": "libnvmmio-txn"}),
-    "pqueue": ("sync", {"mpsc": "pqueue-mpsc"}),
-    "pqueue-async": ("async", {"mpsc": "pqueue-mpsc"}),
-    "planted": ("sync", {"toy": "toy-misordered"}),
-}
-
-
 class ParityError(RuntimeError):
     """Recorded event count disagrees with the device's census count —
     the index-parity contract with crashsweep is broken."""
-
-
-def resolve(fs: str, workload: str) -> Tuple[str, str]:
-    """(registry workload name, config name) for the CLI aliases."""
-    entry = SUBJECTS.get(fs)
-    if entry is None:
-        raise ValueError(f"unknown fs {fs!r}; choices: {', '.join(sorted(SUBJECTS))}")
-    config_name, table = entry
-    name = table.get(workload, workload if workload in table.values() else None)
-    if name is None:
-        raise ValueError(
-            f"fs {fs!r} has no workload {workload!r}; choices: {', '.join(sorted(table))}"
-        )
-    return name, config_name
 
 
 def collect_trace(

@@ -36,14 +36,13 @@ from repro.obs import attribution, exporters
 
 
 def _workload_registry() -> str:
-    """The full crash-sweep registry (fixtures included) plus aliases —
-    the vocabulary this CLI accepts for ``--workload``."""
-    from repro.analysis.harness import WORKLOAD_ALIASES
-    from repro.crashsweep.workloads import WORKLOADS
+    """The full crash-sweep registry (fixtures included) plus the
+    ``mgsp`` aliases — the vocabulary this CLI accepts for ``--workload``."""
+    from repro.crashsweep.workloads import registry, subjects
 
-    names = sorted(WORKLOADS)
-    aliases = ", ".join(f"{k}->{v}" for k, v in sorted(WORKLOAD_ALIASES.items()))
-    return f"{', '.join(names)} (aliases: {aliases})"
+    _, aliases = subjects()["mgsp"]
+    pairs = ", ".join(f"{k}->{v}" for k, v in sorted(aliases.items()))
+    return f"{', '.join(sorted(registry()))} (aliases: {pairs})"
 
 
 def _postmortem_main(argv: Sequence[str]) -> int:

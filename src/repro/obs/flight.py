@@ -53,10 +53,12 @@ op-end      ``(t_ns, name)``
 mark        ``(t_ns, text)``
 ========== ===========================================================
 
-``spans`` is the tuple of currently-open span names (innermost last)
+``spans`` is Telemetry's span path (open span names, innermost last)
 at the moment of the device event — the "protocol step" forensics the
-postmortem narrator leans on. :func:`device_event` is the one reader
-of the three device rows' positions.
+postmortem narrator leans on. The recorder keeps no span stack of its
+own: ``Telemetry.span_begin`` / ``span_end`` hand it the path after
+each open and after each (self-healed) close. :func:`device_event` is
+the one reader of the three device rows' positions.
 """
 
 from __future__ import annotations
@@ -104,8 +106,8 @@ class FlightRecorder:
         self.event_index = 0
         #: rendered lock key -> mode, in acquisition order
         self.held_locks: Dict[str, str] = {}
-        #: open span names, innermost last; rebuilt when a span opens or
-        #: closes, so a device event records it without copying
+        #: open span names, innermost last: the path Telemetry hands over
+        #: at each span open / close, so a device event records it as is
         self._spans: Tuple[str, ...] = ()
         self.op: Optional[str] = None
         self.op_seq = -1
@@ -207,26 +209,17 @@ class FlightRecorder:
 
     # -- telemetry span hooks -----------------------------------------------
 
-    def on_span_open(self, name: str, t_ns: float) -> None:
-        self._spans += (name,)
+    def on_span_open(self, name: str, t_ns: float, path: Tuple[str, ...]) -> None:
+        self._spans = path
         entry = ("span-open", t_ns, name)
         self._ring.append(entry)
         self.recorded += 1
         if self._folds:
             self._feed(entry)
 
-    def on_span_close(self, name: str, t_ns: float, dur_ns: float) -> None:
-        spans = self._spans
-        if spans and spans[-1] == name:
-            self._spans = spans[:-1]
-        else:
-            # Self-healing parity with Telemetry.span_end: frames
-            # abandoned by an exception unwind never see a close, so pop
-            # through them.
-            depth = len(spans)
-            while depth and spans[depth - 1] != name:
-                depth -= 1
-            self._spans = spans[:max(depth - 1, 0)]
+    def on_span_close(self, name: str, t_ns: float, dur_ns: float,
+                      path: Tuple[str, ...]) -> None:
+        self._spans = path
         entry = ("span-close", t_ns, name, dur_ns)
         self._ring.append(entry)
         self.recorded += 1

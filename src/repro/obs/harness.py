@@ -1,8 +1,8 @@
 """Run deterministic workloads with telemetry attached.
 
-Mirrors :mod:`repro.analysis.harness`: resolve a crash-sweep workload
-and config by the same aliases (``fio`` → ``fio-randwrite``,
-``mgsp-sync`` → ``sync``), attach :func:`~repro.obs.spans.attach_telemetry`
+Mirrors :mod:`repro.analysis.harness`: name a crash-sweep workload and
+config as that CLI does (``fio`` → ``fio-randwrite``, ``mgsp-sync`` →
+``sync``), attach :func:`~repro.obs.spans.attach_telemetry`
 through the workload's ``instrument`` hook (before setup, so the whole
 stream is measured), replay to completion, and hand back an
 :class:`ObsRun` bundling the telemetry with the run's totals.
@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.analysis.harness import cli_names
+from repro.crashsweep.workloads import get_workload
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import Telemetry, attach_telemetry
-
-# Shared CLI vocabulary with the analysis/crashsweep tools.
-from repro.analysis.harness import resolve_config, resolve_workload  # noqa: F401
 
 
 @dataclass
@@ -52,10 +51,7 @@ def run_workload(
     stream and the byte meter's baseline is the fresh device — making
     ``telemetry.total_bytes()`` equal ``DeviceStats.stored_bytes``.
     """
-    from repro.crashsweep.workloads import get_workload
-
-    wname = resolve_workload(workload)
-    cname = resolve_config(config)
+    wname, cname = cli_names(workload, config)
     wl = get_workload(wname)
 
     def instrument(fs):

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from types import SimpleNamespace
-from typing import Callable, Dict, Hashable, List, Optional, Sequence
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import Counter, Histogram, MetricsRegistry
 
 
 def clock_reader(clocks: Sequence[object]) -> Callable[[], float]:
@@ -87,29 +87,37 @@ NULL_SINK = NullSink()
 
 
 class _Frame:
-    """One open span on the stack (identity is the close token)."""
+    """One open span on the stack (identity is the close token). *path*
+    is the tuple of open span names through this one, outermost first."""
 
-    __slots__ = ("name", "start_ns", "start_bytes", "child_ns", "child_bytes")
+    __slots__ = ("name", "start_ns", "start_bytes", "child_ns", "child_bytes", "path")
 
-    def __init__(self, name: str, start_ns: float, start_bytes: int) -> None:
+    def __init__(self, name: str, start_ns: float, start_bytes: int,
+                 path: Tuple[str, ...]) -> None:
         self.name = name
         self.start_ns = start_ns
         self.start_bytes = start_bytes
         self.child_ns = 0.0
         self.child_bytes = 0
+        self.path = path
 
 
 class SpanStats:
-    """Aggregated measurements for one span name."""
+    """Aggregated measurements for one span name, and its registry
+    instruments. A registry may be shared by several sinks, so ``count``
+    and ``total_ns`` are kept here, not read back from ``hist``."""
 
-    __slots__ = ("count", "self_ns", "self_bytes", "total_ns", "total_bytes")
+    __slots__ = ("count", "self_ns", "self_bytes", "total_ns", "total_bytes",
+                 "calls", "hist")
 
-    def __init__(self) -> None:
+    def __init__(self, calls: Counter, hist: Histogram) -> None:
         self.count = 0
         self.self_ns = 0.0
         self.self_bytes = 0
         self.total_ns = 0.0
         self.total_bytes = 0
+        self.calls = calls
+        self.hist = hist
 
 
 #: the byte meter of a sink bound to no device: nothing is ever stored
@@ -134,10 +142,8 @@ class Telemetry:
         #: the byte meter: the bound device's ``DeviceStats``
         self._stats = _NO_DEVICE
         self._stack: List[_Frame] = []
+        #: span name -> its aggregates, created at the first close of that name
         self.spans: Dict[str, SpanStats] = {}
-        #: span name -> (SpanStats, span_calls_total, span_ns), resolved
-        #: at the first close of that name
-        self._handles: Dict[str, tuple] = {}
         #: lock key -> [blocked acquires, total wait ns] (replay engine)
         self.lock_waits: Dict[Hashable, List[float]] = {}
         self._lock_wait_meters: Optional[tuple] = None
@@ -190,16 +196,19 @@ class Telemetry:
     # -- spans -------------------------------------------------------------
 
     def span_begin(self, name: str) -> _Frame:
-        frame = _Frame(name, self.now(), self._stats.stored_bytes)
-        self._stack.append(frame)
+        stack = self._stack
+        path = stack[-1].path + (name,) if stack else (name,)
+        frame = _Frame(name, self.now(), self._stats.stored_bytes, path)
+        stack.append(frame)
         if self.flight is not None:
-            self.flight.on_span_open(name, frame.start_ns)
+            self.flight.on_span_open(name, frame.start_ns, path)
         return frame
 
     def span_end(self, frame: _Frame) -> None:
         """Close *frame*. Self-healing: frames opened after *frame* and
         never closed (an exception unwound past their span_end) are
-        discarded — their time folds into *frame*'s self time."""
+        discarded — their time folds into *frame*'s self time. The
+        flight recorder is handed the surviving path."""
         stack = self._stack
         if stack and stack[-1] is frame:
             del stack[-1]
@@ -213,11 +222,10 @@ class Telemetry:
         ns = self.now() - frame.start_ns
         nbytes = self._stats.stored_bytes - frame.start_bytes
         try:
-            agg, calls, hist = self._handles[name]
+            agg = self.spans[name]
         except KeyError:
             reg = self.registry
-            agg, calls, hist = self._handles[name] = (
-                self.spans.setdefault(name, SpanStats()),
+            agg = self.spans[name] = SpanStats(
                 reg.counter("span_calls_total", span=name),
                 reg.histogram("span_ns", span=name),
             )
@@ -230,13 +238,15 @@ class Telemetry:
             parent = stack[-1]
             parent.child_ns += ns
             parent.child_bytes += nbytes
+            path = parent.path
         else:
             self._root_ns += ns
             self._root_bytes += nbytes
-        calls.value += 1.0
-        hist.observe(ns)
+            path = ()
+        agg.calls.value += 1.0
+        agg.hist.observe(ns)
         if self.flight is not None:
-            self.flight.on_span_close(name, frame.start_ns + ns, ns)
+            self.flight.on_span_close(name, frame.start_ns + ns, ns, path)
 
     @contextmanager
     def span(self, name: str):

@@ -119,3 +119,44 @@ def test_ablations_keep_single_write_atomicity(name, cfg):
             new = bytearray(ref)
             new[off : off + 3000] = payload
             assert got in (old, bytes(new)), (name, crash_after)
+
+
+OVERSIZED_OFF, OVERSIZED_LEN = 21_008, 65_808  # needs 17 terminal nodes
+
+
+def torn_oversized_write_points(degree, persist_probability):
+    """Crash one 65,808-byte write at every persistence event; return the
+    crash points whose recovered range is neither all old nor all new."""
+    config = MgspConfig(degree=degree)
+    old, new = b"\x01" * OVERSIZED_LEN, b"\x02" * OVERSIZED_LEN
+    torn = []
+    crash_after = 0
+    while True:
+        fs = MgspFilesystem(device_size=4 << 20, config=config)
+        f = fs.create("f", capacity=256 << 10)
+        f.write(0, b"\x01" * (200 << 10))
+        f.fsync()
+        fs.device.drain()
+        fs.device.attach(CrashPlan(crash_after))
+        try:
+            f.write(OVERSIZED_OFF, new)
+        except CrashRequested:
+            pass
+        else:
+            return torn
+        image = fs.device.crash_image(rng=random.Random(crash_after),
+                                      persist_probability=persist_probability)
+        fs2, _ = recover(NvmDevice.from_image(image), config=config)
+        if fs2.open("f").read(OVERSIZED_OFF, OVERSIZED_LEN) not in (old, new):
+            torn.append(crash_after)
+        crash_after += 1
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "MgspFile.write splits a write whose commit set needs more than "
+    "MAX_SLOTS metadata slots into two independently atomic halves; "
+    "ROADMAP item 2(b) replaces the split with one TXN_MEMBER chain"))
+@pytest.mark.parametrize("persist_probability", [0.0, 1.0])
+@pytest.mark.parametrize("degree", [16, 64])
+def test_oversized_write_is_atomic_at_every_crash_point(degree, persist_probability):
+    assert torn_oversized_write_points(degree, persist_probability) == []

@@ -25,10 +25,11 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.harness import run_workload
+from repro.crashsweep.workloads import resolve
 
 from repro.infer.falsify import falsify
 from repro.infer.miner import NEVER_TORN, PERSIST_BEFORE, mine
-from repro.infer.subjects import collect_traces, resolve
+from repro.infer.subjects import collect_traces
 
 MGSP_REGIONS = {"superblock", "node_tables", "metalog", "log_area", "data_area"}
 

@@ -18,7 +18,7 @@ from repro.nvm.crash import CrashPlan, count_events
 from repro.nvm.device import NvmDevice
 from repro.obs.flight import FlightRecorder, attach_flight
 from repro.obs.registry import MetricsRegistry
-from repro.obs.spans import attach_telemetry
+from repro.obs.spans import Telemetry, attach_telemetry
 
 
 def _run(workload_name, config, crash_after=None, flight_capacity=None):
@@ -124,7 +124,7 @@ def test_unbounded_ring_keeps_everything():
 def test_held_locks_and_span_stack():
     flight = FlightRecorder(capacity=0)
     flight.on_lock("inode:3", "X")
-    flight.on_span_open("op.write", 0.0)
+    flight.on_span_open("op.write", 0.0, ("op.write",))
     flight.on_store(4096, 64, "store")
     assert flight.held_locks_snapshot() == [["inode:3", "X"]]
     store = [e for e in flight.events_list() if e[0] == "store"][0]
@@ -179,16 +179,36 @@ def test_drain_resets_ring_and_index():
     assert flight.events_list() == []
 
 
+def _linked_telemetry():
+    tel = Telemetry(registry=MetricsRegistry())
+    tel.flight = FlightRecorder(capacity=0)
+    return tel, tel.flight
+
+
 def test_span_close_heals_through_abandoned_spans():
-    """A close pops through frames an exception unwound past, exactly
-    like Telemetry.span_end; an unknown name empties the stack."""
-    flight = FlightRecorder(capacity=0)
-    for name in ("op.write", "write.log", "mgl.acquire"):
-        flight.on_span_open(name, 0.0)
-    flight.on_span_close("write.log", 1.0, 1.0)  # mgl.acquire was abandoned
+    """Telemetry.span_end pops through frames an exception unwound past,
+    and the recorder's next device event carries the healed path; a
+    frame already healed away closes nothing."""
+    tel, flight = _linked_telemetry()
+    outer, log, _ = (tel.span_begin(name) for name in ("op.write", "write.log", "mgl.acquire"))
+    tel.span_end(log)  # mgl.acquire was abandoned
     flight.on_fence()
     assert flight.events_list()[-1][-1] == ("op.write",)
-    flight.on_span_close("never-opened", 2.0, 0.0)
+    tel.span_end(outer)
+    tel.span_end(log)
+    flight.on_fence()
+    assert flight.events_list()[-1][-1] == ()
+    assert [e[2] for e in flight.events_list() if e[0] == "span-close"] == ["write.log", "op.write"]
+
+
+def test_heal_with_a_repeated_span_name():
+    """Closing an outer span heals through an inner span of the same
+    name: the stamp follows the frames, not the names."""
+    tel, flight = _linked_telemetry()
+    outer = tel.span_begin("op.write")
+    tel.span_begin("write.log")
+    tel.span_begin("op.write")
+    tel.span_end(outer)
     flight.on_fence()
     assert flight.events_list()[-1][-1] == ()
 
