@@ -40,10 +40,9 @@ def test_fig10_service_scalability(bench_table):
     # throughput by < 25% at any shard count (the Fig-10 plateau).
     for shards in (1, 2, 4):
         assert abs(mbs(1000, shards) - mbs(256, shards)) < 0.25 * mbs(256, shards)
-    # Everything admitted made it through, and latency stayed sane.
+    # Everything admitted made it through.
     for row in result.rows:
         assert row["admitted"] == row["tenants"] * SPEC.ops_per_tenant
-        assert 0 < row["p50_ns"] <= row["p99_ns"]
         assert all(0.0 <= u <= 1.0 for u in row["shard_utilization"])
 
     EXPORT_PATH.write_text(result.to_json())

@@ -183,7 +183,7 @@ class TraceAnalyzer:
                 self.event_index = 0
                 self.saturated = False
             return
-        kind, idx, offset, length, aux, op = event
+        kind, idx, offset, length, aux, op, _spans = event
         self.event_index = idx + 1
         if self.max_events is not None and idx >= self.max_events:
             if not self.saturated:  # past the analysis budget

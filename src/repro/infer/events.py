@@ -70,7 +70,7 @@ def from_flight(entries, regions, max_events: Optional[int] = None) -> List[Pers
             if entry[0] == "op-begin":
                 op_seq = entry[3]
             continue
-        kind, index, offset, length, aux, op = event
+        kind, index, offset, length, aux, op, _spans = event
         if max_events is not None and index >= max_events:
             break
         store_kind = aux if kind == STORE else ""

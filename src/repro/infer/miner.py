@@ -1,10 +1,11 @@
 """Likely-invariant mining over persistence-event traces (WITCHER-style).
 
-The miner replays each trace's durability offline — per 8-byte word,
-``dirty`` (cached store, unflushed: evictable any time) → ``pending``
-(flushed, or written non-temporally, but unfenced: persists iff the
-crash keeps it) → durable (fenced) — and emits *candidate invariants*
-in three families:
+The miner replays each trace's durability offline through the shared
+:class:`repro.obs.flight.WordDurability` — per 8-byte word, ``dirty``
+(cached store, unflushed: evictable any time) → ``pending`` (flushed,
+or written non-temporally, but unfenced: persists iff the crash keeps
+it) → durable (fenced) — and emits *candidate invariants* in three
+families:
 
 ``persist-before(A → B)``
     Within every operation that stores to both regions, A's first store
@@ -43,9 +44,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.util import CACHE_LINE
-
 from repro.infer.events import FENCE, FLUSH, STORE, Trace
+from repro.obs.flight import WordDurability, words_of
 
 PERSIST_BEFORE = "persist-before"
 NEVER_TORN = "never-torn"
@@ -58,15 +58,24 @@ _LEVELS = {"dirty": 0, "pending": 1, "durable": 2}
 _SKIP_REGIONS = frozenset({"unmapped", ""})
 
 
-def words_of(offset: int, length: int) -> List[int]:
-    """8-byte word offsets covering ``[offset, offset+length)``."""
-    start = offset & ~7
-    end = (offset + length + 7) & ~7
-    return list(range(start, end, 8))
-
-
 def _weaker(a: str, b: str) -> str:
     return a if _LEVELS[a] <= _LEVELS[b] else b
+
+
+def level_of(durability: WordDurability, words) -> str:
+    """The weakest level among *words* (a word not in the lattice is
+    durable)."""
+    level = "durable"
+    for w in words:
+        s = durability.state.get(w)
+        if s is not None:
+            level = _weaker(level, s)
+    return level
+
+
+def live_subset(durability: WordDurability, words) -> List[int]:
+    """The not-yet-durable words among *words*, sorted."""
+    return sorted(w for w in words if w in durability.state)
 
 
 @dataclass
@@ -105,44 +114,6 @@ class Candidate:
         return "active"
 
 
-class _Durability:
-    """Word-granular replay of the x86+ADR durability lattice.
-
-    Cached stores (``store``/``atomic``) are ``dirty`` until flushed,
-    ``pending`` until fenced. Non-temporal stores skip the cache: they
-    are ``pending`` immediately (the next fence alone drains them).
-    """
-
-    def __init__(self) -> None:
-        self.state: Dict[int, str] = {}  # word -> "dirty"|"pending"
-
-    def store(self, offset: int, length: int, kind: str) -> None:
-        level = "pending" if kind == "nt" else "dirty"
-        for w in words_of(offset, length):
-            self.state[w] = level
-
-    def flush(self, offset: int, length: int) -> None:
-        start = offset & -CACHE_LINE
-        end = (offset + length + CACHE_LINE - 1) & -CACHE_LINE
-        for w in range(start, end, 8):
-            if self.state.get(w) == "dirty":
-                self.state[w] = "pending"
-
-    def fence(self) -> None:
-        self.state = {w: s for w, s in self.state.items() if s != "pending"}
-
-    def level_of(self, words) -> str:
-        level = "durable"
-        for w in words:
-            s = self.state.get(w)
-            if s is not None:
-                level = _weaker(level, s)
-        return level
-
-    def live_subset(self, words) -> List[int]:
-        return sorted(w for w in words if w in self.state)
-
-
 class _OpScope:
     """Per-operation accumulation for one region."""
 
@@ -156,7 +127,7 @@ class _OpScope:
 
 def _mine_run(trace: Trace, canonical: bool) -> Dict[Tuple[str, str, str], Candidate]:
     """Mine one run. Witnesses are recorded only on the canonical run."""
-    durability = _Durability()
+    durability = WordDurability()
     found: Dict[Tuple[str, str, str], Candidate] = {}
 
     def cand(family: str, a: str, b: str = "") -> Candidate:
@@ -208,14 +179,14 @@ def _mine_run(trace: Trace, canonical: bool) -> Dict[Tuple[str, str, str], Candi
                 }
         for region, scope in sorted(op_regions.items()):
             c = cand(FENCED_BY_OP_END, region)
-            live = durability.live_subset(scope.words)
+            live = live_subset(durability, scope.words)
             if live:
                 c.violations += 1
                 if canonical and c.violation_witness is None:
                     c.violation_witness = {
                         "end_index": end_index,
                         "live_words": live,
-                        "level": durability.level_of(live),
+                        "level": level_of(durability, live),
                     }
             else:
                 c.support += 1
@@ -260,8 +231,8 @@ def _mine_run(trace: Trace, canonical: bool) -> Dict[Tuple[str, str, str], Candi
                     for other, scope in op_regions.items():
                         a_words = sorted(scope.words)
                         op_pairs[(other, region)] = {
-                            "level": durability.level_of(a_words),
-                            "a_live": durability.live_subset(a_words),
+                            "level": level_of(durability, a_words),
+                            "a_live": live_subset(durability, a_words),
                             "a_words": a_words,
                             "b_event": event,
                             "post_fence_index": None,
@@ -280,8 +251,8 @@ def _mine_run(trace: Trace, canonical: bool) -> Dict[Tuple[str, str, str], Candi
                         continue
                     b_event = obs["b_event"]
                     b_words = words_of(b_event.offset, b_event.length)
-                    a_live = durability.live_subset(obs["a_words"])
-                    if a_live and not durability.live_subset(b_words):
+                    a_live = live_subset(durability, obs["a_words"])
+                    if a_live and not live_subset(durability, b_words):
                         obs["post_fence_index"] = event.index + 1
                         obs["a_live_post_fence"] = a_live
 

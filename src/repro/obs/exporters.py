@@ -96,7 +96,6 @@ _HELP: Dict[str, str] = {
     "recovery_entries_replayed": "Log entries replayed during recovery.",
     "recovery_log_bytes_written_back": "Log bytes written back during recovery.",
     "service_admission_rejects_total": "Requests rejected by tenant token buckets.",
-    "service_latency_ns": "Per-request virtual latency across all tenants.",
     "service_shard_makespan_ns": "Replay makespan of the shard's streams.",
     "service_shard_utilization": "Busy channel time over makespan x channels.",
     "service_tenant_errors_total": "Tenant requests that raised a service error.",

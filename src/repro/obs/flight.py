@@ -59,6 +59,12 @@ postmortem narrator leans on. The recorder keeps no span stack of its
 own: ``Telemetry.span_begin`` / ``span_end`` hand it the path after
 each open and after each (self-healed) close. :func:`device_event` is
 the one reader of the three device rows' positions.
+
+:class:`WordDurability` is the one word-granular replay of the x86+ADR
+durability lattice that the offline folds share: the ``repro.infer``
+miner drives it over its events, the post-mortem over device rows. A
+clwb moves every dirty word of each 64 B line it touches, as the
+device's store buffer does.
 """
 
 from __future__ import annotations
@@ -67,6 +73,7 @@ from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.spans import clock_reader, system_clocks
+from repro.util import CACHE_LINE
 
 
 def render_key(key) -> str:
@@ -77,16 +84,60 @@ def render_key(key) -> str:
 
 
 def device_event(entry) -> Optional[tuple]:
-    """``(kind, index, offset, length, aux, op)`` of a store / flush /
-    fence row — a ring tuple or a bundle's list — else ``None``. *aux*
-    is the store kind of a store and ``nlines`` of a flush; a fence has
-    no range (``0, 0, ""``)."""
+    """``(kind, index, offset, length, aux, op, spans)`` of a store /
+    flush / fence row — a ring tuple or a bundle's list — else ``None``.
+    *aux* is the store kind of a store and ``nlines`` of a flush; a
+    fence has no range (``0, 0, ""``)."""
     kind = entry[0]
     if kind == "store" or kind == "flush":
-        return kind, entry[1], entry[3], entry[4], entry[5], entry[6]
+        return kind, entry[1], entry[3], entry[4], entry[5], entry[6], entry[7]
     if kind == "fence":
-        return kind, entry[1], 0, 0, "", entry[3]
+        return kind, entry[1], 0, 0, "", entry[3], entry[4]
     return None
+
+
+def words_of(offset: int, length: int) -> List[int]:
+    """8-byte word offsets covering ``[offset, offset+length)``."""
+    start = offset & ~7
+    end = (offset + length + 7) & ~7
+    return list(range(start, end, 8))
+
+
+class WordDurability:
+    """Word-granular replay of the x86+ADR durability lattice.
+
+    Cached stores (``store``/``atomic``) are ``dirty`` until a clwb
+    covers their line, ``pending`` until fenced. Non-temporal stores
+    skip the cache: they are ``pending`` immediately (the next fence
+    alone drains them). Durable words leave :attr:`state`.
+    """
+
+    def __init__(self) -> None:
+        self.state: Dict[int, str] = {}  # word -> "dirty"|"pending"
+
+    def store(self, offset: int, length: int, kind: str) -> None:
+        level = "pending" if kind == "nt" else "dirty"
+        for w in words_of(offset, length):
+            self.state[w] = level
+
+    def flush(self, offset: int, length: int) -> List[int]:
+        """clwb every line of the range; returns the words moved dirty →
+        pending."""
+        state = self.state
+        start = offset & -CACHE_LINE
+        end = (offset + length + CACHE_LINE - 1) & -CACHE_LINE
+        moved = [w for w in range(start, end, 8) if state.get(w) == "dirty"]
+        for w in moved:
+            state[w] = "pending"
+        return moved
+
+    def fence(self) -> List[int]:
+        """sfence; returns the words it made durable."""
+        state = self.state
+        made = [w for w, level in state.items() if level == "pending"]
+        for w in made:
+            del state[w]
+        return made
 
 
 class FlightRecorder:

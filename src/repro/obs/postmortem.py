@@ -28,19 +28,15 @@ bundle describes; the narration is evidence, not reconstruction.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.obs import blackbox
-from repro.obs.flight import attach_flight
+from repro.obs.flight import WordDurability, attach_flight, device_event, words_of
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import attach_telemetry
 
 #: per-word detail rows kept in the JSON report (grouping covers the rest)
 MAX_WORD_ROWS = 64
-
-#: word size of the store buffer's persist granularity
-WORD = 8
 
 
 def _run_with_flight(workload, config_name: str):
@@ -52,78 +48,48 @@ def _run_with_flight(workload, config_name: str):
     return outcome, outcome.attached
 
 
-def _device_events(events: Sequence[tuple]) -> List[tuple]:
-    return [ev for ev in events if ev[0] in ("store", "flush", "fence")]
-
-
-def _forensics(events: Sequence[tuple], words: Sequence[int], crash_after: int):
-    """One pass over the full event stream; per tracked word, find the
-    last pre-crash store (the writer) and the first at-or-post-crash
-    fence that makes it durable (the saver)."""
-    ordered = sorted(words)
+def _forensics(entries: Sequence[tuple], words: Sequence[int], crash_after: int):
+    """One pass over the full event stream through the shared durability
+    lattice; per tracked word, find the last pre-crash store (the writer)
+    and the first at-or-post-crash fence that makes it durable (the saver)."""
     info: Dict[int, dict] = {
         w: {
             "writer": None,
             "saved_by": None,
             "flushed_before_crash": False,
             "rewritten_before_save": False,
-            "_state": "clean",
         }
-        for w in ordered
+        for w in sorted(words)
     }
-
-    def covered(offset: int, length: int) -> List[int]:
-        out = []
-        i = bisect_left(ordered, offset - (WORD - 1))
-        end = offset + length
-        while i < len(ordered) and ordered[i] < end:
-            out.append(ordered[i])
-            i += 1
-        return out
-
-    pending: set = set()
-    for ev in events:
-        kind = ev[0]
+    lattice = WordDurability()
+    for entry in entries:
+        event = device_event(entry)
+        if event is None:
+            continue
+        kind, idx, offset, length, aux, op, spans = event
         if kind == "store":
-            _, idx, _t, offset, length, store_kind, op, spans = ev
-            for w in covered(offset, length):
-                rec = info[w]
+            lattice.store(offset, length, aux)
+            for w in words_of(offset, length):
+                rec = info.get(w)
+                if rec is None:
+                    continue
                 if idx < crash_after:
-                    rec["writer"] = {
-                        "event": idx,
-                        "kind": store_kind,
-                        "op": op,
-                        "spans": list(spans),
-                    }
+                    rec["writer"] = {"event": idx, "kind": aux, "op": op, "spans": list(spans)}
                 elif rec["saved_by"] is None:
                     rec["rewritten_before_save"] = True
-                if store_kind == "nt":
-                    rec["_state"] = "pending"
-                    pending.add(w)
-                else:
-                    rec["_state"] = "dirty"
-                    pending.discard(w)
         elif kind == "flush":
-            _, idx, _t, offset, length, _nlines, op, spans = ev
-            for w in covered(offset, length):
-                rec = info[w]
-                if rec["_state"] == "dirty":
-                    rec["_state"] = "pending"
-                    pending.add(w)
-                    if idx < crash_after:
-                        rec["flushed_before_crash"] = True
-        elif kind == "fence":
-            _, idx, _t, op, spans = ev
-            if not pending:
-                continue
-            for w in list(pending):
-                rec = info[w]
-                rec["_state"] = "durable"
-                if idx >= crash_after and rec["saved_by"] is None:
-                    rec["saved_by"] = {"event": idx, "op": op, "spans": list(spans)}
-            pending.clear()
-    for rec in info.values():
-        del rec["_state"]
+            moved = lattice.flush(offset, length)
+            if idx < crash_after:
+                for w in moved:
+                    if w in info:
+                        info[w]["flushed_before_crash"] = True
+        else:
+            made_durable = lattice.fence()
+            if idx >= crash_after:
+                for w in made_durable:
+                    rec = info.get(w)
+                    if rec is not None and rec["saved_by"] is None:
+                        rec["saved_by"] = {"event": idx, "op": op, "spans": list(spans)}
     return info
 
 
@@ -142,7 +108,7 @@ def analyze(bundle: Dict[str, object]) -> Dict[str, object]:
 
     # the full passing run: the event stream past the crash point
     full, full_flight = _run_with_flight(workload, config_name)
-    events = _device_events(full_flight.events_list())
+    entries = full_flight.events_list()
     regions = workload.region_map(full.fs)
 
     # the crashed run: the device state the failure was judged on
@@ -155,7 +121,7 @@ def analyze(bundle: Dict[str, object]) -> Dict[str, object]:
         from repro.analysis.analyzer import TraceAnalyzer
 
         analyzer = TraceAnalyzer(regions, async_writeback=full.fs.config.async_writeback)
-        for entry in full_flight.events_list():
+        for entry in entries:
             analyzer(entry)
         violations += [
             f"{finding.rule}: {finding.message}"
@@ -163,7 +129,7 @@ def analyze(bundle: Dict[str, object]) -> Dict[str, object]:
             if finding.rule == bundle.get("rule") and finding.event_index == crash_after
         ]
 
-    info = _forensics(events, dropped, crash_after)
+    info = _forensics(entries, dropped, crash_after)
 
     # group by (region, writer op, innermost span) — the protocol step
     groups: Dict[tuple, dict] = {}
@@ -236,7 +202,7 @@ def analyze(bundle: Dict[str, object]) -> Dict[str, object]:
         "words": rows,
         "words_truncated": len(dropped) > MAX_WORD_ROWS,
         "steps": group_rows,
-        "total_events": len(events),
+        "total_events": full_flight.event_index,
     }
 
 

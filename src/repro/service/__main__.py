@@ -62,12 +62,10 @@ def main(argv=None) -> int:
             with open(args.out, "w") as fh:
                 fh.write(text)
             print(f"wrote {args.out} ({len(result.rows)} rows)")
-        print(f"{'tenants':>8} {'shards':>7} {'MB/s':>10} {'p50 us':>9} "
-              f"{'p99 us':>9} {'rejects':>8}")
+        print(f"{'tenants':>8} {'shards':>7} {'MB/s':>10} {'rejects':>8}")
         for row in result.rows:
             print(f"{row['tenants']:8d} {row['shards']:7d} "
-                  f"{row['throughput_mb_s']:10.1f} {row['p50_ns'] / 1e3:9.2f} "
-                  f"{row['p99_ns'] / 1e3:9.2f} {row['rejected']:8d}")
+                  f"{row['throughput_mb_s']:10.1f} {row['rejected']:8d}")
         return 0
 
     config = ServiceConfig(
@@ -96,7 +94,6 @@ def main(argv=None) -> int:
     print(f"service: {report.tenants} tenants x {report.shards} shard(s)")
     print(f"  makespan    {report.makespan_ns / 1e6:10.3f} ms (virtual)")
     print(f"  throughput  {report.throughput_mb_s:10.1f} MB/s")
-    print(f"  latency     p50 {report.p50_ns / 1e3:.2f} us   p99 {report.p99_ns / 1e3:.2f} us")
     print(f"  admission   {report.admitted} admitted, {report.rejected} rejected")
     for shard in report.per_shard:
         print(f"  shard {shard.shard}: {shard.tenants:4d} tenants  "

@@ -1,8 +1,8 @@
 """Fig-10-style service scalability sweep.
 
 Sweeps tenant counts across shard counts and reports virtual-time
-throughput, latency percentiles, admission rejects, and shard
-utilization per cell. The export is a pure function of the seed — no
+throughput, admission rejects, lock wait and shard utilization per
+cell. The export is a pure function of the seed — no
 wall-clock timestamps anywhere — so two runs with the same seed must
 produce byte-identical JSON (the CI determinism gate re-runs one cell
 and compares bytes).
@@ -105,8 +105,6 @@ def run_cell(spec: SweepSpec, tenants: int, shards: int) -> dict:
         "shards": shards,
         "makespan_ns": report.makespan_ns,
         "throughput_mb_s": round(report.throughput_mb_s, 6),
-        "p50_ns": report.p50_ns,
-        "p99_ns": report.p99_ns,
         "admitted": report.admitted,
         "rejected": report.rejected,
         "total_bytes": report.total_bytes,

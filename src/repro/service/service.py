@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core import MgspConfig, MgspFilesystem
-from repro.obs import MetricsRegistry, attach_telemetry, percentile
+from repro.obs import MetricsRegistry, attach_telemetry
 from repro.service.admission import TenantQuota, TokenBucket
 from repro.service.scheduler import DeficitRoundRobin
 from repro.service.sharding import ShardMap
@@ -60,6 +60,7 @@ class Session:
     handle: object
     bucket: TokenBucket
     traces: List[OpTrace] = field(default_factory=list)
+    # pre-replay, contention-blind; read only by benchmarks/e2e (req_p99_ns)
     latencies_ns: List[float] = field(default_factory=list)
     bytes_written: int = 0
     bytes_read: int = 0
@@ -79,8 +80,6 @@ class TenantReport:
     admitted: int
     rejected: int
     bytes_written: int
-    p50_ns: float
-    p99_ns: float
 
 
 @dataclass
@@ -101,8 +100,6 @@ class ServiceReport:
     total_bytes: int
     admitted: int
     rejected: int
-    p50_ns: float
-    p99_ns: float
     per_shard: List[ShardReport] = field(default_factory=list)
     per_tenant: List[TenantReport] = field(default_factory=list)
 
@@ -312,8 +309,6 @@ class MgspService:
             self._dispatch_shard(shard)
             per_shard.append(self._replay_shard(shard))
 
-        latency_hist = self.registry.histogram("service_latency_ns")
-        all_latencies: List[float] = []
         per_tenant: List[TenantReport] = []
         admitted = rejected = total_bytes = 0
         for tenant in sorted(self.sessions):
@@ -321,9 +316,6 @@ class MgspService:
             admitted += session.bucket.admitted
             rejected += session.bucket.rejected
             total_bytes += session.bytes_written + session.bytes_read
-            all_latencies.extend(session.latencies_ns)
-            for sample in session.latencies_ns:
-                latency_hist.observe(sample)
             per_tenant.append(
                 TenantReport(
                     tenant=tenant,
@@ -331,8 +323,6 @@ class MgspService:
                     admitted=session.bucket.admitted,
                     rejected=session.bucket.rejected,
                     bytes_written=session.bytes_written,
-                    p50_ns=percentile(session.latencies_ns, 50),
-                    p99_ns=percentile(session.latencies_ns, 99),
                 )
             )
         return ServiceReport(
@@ -342,8 +332,6 @@ class MgspService:
             total_bytes=total_bytes,
             admitted=admitted,
             rejected=rejected,
-            p50_ns=percentile(all_latencies, 50),
-            p99_ns=percentile(all_latencies, 99),
             per_shard=per_shard,
             per_tenant=per_tenant,
         )

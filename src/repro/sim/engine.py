@@ -52,39 +52,6 @@ class ReplayResult:
         return total_bytes / (self.makespan_ns * 1e-9)
 
 
-def _batch_segments(segments: List[Segment]) -> List[Segment]:
-    """Coalesce runs of consecutive compute segments into one
-    ``("computes", (ns, ns, ...))`` dispatch.
-
-    Compute segments advance only the owning thread, so a run is one
-    wake-up: the handler replays the per-segment float additions in the
-    original order and pushes the thread once, at its arrival at the
-    next shared-state segment. Every run takes this path (a recorded
-    timeline gets its per-segment entries inside the handler), so the
-    float additions *and* the heap pushes are the same whether or not a
-    timeline is kept: ``seq`` breaks ties between threads at equal
-    virtual time, and a loop that pushed per segment would hand out
-    other ``seq`` values — another schedule.
-    """
-    out: List[Segment] = []
-    i, n = 0, len(segments)
-    while i < n:
-        segment = segments[i]
-        if segment[0] == "compute":
-            j = i + 1
-            while j < n and segments[j][0] == "compute":
-                j += 1
-            if j - i > 1:
-                out.append(("computes", tuple(s[1] for s in segments[i:j])))
-            else:
-                out.append(segment)
-            i = j
-        else:
-            out.append(segment)
-            i += 1
-    return out
-
-
 class _Thread:
     __slots__ = ("tid", "segments", "cursor", "clock", "stats", "wait_started")
 
@@ -133,16 +100,13 @@ class ReplayEngine:
         admission instead of releasing every client at t=0. An arrived
         thread competes for channels and locks exactly like one that
         started at zero; an empty stream simply finishes on arrival.
-
-        Runs of consecutive compute segments are coalesced into single
-        dispatches at flatten time (see :func:`_batch_segments`).
         """
         threads = []
         for tid, traces in enumerate(per_thread_traces):
             segments: List[Segment] = []
             for trace in traces:
                 segments.extend(trace.segments)
-            thread = _Thread(tid, _batch_segments(segments))
+            thread = _Thread(tid, segments)
             thread.stats.ops = len(traces)
             threads.append(thread)
 
@@ -185,29 +149,24 @@ class ReplayEngine:
             kind = segment[0]
 
             if kind == "compute":
-                thread.cursor += 1
-                thread.clock = now + segment[1]
-                thread.stats.compute_ns += segment[1]
-                if record_timeline and segment[1] > 0:
-                    timeline.append((tid, now, thread.clock, "compute"))
-                wake(thread, thread.clock)
-
-            elif kind == "computes":
-                # Batched compute run: one addition per original segment,
-                # in order — (t+a)+b, never t+(a+b).
-                thread.cursor += 1
-                clock = now
+                # A compute run advances only this thread: consume it in
+                # one pop and wake once, at its arrival at the next shared
+                # segment. One addition per segment, in recorded order —
+                # (t+a)+b, never t+(a+b) — and one push per run whether or
+                # not a timeline is kept, since ``seq`` breaks ties.
+                segments, cursor = thread.segments, thread.cursor
                 stats = thread.stats
-                if record_timeline:
-                    at = now
-                    for ns in segment[1]:
-                        if ns > 0:
-                            timeline.append((tid, at, at + ns, "compute"))
-                        at += ns
-                for ns in segment[1]:
+                clock = now
+                while True:
+                    ns = segments[cursor][1]
+                    if record_timeline and ns > 0:
+                        timeline.append((tid, clock, clock + ns, "compute"))
                     clock += ns
                     stats.compute_ns += ns
-                thread.clock = clock
+                    cursor += 1
+                    if cursor == len(segments) or segments[cursor][0] != "compute":
+                        break
+                thread.cursor = cursor
                 wake(thread, clock)
 
             elif kind == "io":

@@ -14,13 +14,8 @@ import random
 import pytest
 
 from repro.infer.events import FENCE, FLUSH, STORE, PersistEvent, Trace
-from repro.infer.miner import (
-    FENCED_BY_OP_END,
-    NEVER_TORN,
-    PERSIST_BEFORE,
-    mine,
-    words_of,
-)
+from repro.infer.miner import FENCED_BY_OP_END, NEVER_TORN, PERSIST_BEFORE, mine
+from repro.obs.flight import words_of
 
 A, B, C = 0x1000, 0x8000, 0x20000  # one address block per region
 

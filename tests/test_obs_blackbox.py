@@ -110,6 +110,21 @@ def test_postmortem_names_words_and_step(planted_bundle):
     assert "fence at event 5" in text
 
 
+def test_forensics_clwb_covers_the_whole_line():
+    # a clwb of 4096/8 writes back the whole 64 B line, 4104 included,
+    # as the device's store buffer does
+    rows = [
+        ("store", 0, 0.0, 4096, 8, "store", "write", ()),
+        ("store", 1, 0.0, 4104, 8, "store", "write", ()),
+        ("flush", 2, 0.0, 4096, 8, 1, "write", ()),
+        ("fence", 3, 0.0, "write", ()),
+    ]
+    rec = postmortem._forensics(rows, [4104], crash_after=3)[4104]
+    assert rec["flushed_before_crash"] is True
+    assert rec["saved_by"]["event"] == 3
+    assert rec["writer"]["event"] == 1
+
+
 def test_postmortem_cli(planted_bundle, tmp_path):
     path = blackbox.write_bundle(planted_bundle, str(tmp_path))
     assert obs_main(["postmortem", path]) == 0

@@ -202,7 +202,6 @@ class TestServiceWorkload:
         assert report.admitted == 32 and report.rejected == 0
         assert report.total_bytes == 32 * 1024
         assert report.makespan_ns > 0 and report.throughput_mb_s > 0
-        assert 0 < report.p50_ns <= report.p99_ns
         assert len(report.per_shard) == 2
         assert sum(s.tenants for s in report.per_shard) == 8
         for shard in report.per_shard:
@@ -214,7 +213,6 @@ class TestServiceWorkload:
             assert tr.bytes_written == 4 * 1024
         # Metrics landed in the shared registry.
         snap = registry.snapshot()
-        assert any("service_latency_ns" in k for k in snap["histograms"])
         assert any("service_shard_utilization" in k for k in snap["gauges"])
 
     def test_tight_quota_rejects(self):
@@ -240,9 +238,7 @@ class TestServiceWorkload:
             )
             return (
                 r.makespan_ns,
-                r.p50_ns,
-                r.p99_ns,
-                [(t.tenant, t.p50_ns, t.p99_ns) for t in r.per_tenant],
+                [(t.tenant, t.admitted, t.bytes_written) for t in r.per_tenant],
                 [(s.makespan_ns, s.lock_wait_ns) for s in r.per_shard],
             )
 

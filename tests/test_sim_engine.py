@@ -177,8 +177,8 @@ class TestReplayBasics:
 
 class TestBatchedReplayDifferential:
     """Keeping a timeline changes no result: ``record_timeline=True``
-    replays the measured (compute-run batched) schedule and only adds
-    the entries, on real recorded workloads."""
+    replays the measured schedule (one pop per compute run) and only
+    adds the entries, on real recorded workloads."""
 
     def _compare(self, streams, background=0, lock_ns=0.0, channels=4):
         engine = ReplayEngine(timing(channels=channels, lock_ns=lock_ns))
@@ -226,8 +226,9 @@ class TestBatchedReplayDifferential:
         self._compare(streams, lock_ns=50.0, channels=2)
 
     def test_batching_disabled_when_recording_timeline(self):
-        # The name is pinned, not true: batching stays on and the batched
-        # handler emits the per-segment entries itself.
+        # The name is pinned, not true: there is no batched handler. The
+        # one compute branch consumes a run in one pop either way and
+        # emits the per-segment entries itself.
         segs = [("compute", 5.0), ("compute", 7.0), ("io", 10.0)]
         streams = [[OpTrace(name="t", segments=segs)]]
         engine = ReplayEngine(timing())
@@ -251,6 +252,30 @@ class TestBatchedReplayDifferential:
             t += v
         assert batched.makespan_ns == t
         assert batched.threads[0].compute_ns == t
+
+    def test_compute_run_across_ops_ends_the_stream(self):
+        # Op a's trailing computes and op b's leading ones are one run,
+        # and no non-compute segment follows it: the run ends the stream.
+        head = [("io", 10.0), ("compute", 0.1), ("compute", 0.2)]
+        tail = [("compute", 0.3), ("compute", 1e-9), ("compute", 7.7)]
+        streams = [
+            [OpTrace(name="a", segments=head), OpTrace(name="b", segments=tail)],
+            [OpTrace(name="c", segments=[("compute", 1.0), ("io", 5.0)])],
+        ]
+        self._compare(streams, channels=1)
+        engine = ReplayEngine(timing(channels=1))
+        batched = engine.run(streams)
+        reference = engine.run(streams, record_timeline=True)
+        finish, compute = 10.0, 0.0  # the io, then the one compute run
+        for _kind, ns in head[1:] + tail:
+            finish += ns
+            compute += ns
+        for result in (batched, reference):
+            assert result.threads[0].compute_ns == compute
+            assert result.threads[0].finish_ns == finish
+            assert result.threads[0].ops == 2
+            assert result.makespan_ns == max(finish, result.threads[1].finish_ns)
+        assert len([ev for ev in reference.timeline if ev[0] == 0 and ev[3] == "compute"]) == 5
 
     @pytest.mark.parametrize("seed, nops", [(2, 6000), (4, 2000), (5, 2000)])
     def test_timeline_is_the_measured_schedule(self, seed, nops):
