@@ -72,7 +72,6 @@ SANCTIONED_STORE_PREFIXES: Tuple[str, ...] = (
     "repro/core",
     "repro/fs",
     "repro/fsapi",
-    "repro/db/pqueue.py",  # durable MPSC queue speaks the device protocol directly
 )
 
 #: module prefixes whose execution must be seed-deterministic (they run
@@ -85,7 +84,6 @@ REPLAYABLE_PREFIXES: Tuple[str, ...] = (
     "repro/crashsweep",
     "repro/obs",
     "repro/infer",
-    "repro/db/pqueue.py",
     "repro/service",
 )
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, ContextManager, Dict, List, Optional, Tuple
 
 from repro.analysis.analyzer import Finding, RegionMap, TraceAnalyzer
+from repro.crashsweep.sweep import reproducer
 from repro.crashsweep.workloads import RawSystem, get_workload, subjects
 from repro.nvm.crash import count_events
 from repro.nvm.device import NvmDevice
@@ -65,10 +66,8 @@ class AnalysisReport:
         return [f for f in self.findings if f.severity == "error"]
 
     def reproducer(self, finding: Finding) -> str:
-        return (
-            f"python -m repro.crashsweep --workload {self.workload}"
-            f" --configs {self.config_name} --policies keep_all"
-            f" --at {finding.event_index} --seed {self.seed}"
+        return reproducer(
+            self.workload, self.config_name, "keep_all", finding.event_index, self.seed
         )
 
     def format(self, detail_limit: int = 10) -> str:

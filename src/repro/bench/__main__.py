@@ -8,8 +8,6 @@ Usage::
     python -m repro.bench -o report.txt   # also write a report file
     python -m repro.bench tab02 --breakdown tab02.obs.json
                                           # + per-run telemetry sidecar
-    python -m repro.bench fig08-write --profile fig08.pstats
-                                          # + cProfile sidecar (pstats)
     python -m repro.bench e2e [--workload W] [--seed N] [--seconds S]
                                           # run benchmarks/e2e/run.py, append
                                           # rows to BENCH_e2e.json (bench/e2e.py)
@@ -50,13 +48,6 @@ def main(argv=None) -> int:
         help="write a merged Chrome trace-event JSON of every run's span "
         "timeline (one Perfetto process per run; load at ui.perfetto.dev)",
     )
-    parser.add_argument(
-        "--profile",
-        metavar="FILE",
-        help="run the selected experiments under cProfile and dump pstats "
-        "data to FILE (inspect with `python -m pstats FILE`); the top "
-        "cumulative functions are printed to stderr",
-    )
     args = parser.parse_args(argv)
 
     if args.list:
@@ -78,17 +69,9 @@ def main(argv=None) -> int:
         traces = []
         collect_perfetto(traces)
 
-    profiler = None
-    if args.profile:
-        import cProfile
-
-        profiler = cProfile.Profile()
-
     sections = []
     start = time.time()
     try:
-        if profiler is not None:
-            profiler.enable()
         for name, text in run_all(
             args.experiments or None,
             progress=lambda n: print(f"[{time.time() - start:6.1f}s] running {n} ...", file=sys.stderr),
@@ -97,8 +80,6 @@ def main(argv=None) -> int:
             print(block)
             sections.append(block)
     finally:
-        if profiler is not None:
-            profiler.disable()
         if breakdowns is not None:
             from repro.bench.harness import collect_breakdowns
 
@@ -107,14 +88,6 @@ def main(argv=None) -> int:
             from repro.bench.harness import collect_perfetto
 
             collect_perfetto(None)
-
-    if profiler is not None:
-        import pstats
-
-        profiler.dump_stats(args.profile)
-        stats = pstats.Stats(profiler, stream=sys.stderr)
-        stats.sort_stats("cumulative").print_stats(15)
-        print(f"profile data written to {args.profile}", file=sys.stderr)
 
     if args.output:
         with open(args.output, "w") as fh:

@@ -33,6 +33,14 @@ def point_seed(seed: int, crash_after: int) -> int:
     return seed * 1_000_003 + crash_after
 
 
+def reproducer(workload: str, config: str, policy: str, crash_after: int, seed: int) -> str:
+    """The ``--at`` command line that replays one crash image."""
+    return (
+        f"python -m repro.crashsweep --workload {workload} --configs {config}"
+        f" --policies {policy} --at {crash_after} --seed {seed}"
+    )
+
+
 @dataclass
 class Failure:
     workload: str
@@ -48,10 +56,8 @@ class Failure:
 
     @property
     def reproducer(self) -> str:
-        return (
-            f"python -m repro.crashsweep --workload {self.workload}"
-            f" --configs {self.config_name} --policies {self.policy.value}"
-            f" --at {self.crash_after} --seed {self.seed}"
+        return reproducer(
+            self.workload, self.config_name, self.policy.value, self.crash_after, self.seed
         )
 
 

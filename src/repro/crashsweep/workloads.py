@@ -17,7 +17,6 @@ op-prefix the level permits.
   the group to its write set while ``commit`` runs; staged-but-
   uncommitted writes are *not* pending — they must roll back.
 - :class:`FsyncOracle`, fsync-granular and byte-wise (Libnvmmio).
-- :class:`QueueOracle`, the durable MPSC queue's abstract state.
 
 One driver, :class:`FioSweepWorkload`, issues the single-file write
 stream of MGSP, NOVA and Libnvmmio; the baselines override only
@@ -26,8 +25,9 @@ MGSP workloads run under each named config in :data:`CONFIGS` (``sync``
 is the paper's baseline, ``async`` arms the background write-back
 scheduler) and are judged by
 :func:`repro.crashsweep.invariants.check_image`. The baselines have no
-config axis, so they declare ``supported_configs``; the queue runs on a
-bare :class:`RawSystem` shim.
+config axis, so they declare ``supported_configs``. Raw-device subjects
+(the planted-bug fixtures of :mod:`repro.infer.fixtures`) run on a bare
+:class:`RawSystem` shim.
 
 Subclass hooks: :meth:`make_system` builds the subject, :meth:`check`
 judges a composed crash image, :meth:`region_map` names device regions
@@ -40,8 +40,8 @@ from __future__ import annotations
 import copy
 import random
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core import MgspConfig, MgspFilesystem
 from repro.errors import CrashRequested
@@ -155,7 +155,7 @@ class RunOutcome:
 
 class RawSystem:
     """Bare-device stand-in for a mounted file system: gives raw-NVM
-    subjects (the persistent queue, planted-bug protocols) the same
+    subjects (the planted-bug protocols) the same
     ``device`` / ``recorder`` / ``op()`` surface the sweep and the
     device observers expect from a :class:`~repro.fsapi.interface.FileSystem`.
     """
@@ -494,209 +494,6 @@ class LibnvmmioSweepWorkload(FioSweepWorkload):
         )
 
 
-# -- raw-device subject: the durable MPSC queue -----------------------------
-
-PQUEUE_BASE = 4096
-PQUEUE_NSLOTS = 16
-PQUEUE_PAYLOAD_CAP = 48
-
-
-def _pq_payload(counter: int) -> bytes:
-    """Deterministic, per-item-unique payload (maps items back to seqs)."""
-    width = 8 + (counter % 5) * 8
-    return (counter.to_bytes(4, "little") * ((width // 4) + 1))[:width]
-
-
-@dataclass
-class QueueOracle:
-    """Abstract queue state with at most one ambiguous in-flight op."""
-
-    payloads: Dict[int, bytes] = field(default_factory=dict)
-    committed: Set[int] = field(default_factory=set)
-    consumed: Set[int] = field(default_factory=set)
-    inflight_commit: Optional[int] = None
-    inflight_consume: Optional[int] = None
-
-    def legal_live_payload_lists(self) -> List[List[bytes]]:
-        base = self.committed - self.consumed
-        candidates = [set(base)]
-        if self.inflight_commit is not None:
-            candidates.append(base | {self.inflight_commit})
-        if self.inflight_consume is not None:
-            candidates.append(base - {self.inflight_consume})
-        out = []
-        for cand in candidates:
-            lst = [self.payloads[s] for s in sorted(cand)]
-            if lst not in out:
-                out.append(lst)
-        return out
-
-
-class PqueueSweepWorkload(SweepWorkload):
-    """The durable MPSC queue under the sweep: interleaved two-phase
-    enqueues (simulated multi-producer out-of-order commits), one-shot
-    enqueues, and dequeues. ``sync`` persists the header hints per op;
-    ``async`` leaves them stale — recovery must not trust them either
-    way."""
-
-    name = "pqueue-mpsc"
-    description = "durable MPSC queue: 2-phase + one-shot enqueues, dequeues"
-    subject = "pqueue"
-    alias = "mpsc"
-    supported_configs = ("sync", "async")
-
-    def __init__(self, rounds: int = 8, seed: int = 0x9CE) -> None:
-        self.rounds = rounds
-        self.seed = seed
-
-    def make_system(self, config_name: str):
-        return RawSystem(device_size=256 << 10)
-
-    def setup(self, system) -> dict:
-        from repro.db.pqueue import PersistentQueue
-
-        with system.op("format"):
-            queue = PersistentQueue.format(
-                system.device,
-                PQUEUE_BASE,
-                nslots=PQUEUE_NSLOTS,
-                payload_cap=PQUEUE_PAYLOAD_CAP,
-                sync=True,
-            )
-        return {"queue": queue, "oracles": {"queue": QueueOracle()}}
-
-    def body(self, system, state: dict) -> None:
-        queue = state["queue"]
-        queue.sync = self.run_config == "sync"
-        oracle: QueueOracle = state["oracles"]["queue"]
-        rng = random.Random(self.seed)
-        # counter 0 would make the first payload all-zero — a no-op store
-        # on the zeroed slot that degenerates tear probes; start at 1.
-        counter = 1
-
-        def begin(payload):
-            with system.op("enqueue_begin"):
-                return queue.enqueue_begin(payload)
-
-        def commit(pending):
-            oracle.payloads[pending.seq] = pending.payload
-            oracle.inflight_commit = pending.seq
-            with system.op("enqueue_commit"):
-                queue.enqueue_commit(pending)
-            oracle.committed.add(pending.seq)
-            oracle.inflight_commit = None
-
-        def dequeue():
-            live = sorted(oracle.committed - oracle.consumed)
-            expect = live[0] if live else None
-            oracle.inflight_consume = expect
-            with system.op("dequeue"):
-                got = queue.dequeue()
-            oracle.inflight_consume = None
-            if expect is None:
-                assert got is None, "dequeue from empty queue returned an item"
-            else:
-                oracle.consumed.add(expect)
-                assert got == oracle.payloads[expect], "dequeue order violated"
-
-        for _ in range(self.rounds):
-            pa = begin(_pq_payload(counter))
-            counter += 1
-            pb = begin(_pq_payload(counter))
-            counter += 1
-            # Simulated second producer finishing first: out-of-order commit.
-            commit(pb)
-            commit(pa)
-            with system.op("enqueue"):
-                oracle.payloads[queue._tail_seq] = _pq_payload(counter)
-                oracle.inflight_commit = queue._tail_seq
-                queue.enqueue(_pq_payload(counter))
-            oracle.committed.add(oracle.inflight_commit)
-            oracle.inflight_commit = None
-            counter += 1
-            ndeq = 2 if rng.random() < 0.8 else 3
-            for _ in range(ndeq):
-                dequeue()
-
-    def run(self, config_name, plan=None, instrument=None):
-        # body() needs the config name to pick the hint-persistence mode.
-        self.run_config = config_name
-        return super().run(config_name, plan=plan, instrument=instrument)
-
-    def region_map(self, system):
-        return PqueueRegionMap()
-
-    def check(self, image, config_name, oracles, idempotence=True) -> List[str]:
-        from repro.crashsweep.invariants import idempotence_violations
-        from repro.db.pqueue import PersistentQueue
-
-        violations: List[str] = []
-        oracle: QueueOracle = oracles["queue"]
-        sync = config_name == "sync"
-        device = NvmDevice.from_image(image)
-        try:
-            queue = PersistentQueue.recover(device, PQUEUE_BASE, sync=sync)
-        except Exception as exc:
-            return [f"queue recovery raised {type(exc).__name__}: {exc}"]
-        live = queue.live_items()
-        legal = oracle.legal_live_payload_lists()
-        if live not in legal:
-            violations.append(
-                f"recovered live set has {len(live)} item(s) and matches none of "
-                f"{len(legal)} legal abstract state(s)"
-            )
-        drained = []
-        while True:
-            item = queue.dequeue()
-            if item is None:
-                break
-            drained.append(item)
-        if drained != live:
-            violations.append("dequeue drain order diverges from the live-item scan")
-        if idempotence:
-
-            def recover_again(device: NvmDevice) -> str:
-                PersistentQueue.recover(device, PQUEUE_BASE, sync=sync)
-                return ""
-
-            # The drain loop above consumed the first device's queue, so
-            # the fixpoint starts from the image again; this recovery is
-            # the one that returned at the top, it cannot raise here.
-            first = NvmDevice.from_image(image)
-            recover_again(first)
-            violations += idempotence_violations(
-                first, recover_again, "queue recovery", "re-recovery raised {kind}: {exc}"
-            )
-        return violations
-
-
-class PqueueRegionMap:
-    """Region names for the queue's extent (miner classification)."""
-
-    def __init__(
-        self,
-        base: int = PQUEUE_BASE,
-        nslots: int = PQUEUE_NSLOTS,
-        payload_cap: int = PQUEUE_PAYLOAD_CAP,
-    ) -> None:
-        self.base = base
-        self.nslots = nslots
-        self.stride = 24 + payload_cap
-        self.end = base + 64 + nslots * self.stride
-
-    def classify(self, offset: int) -> str:
-        if offset < self.base or offset >= self.end:
-            return "unmapped"
-        if offset < self.base + 64:
-            return "qheader"
-        within = (offset - self.base - 64) % self.stride
-        if within < 8:
-            return "qslot_commit"
-        if within < 16:
-            return "qslot_consumed"
-        return "qslot_body"
-
-
 WORKLOADS: Dict[str, SweepWorkload] = {
     w.name: w
     for w in (
@@ -720,7 +517,6 @@ WORKLOADS: Dict[str, SweepWorkload] = {
         LibnvmmioSweepWorkload("libnvmmio-txn", "Libnvmmio redo-log write, 36 ops, fsync every 4",
                                (2048, 4096), nops=36, fsync_every=4, seed=0x11B1,
                                sequential=True, alias="txn"),
-        PqueueSweepWorkload(),
     )
 }
 

@@ -7,22 +7,14 @@ two journal modes the paper evaluates:
 - ``off``  — dirty pages written in place at commit, no DB-level journal
   (SQLite's ``journal_mode=OFF``; crash safety comes from the FS, which
   is exactly what MGSP provides and Ext4-DAX does not).
-
-``repro.db.pqueue`` is the odd one out: a durable lock-free MPSC queue
-that runs directly on the NVM device (no file system underneath), used
-as a hostile crash-test and invariant-inference subject.
 """
 
 from repro.db.engine import Database
 from repro.db.btree import BTree
 from repro.db.pager import Pager
-from repro.db.pqueue import PendingEnqueue, PersistentQueue, QueueFullError
 
 __all__ = [
     "BTree",
     "Database",
     "Pager",
-    "PendingEnqueue",
-    "PersistentQueue",
-    "QueueFullError",
 ]

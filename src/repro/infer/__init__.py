@@ -9,8 +9,7 @@ falsify survivors at exactly the crash points that would violate them
 
 Unlike the hand-written rule set in :mod:`repro.analysis`, inference
 needs no per-backend rules: it learns each subject's ordering discipline
-from its own traces, so it covers NOVA, Libnvmmio, and raw-device
-structures (the durable MPSC queue) as easily as MGSP.
+from its own traces, so it covers NOVA and Libnvmmio as easily as MGSP.
 """
 
 from repro.infer.events import PersistEvent, Trace, from_flight

@@ -39,7 +39,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--workload",
         default="fio",
-        help="workload alias (fio/txn/ycsb/mpsc/toy; default fio)",
+        help="workload alias (fio/txn/ycsb/toy; default fio)",
     )
     parser.add_argument(
         "--fs",

@@ -124,14 +124,6 @@ RETIREMENTS: Dict[Tuple[str, str, str, str], str] = {
         "pointer swings and the inode size update share the post-commit "
         "fence; the still-valid journal entry replays both on recovery"
     ),
-    # -- durable MPSC queue ----------------------------------------------
-    ("pqueue", NEVER_TORN, "qslot_body", ""): (
-        "slot bodies are guarded by the commit word's crc32; a torn "
-        "body fails validation and the slot reads as unpublished"
-    ),
-    ("pqueue-async", NEVER_TORN, "qslot_body", ""): (
-        "same crc guard as sync mode"
-    ),
 }
 
 

@@ -97,6 +97,7 @@ def capture(
     (a surgical keep-set, e.g. from ``repro.infer``) selects the crash
     image; with neither, DROP_ALL is assumed.
     """
+    from repro.crashsweep.sweep import reproducer as at_reproducer
     from repro.crashsweep.workloads import get_workload
 
     def instrument(system):
@@ -113,11 +114,9 @@ def capture(
     telemetry, flight = outcome.attached
     device = outcome.fs.device
     if reproducer is None:
-        repro_policy = policy_value or CrashPolicy.DROP_ALL.value
-        reproducer = (
-            f"python -m repro.crashsweep --workload {workload_name}"
-            f" --configs {config_name} --policies {repro_policy}"
-            f" --at {crash_after} --seed {seed}"
+        reproducer = at_reproducer(
+            workload_name, config_name, policy_value or CrashPolicy.DROP_ALL.value,
+            crash_after, seed,
         )
 
     bundle: Dict[str, object] = {

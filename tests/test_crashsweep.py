@@ -27,7 +27,7 @@ from repro.crashsweep import (
 from repro.crashsweep.__main__ import main as sweep_main
 from repro.crashsweep.invariants import idempotence_violations
 from repro.crashsweep.sweep import PERSIST_PROBABILITY
-from repro.crashsweep.workloads import FileOracle, FsyncOracle
+from repro.crashsweep.workloads import FileOracle, FsyncOracle, subjects
 from repro.errors import CrashRequested
 from repro.fsapi.layout import VolumeLayout
 from repro.nvm.crash import CrashPlan, CrashPolicy, compose_image, count_events, policy_words
@@ -433,3 +433,11 @@ class TestCli:
     def test_rejects_unknown_workload(self):
         with pytest.raises(SystemExit):
             sweep_main(["--workload", "nope"])
+
+
+def test_subjects_are_the_papers():
+    """Crash-check subjects are MGSP and the systems the paper compares it
+    with, plus the planted fixture that self-tests inference. A new subject
+    enters as a paper system with a consistency level, by editing this."""
+    assert set(subjects()) == {"mgsp", "mgsp-async", "nova", "libnvmmio", "planted"}
+    assert {w.subject for w in WORKLOADS.values()} <= {"mgsp", "nova", "libnvmmio"}
