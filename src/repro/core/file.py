@@ -12,7 +12,6 @@ from repro.core.shadowlog import ShadowLog
 from repro.errors import AllocationError
 from repro.fsapi.interface import FileHandle
 from repro.fsapi.volume import Inode
-from repro.util import align_down
 
 
 def _coalesce(writes):
@@ -37,31 +36,6 @@ def _coalesce(writes):
         (off, chunks[0] if len(chunks) == 1 else b"".join(chunks))
         for off, _end, chunks in merged
     ]
-
-
-def _count_terminals(
-    tree: RadixTree, multi_gran: bool, level: int, off: int, ln: int, budget: int, cap: int
-) -> int:
-    """Terminal commits [off, off+ln) needs below *level*. A plain
-    function on purpose: a recursive closure is a reference cycle, and
-    one over ``self`` pins handle, fs and device images until the next
-    collection."""
-    if budget <= 0:
-        return 0
-    if level == 0:
-        return 1
-    gran = tree.gran(level)
-    if multi_gran and off % gran == 0 and ln == gran:
-        return 1
-    child = tree.gran(level - 1)
-    total = 0
-    for i in range(off // child, (off + ln - 1) // child + 1):
-        lo = max(off, i * child)
-        hi = min(off + ln, (i + 1) * child)
-        total += _count_terminals(tree, multi_gran, level - 1, lo, hi - lo, budget - total, cap)
-        if total > cap:
-            return total
-    return total
 
 
 class MgspFile(FileHandle):
@@ -103,13 +77,6 @@ class MgspFile(FileHandle):
             level -= 1
             index = first
         return (level, index)
-
-    def _terminal_count(self, offset: int, length: int, cap: int) -> int:
-        """How many terminal commits a write would need (early-exits past
-        *cap*); pure geometry, mirrors the planner's decomposition."""
-        return _count_terminals(
-            self.tree, self.config.multi_granularity, self.tree.height, offset, length, cap + 1, cap
-        )
 
     def _lock_path(self, covering: Tuple[int, int]) -> List[Tuple[int, int]]:
         """Ancestors from the root down to (excluding) the covering node."""
@@ -166,22 +133,13 @@ class MgspFile(FileHandle):
         if not data:
             return 0
         self._ensure_height(offset + len(data))
-        # A write fully inside one leaf has exactly one terminal: the
-        # slot budget is settled by geometry and the planner replays the
-        # handle's cached root->leaf chain instead of descending. Any
-        # other write (leaf_index None) is planned by descent, and one
-        # needing more metadata slots than an entry holds is split into
-        # independently-atomic sub-writes.
+        # A write fully inside one leaf has exactly one terminal, and
+        # the planner replays the handle's cached root->leaf chain
+        # instead of descending. Any other write (leaf_index None) is
+        # planned by descent.
         leaf_index: Optional[int] = offset // self.config.leaf_size
         if offset + len(data) > (leaf_index + 1) * self.config.leaf_size:
             leaf_index = None
-            if self._terminal_count(offset, len(data), MAX_SLOTS) > MAX_SLOTS:
-                mid = align_down(offset + len(data) // 2, self.config.sub_block)
-                if mid <= offset:
-                    mid = offset + len(data) // 2
-                self.write(offset, data[: mid - offset])
-                self.write(mid, data[mid - offset :])
-                return len(data)  # sub-writes already notified the flusher
         try:
             self._write_atomic(offset, data, leaf_index)
         except AllocationError:
@@ -245,12 +203,14 @@ class MgspFile(FileHandle):
         rec.begin_op("write")
         rec.compute(timing.syscall_ns if fs.kernel_space else timing.user_call_ns)
         try:
-            # 1. Claim a private metadata-log entry (hash + CAS probing).
-            entry = fs.metalog.claim(thread, rec)
+            # 1. Claim a private metadata-log entry (hash + CAS probing);
+            #    a write of more than MAX_SLOTS slots claims more.
+            entries = [fs.metalog.claim(thread, rec)]
             try:
-                self._write_locked(entry, offset, data, leaf_index)
+                self._write_locked(entries, offset, data, leaf_index)
             finally:
-                fs.metalog.release(entry)
+                for idx in entries:
+                    fs.metalog.release(idx)
         finally:
             rec.end_op()
             if frame is not None:
@@ -260,7 +220,7 @@ class MgspFile(FileHandle):
         fs.api.bytes_written += len(data)
 
     def _write_locked(
-        self, entry: int, offset: int, data: bytes, leaf_index: Optional[int]
+        self, entries: List[int], offset: int, data: bytes, leaf_index: Optional[int]
     ) -> None:
         fs = self.fs
         rec = fs.recorder
@@ -311,18 +271,22 @@ class MgspFile(FileHandle):
         if frame is not None:
             obs.span_end(frame)
 
-        # 5. Commit point: persist the metadata-log entry.
+        # 5. Commit point: persist the metadata-log entry. A plan with
+        #    more slots than one entry holds commits as a chain that
+        #    starts in that entry; its TXN_COMMIT entry is the one
+        #    commit point.
         new_size = max(self.inode.size, offset + len(data))
-        fs.metalog.write(
-            entry,
-            self.inode.id,
-            len(data),
-            gen,
-            offset,
-            new_size,
-            [slot for _, __, slot in plan.commits],
-            recorder=rec,
-        )
+        slots = [slot for _, __, slot in plan.commits]
+        if len(slots) > MAX_SLOTS:
+            fs.metalog.write_chain(
+                entries, fs.next_txn_id(), self.inode.id, len(data), gen, new_size,
+                slots, recorder=rec,
+            )
+        else:
+            fs.metalog.write(
+                entries[0], self.inode.id, len(data), gen, offset, new_size, slots,
+                recorder=rec,
+            )
 
         # 6. Apply the valid-bit words (atomic stores) + size, fence.
         frame = obs.span_begin("write.metadata") if observing else None
@@ -334,8 +298,8 @@ class MgspFile(FileHandle):
                 fs.device.flush(self.inode.size_field_offset, 8)
         fs.device.fence()
 
-        # 7. Retire the entry (unfenced; replay is idempotent).
-        fs.metalog.retire(entry)
+        # 7. Retire the entry or chain (unfenced; replay is idempotent).
+        fs.metalog.retire_chain(entries)
         if frame is not None:
             obs.span_end(frame)
 

@@ -2,7 +2,10 @@
 
 A small NVM region holds fixed 128-byte entries. A thread claims the
 entry at ``hash(thread id) % N``, linear-probing past busy slots with
-CAS. One entry describes one in-flight write:
+CAS. One entry describes one in-flight write whose plan commits at most
+``MAX_SLOTS`` (12) nodes; a larger write, like a transaction, commits as
+a chain (:meth:`MetadataLog.write_chain`): ``TXN_MEMBER`` entries closed
+by one ``TXN_MEMBER | TXN_COMMIT`` entry, its single commit point.
 
     +0   u32  checksum (crc32 of bytes [4, 32 + 8*nslots))
     +4   u16  file id
@@ -44,9 +47,10 @@ _ORD_MASK = (1 << 28) - 1
 _LEAF_FLAG = 1 << 28
 _VALID_FLAG = 1 << 29
 
-# Transaction support (chained entries; see repro.core.txn): the nslots
-# u16 carries flags in its top bits, and for transaction entries the
-# offset field holds the transaction id.
+# Chained entries (transactions and writes of more than MAX_SLOTS
+# slots; see MetadataLog.write_chain): the nslots u16 carries flags in
+# its top bits, and for chain entries the offset field holds the chain's
+# transaction id.
 TXN_MEMBER = 1 << 15
 TXN_COMMIT = 1 << 14
 _NSLOTS_MASK = (1 << 14) - 1
@@ -184,8 +188,8 @@ class MetadataLog:
         flags: int = 0,
         recorder=None,
     ) -> None:
-        """Persist one entry; this is the commit point of a write op.
-        *recorder* is charged the marshalling cost."""
+        """Persist one entry: a write op's commit point, or one link of
+        a chain. *recorder* is charged the marshalling cost."""
         if len(slots) > MAX_SLOTS:
             raise FsError(f"write needs {len(slots)} metadata slots > {MAX_SLOTS}")
         obs = self.obs
@@ -212,6 +216,49 @@ class MetadataLog:
             if meter[0] is not obs:
                 meter = self._commit_meter = (obs, obs.registry.counter("metalog_commits_total"))
             meter[1].value += 1.0
+
+    def write_chain(
+        self,
+        entries: List[int],
+        txn_id: int,
+        file_id: int,
+        length: int,
+        gen: int,
+        file_size: int,
+        slots: List[MetaSlot],
+        recorder=None,
+    ) -> None:
+        """Persist *slots* as one chain: ``TXN_MEMBER`` entries of up to
+        ``MAX_SLOTS`` slots each, the last flagged ``TXN_MEMBER |
+        TXN_COMMIT``. That last entry is the chain's one commit point;
+        recovery applies the members only when it is present.
+
+        The chain's first entries are those already in *entries* (a
+        write's own claimed entry); each further one is claimed just
+        before it is written, keyed ``txn_id + position`` (integers: the
+        slot must not depend on PYTHONHASHSEED), and appended, so the
+        caller's ``finally`` releases exactly what was claimed. A chain
+        longer than the free entries raises before anything is written."""
+        nchunks = max(1, -(-len(slots) // MAX_SLOTS))
+        free = self.entries - len(self._in_use)
+        if nchunks - len(entries) > free:
+            raise FsError(f"a {len(slots)}-slot chain needs {nchunks} metadata-log entries, "
+                          f"{len(entries) + free} available")
+        for pos in range(nchunks):
+            if pos == len(entries):
+                entries.append(self.claim(txn_id + pos, recorder))
+            self.write(
+                entries[pos], file_id, length, gen, txn_id, file_size,
+                slots[pos * MAX_SLOTS : (pos + 1) * MAX_SLOTS],
+                flags=TXN_MEMBER | TXN_COMMIT if pos == nchunks - 1 else TXN_MEMBER,
+                recorder=recorder,
+            )
+
+    def retire_chain(self, entries: List[int]) -> None:
+        """Retire a write's entries, a chain's commit entry first:
+        without it the members are orphans and recovery discards them."""
+        for idx in reversed(entries):
+            self.retire(idx)
 
     def retire(self, index: int) -> None:
         """Mark the entry outdated (length=0). Deliberately unfenced: a

@@ -15,11 +15,13 @@ before commit rolls the whole group back for free. Safe write targets
 are chosen against the durable bitmap (see
 :meth:`~repro.core.shadowlog.ShadowLog.plan_txn_write`).
 
-Commit chains the staged words through the lock-free metadata log:
-member entries (flag ``TXN_MEMBER``) carry up to 12 slots each and a
-final entry flagged ``TXN_MEMBER | TXN_COMMIT`` is the atomic commit
-point. Recovery applies a transaction's entries only when its commit
-entry is present; orphaned member entries are retired unapplied
+Commit chains the staged words through the lock-free metadata log
+(:meth:`~repro.core.metalog.MetadataLog.write_chain`, the chain a plain
+write of more than 12 slots also commits through): member entries
+(flag ``TXN_MEMBER``) carry up to 12 slots each and a final entry
+flagged ``TXN_MEMBER | TXN_COMMIT`` is the atomic commit point.
+Recovery applies a transaction's entries only when its commit entry is
+present; orphaned member entries are retired unapplied
 (:func:`repro.core.recovery.recover`).
 
 Usage::
@@ -35,7 +37,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, List, Tuple
 
 from repro.core import bitmap
-from repro.core.metalog import MAX_SLOTS, MetaSlot, TXN_COMMIT, TXN_MEMBER
+from repro.core.metalog import MAX_SLOTS, MetaSlot
 from repro.errors import TransactionError
 
 
@@ -127,32 +129,16 @@ class MgspTransaction:
         handle = self.handle
         with fs.op("txn-commit"), fs.obs.span("txn.commit"):
             slots = list(self._slots.values())
-            chunks = [slots[i : i + MAX_SLOTS] for i in range(0, len(slots), MAX_SLOTS)] or [[]]
-            if len(chunks) >= fs.metalog.entries:
+            needed = -(-len(slots) // MAX_SLOTS)
+            if needed >= fs.metalog.entries:
                 raise TransactionError(
-                    f"transaction too large: needs {len(chunks)} metadata entries"
+                    f"transaction too large: needs {needed} metadata entries"
                 )
-            txn_id = fs.next_txn_id()
-            gen = handle.tree.gen
             entries: List[int] = []
             try:
-                # Member entries first, the commit-flagged one last: its
-                # persistence is the atomic commit point. Claim keys are
-                # integers: the slot must not depend on PYTHONHASHSEED.
-                for chunk in chunks[:-1]:
-                    idx = fs.metalog.claim(txn_id + len(entries), fs.recorder)
-                    entries.append(idx)
-                    fs.metalog.write(
-                        idx, handle.inode.id, max(1, self.writes), gen,
-                        txn_id, self._new_size, chunk, flags=TXN_MEMBER,
-                        recorder=fs.recorder,
-                    )
-                idx = fs.metalog.claim(txn_id + len(entries), fs.recorder)
-                entries.append(idx)
-                fs.metalog.write(
-                    idx, handle.inode.id, max(1, self.writes), gen,
-                    txn_id, self._new_size, chunks[-1], flags=TXN_MEMBER | TXN_COMMIT,
-                    recorder=fs.recorder,
+                fs.metalog.write_chain(
+                    entries, fs.next_txn_id(), handle.inode.id, max(1, self.writes),
+                    handle.tree.gen, self._new_size, slots, recorder=fs.recorder,
                 )
 
                 # Apply the staged words durably, then the size (the DRAM
@@ -168,10 +154,7 @@ class MgspTransaction:
                         fs.device.flush(handle.inode.size_field_offset, 8)
                 fs.device.fence()
 
-                # Retire the commit entry first: without it the members
-                # are orphans and recovery ignores them.
-                for idx in reversed(entries):
-                    fs.metalog.retire(idx)
+                fs.metalog.retire_chain(entries)
             finally:
                 for idx in entries:
                     fs.metalog.release(idx)

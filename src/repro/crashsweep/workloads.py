@@ -502,6 +502,10 @@ WORKLOADS: Dict[str, SweepWorkload] = {
                          alias="fio"),
         FioSweepWorkload("fio-write", "write, 300 ops, fsync every 8", (64, 512, 2048, 4096),
                          nops=300, fsync_every=8, seed=0xF11, sequential=True),
+        # Writes of up to 80 KB need more metadata slots than one entry
+        # holds at degree 16: each commits as a TXN_MEMBER chain.
+        FioSweepWorkload("fio-oversized", "unaligned 16-80 KB writes, 24 ops, fsync every 4",
+                         (16 << 10, 33000, 65808, 80 << 10), nops=24, fsync_every=4, seed=0xF12),
         TxnSweepWorkload(),
         YcsbSweepWorkload(),
         NovaSweepWorkload("nova-fio", "NOVA CoW randwrite, 40 ops (per-op atomic oracle)",
@@ -538,13 +542,14 @@ def get_workload(name: str) -> SweepWorkload:
 
 def subjects() -> Dict[str, Tuple[str, Dict[str, str]]]:
     """The CLI subjects: ``--fs`` name -> (config, {alias -> registry
-    name}). An aliased entry belongs to its ``subject`` under ``sync``
-    and to ``<subject>-<config>`` under each other config it supports."""
+    name}). An entry belongs to its ``subject`` under ``sync`` and to
+    ``<subject>-<config>`` under each other config it supports; one with
+    no alias is listed under its full name."""
     table: Dict[str, Tuple[str, Dict[str, str]]] = {}
     for workload in registry().values():
-        for config in workload.supported_configs if workload.alias else ():
+        for config in workload.supported_configs:
             fs = workload.subject if config == "sync" else f"{workload.subject}-{config}"
-            table.setdefault(fs, (config, {}))[1][workload.alias] = workload.name
+            table.setdefault(fs, (config, {}))[1][workload.alias or workload.name] = workload.name
     return table
 
 

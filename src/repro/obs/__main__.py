@@ -41,7 +41,7 @@ def _workload_registry() -> str:
     from repro.crashsweep.workloads import registry, subjects
 
     _, aliases = subjects()["mgsp"]
-    pairs = ", ".join(f"{k}->{v}" for k, v in sorted(aliases.items()))
+    pairs = ", ".join(f"{k}->{v}" for k, v in sorted(aliases.items()) if k != v)
     return f"{', '.join(sorted(registry()))} (aliases: {pairs})"
 
 

@@ -152,10 +152,6 @@ def torn_oversized_write_points(degree, persist_probability):
         crash_after += 1
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "MgspFile.write splits a write whose commit set needs more than "
-    "MAX_SLOTS metadata slots into two independently atomic halves; "
-    "ROADMAP item 2(b) replaces the split with one TXN_MEMBER chain"))
 @pytest.mark.parametrize("persist_probability", [0.0, 1.0])
 @pytest.mark.parametrize("degree", [16, 64])
 def test_oversized_write_is_atomic_at_every_crash_point(degree, persist_probability):

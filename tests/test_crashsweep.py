@@ -27,7 +27,7 @@ from repro.crashsweep import (
 from repro.crashsweep.__main__ import main as sweep_main
 from repro.crashsweep.invariants import idempotence_violations
 from repro.crashsweep.sweep import PERSIST_PROBABILITY
-from repro.crashsweep.workloads import FileOracle, FsyncOracle, subjects
+from repro.crashsweep.workloads import FileOracle, FsyncOracle, registry, resolve, subjects
 from repro.errors import CrashRequested
 from repro.fsapi.layout import VolumeLayout
 from repro.nvm.crash import CrashPlan, CrashPolicy, compose_image, count_events, policy_words
@@ -441,3 +441,14 @@ def test_subjects_are_the_papers():
     enters as a paper system with a consistency level, by editing this."""
     assert set(subjects()) == {"mgsp", "mgsp-async", "nova", "libnvmmio", "planted"}
     assert {w.subject for w in WORKLOADS.values()} <= {"mgsp", "nova", "libnvmmio"}
+
+
+@pytest.mark.parametrize(
+    "name,config", [(n, c) for n, w in registry().items() for c in w.supported_configs]
+)
+def test_every_entry_resolves_by_name(name, config):
+    """The CLIs reach every registry entry by its full name under each
+    config it supports, whether or not it has an alias."""
+    subject = registry()[name].subject
+    fs = subject if config == "sync" else f"{subject}-{config}"
+    assert resolve(fs, name) == (name, config)

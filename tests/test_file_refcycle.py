@@ -1,11 +1,11 @@
 """A dropped mount frees its device images at once, not at the next
 garbage collection.
 
-``MgspFile._terminal_count`` used to define a self-recursive closure
-over ``self`` on every multi-leaf write: a ``function <-> cell`` cycle
-that pinned handle -> fs -> device -> both images until the collector
-ran. A sweep that mounts per crash point should give its images back
-when it drops them, not on the collector's schedule.
+A self-recursive closure over ``self`` on the write path (a slot-count
+estimator once built one per multi-leaf write) is a ``function <->
+cell`` cycle that pins handle -> fs -> device -> both images until the
+collector runs. A sweep that mounts per crash point should give its
+images back when it drops them, not on the collector's schedule.
 """
 
 from __future__ import annotations

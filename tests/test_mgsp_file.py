@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import MgspConfig, MgspFilesystem
-from repro.core.metalog import MAX_SLOTS
+from repro.core.metalog import MAX_SLOTS, TXN_COMMIT, TXN_MEMBER
 from repro.errors import FsError
 
 CAP = 1 << 20
@@ -147,18 +147,59 @@ class TestGrowth:
 
 
 class TestSplitLargeWrites:
+    """A write needing more metadata slots than one entry holds is still
+    one op with one commit point: a TXN_MEMBER chain closed by one
+    TXN_COMMIT entry. (The test names are kept from the split the chain
+    replaced.)"""
+
     def test_huge_write_splits_but_lands(self, mgsp):
         f = mgsp.create("a", capacity=CAP)
         blob = bytes(range(256)) * 1024  # 256 KB
         f.write(1234, blob)
+        assert mgsp.api.writes == 1
+        assert not mgsp.metalog._in_use
+        assert not mgsp.metalog.scan()  # every chain entry retired
         assert f.read(1234, len(blob)) == blob
 
-    def test_terminal_count_estimator_matches_planner(self, mgsp):
-        f = mgsp.create("a", capacity=CAP)
-        for off, ln in [(0, 4096), (0, 65536), (100, 5000), (8192, 131072)]:
-            estimated = f._terminal_count(off, ln, 10**6)
-            plan = f.shadow.plan_write(off, b"\0" * ln, f.tree.next_gen())
-            assert estimated == len(plan.commits), (off, ln)
+    def test_terminal_count_estimator_matches_planner(self, mgsp, monkeypatch):
+        calls = []
+        real = mgsp.metalog.write
+
+        def spy(*args, **kwargs):
+            calls.append((args[4], kwargs.get("flags", 0)))  # offset / txn id
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mgsp.metalog, "write", spy)
+        chained = 0
+        cases = [(0, 4096), (0, 65536), (100, 5000), (8192, 131072)]
+        for i, (off, ln) in enumerate(cases):
+            # Plan on a twin file: planning claims log blocks.
+            twin = mgsp.create(f"plan{i}", capacity=CAP)
+            twin._ensure_height(off + ln)
+            slots = len(twin.shadow.plan_write(off, b"\0" * ln, twin.tree.next_gen()).commits)
+            calls.clear()
+            mgsp.create(f"a{i}", capacity=CAP).write(off, b"\1" * ln)
+            n = -(-slots // MAX_SLOTS)
+            assert len(calls) == n, (off, ln)
+            if n == 1:
+                assert calls == [(off, 0)], (off, ln)
+                continue
+            chained += 1
+            assert len({txn_id for txn_id, _ in calls}) == 1, (off, ln)
+            assert [flags for _, flags in calls] == [TXN_MEMBER] * (n - 1) + [
+                TXN_MEMBER | TXN_COMMIT
+            ], (off, ln)
+        assert chained, "no case needs a chain"
+
+    def test_chain_longer_than_the_log_raises_before_writing(self):
+        # Without coarse logs every 4 KB leaf is a slot: 3 MB needs 64
+        # entries of a 32-entry log.
+        fs = make_fs(multi_granularity=False)
+        f = fs.create("a", capacity=4 << 20)
+        with pytest.raises(FsError, match="64 metadata-log entries"):
+            f.write(0, b"o" * (3 << 20))
+        assert not fs.metalog._in_use
+        assert not fs.metalog.scan()
 
 
 class TestMinSearchTree:
