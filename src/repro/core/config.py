@@ -29,7 +29,9 @@ class MgspConfig:
     #: shadow logging (role switch between node log and last valid
     #: ancestor). Off = classic redo log + immediate write-back.
     shadow_logging: bool = True
-    #: allow logs at non-leaf granularities (coarse-grained logging)
+    #: allow logs at non-leaf granularities (coarse-grained logging).
+    #: Off = one commit slot per 4 KB leaf, so one write over 384 leaves
+    #: (1.5 MiB) outgrows the 32 x 12-slot metadata log: FsError.
     multi_granularity: bool = True
     #: sub-leaf valid bits (fine-grained logging). Off = whole-leaf RMW.
     fine_grained_logging: bool = True

@@ -272,9 +272,10 @@ class MetadataLog:
     def scan(self) -> List[MetaEntry]:
         """Return every un-retired, checksum-valid entry (recovery path)."""
         found: List[MetaEntry] = []
-        load = self.device.buffer.load  # untimed: mount path
+        # One untimed read of the whole area (mount path), then per entry.
+        raw = self.device.buffer.load(self.entry_offset(0), self.entries * ENTRY_SIZE)
         for idx in range(self.entries):
-            entry = decode_entry(idx, load(self.entry_offset(idx), ENTRY_SIZE))
+            entry = decode_entry(idx, raw[idx * ENTRY_SIZE : (idx + 1) * ENTRY_SIZE])
             if entry is not None:
                 found.append(entry)
         return found

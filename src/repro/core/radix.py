@@ -173,15 +173,16 @@ class RadixTree:
             node.word = word
             items.append((node.slot_off, word))
         if items:
-            # analysis: allow(unfenced-nt-store) -- caller fences: step 4 of _write_locked ends with one fence over the batch
+            # analysis: allow(unfenced-nt-store) -- caller fences: every caller (write, transaction, recovery, clear_table) fences after the batch
             self.device.store_word_v(items)
 
     def store_log_ptrs(self, nodes) -> None:
         """Batched :meth:`store_log_ptr` from each node's own
-        ``log_off`` (already set by the planner's allocation)."""
+        ``log_off`` (set by the caller: the planner's allocation, or 0
+        for a released log)."""
         items = [(node.slot_off + 8, node.log_off) for node in nodes]
         if items:
-            # analysis: allow(unfenced-nt-store) -- caller fences: step 4 of _write_locked ends with one fence over the batch
+            # analysis: allow(unfenced-nt-store) -- caller fences: every caller (write, transaction, clear_table) fences after the batch
             self.device.store_word_v(items)
 
     def grow_to(self, size: int) -> List[Node]:
@@ -249,16 +250,13 @@ class RadixTree:
         the pointer's zero while the word survived, sending readers of
         the still-valid node into unrelated memory.
         """
-        dirty = [node for node in self.nodes.values() if node.word or node.log_off]
-        for node in dirty:
-            if node.word:
-                self.device.atomic_store_u64(node.slot_off, 0)
-                self.device.flush(node.slot_off, 8)
+        nodes = self.nodes.values()
+        self.store_words([(node, 0) for node in nodes if node.word])
         self.device.fence()
-        for node in dirty:
-            if node.log_off:
-                self.device.atomic_store_u64(node.slot_off + 8, 0)
-                self.device.flush(node.slot_off + 8, 8)
+        pointed = [node for node in nodes if node.log_off]
+        for node in pointed:
+            node.log_off = 0
+        self.store_log_ptrs(pointed)
         self.device.fence()
         self.nodes.clear()
         self.epoch += 1

@@ -145,6 +145,7 @@ def _replay_entry(fs: MgspFilesystem, trees: Dict[int, RadixTree], entry: MetaEn
         fs.volume.persist_size(inode)
         tree.height = tree._height_for(inode.size)
 
+    words = []
     for slot in entry.slots:
         level = tree._level_of_slot(slot.ordinal)
         index = slot.ordinal - tree.level_base[level]
@@ -156,6 +157,7 @@ def _replay_entry(fs: MgspFilesystem, trees: Dict[int, RadixTree], entry: MetaEn
             word = bitmap.pack_leaf(slot.leaf_mask, entry.gen)
         else:
             word = bitmap.pack_nonleaf(slot.valid, False, entry.gen, entry.gen)
-        tree.store_word(node, word)
+        words.append((node, word))
+    tree.store_words(words)
     tree.gen = max(tree.gen, entry.gen)
     return True

@@ -473,7 +473,8 @@ class ShadowLog:
         s0 = (off - node.start) // sub
         s1 = -(-(off + length - node.start) // sub)
 
-        need_leaf_log = any(((durable.mask >> i) & 1) == 0 for i in range(s0, s1))
+        span = ((1 << (s1 - s0)) - 1) << s0
+        need_leaf_log = (durable.mask & span) != span  # a touched bit is durably clear
         if need_leaf_log and node.log_off == 0:
             node.log_off = self.alloc.alloc(cfg.leaf_size)
             plan.new_logs.append(node)
@@ -496,14 +497,17 @@ class ShadowLog:
                 fill_src = node.log_off + (bs - node.start)
             else:
                 fill_src = last_base + (bs - last_start)
-            buf = bytearray(sub)
-            if lo > bs:
-                buf[: lo - bs] = self._read_fill(bs, fill_src - bs, lo - bs)
-            if hi < be:
-                buf[hi - bs :] = self._read_fill(hi, fill_src - bs, be - hi)
-            buf[lo - bs : hi - bs] = data[lo - data_base : hi - data_base]
-            limit = self._target_limit_base(target)
-            payload = bytes(buf[: max(0, limit - target)])
+            keep = max(0, self._target_limit_base(target) - target)
+            if lo == bs and hi == be:  # interior sub-block: the caller's bytes as they are
+                payload = bytes(data[lo - data_base : lo - data_base + min(keep, sub)])
+            else:
+                buf = bytearray(sub)
+                if lo > bs:
+                    buf[: lo - bs] = self._read_fill(bs, fill_src - bs, lo - bs)
+                if hi < be:
+                    buf[hi - bs :] = self._read_fill(hi, fill_src - bs, be - hi)
+                buf[lo - bs : hi - bs] = data[lo - data_base : hi - data_base]
+                payload = bytes(buf[:keep])
             if payload:
                 plan.data_writes.append((target, payload))
             # Final staged bit: the opposite side of the durable one.

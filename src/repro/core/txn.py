@@ -90,13 +90,12 @@ class MgspTransaction:
                     rec.lock(key, "W")
                     self._locks.append(key)
 
-            for node, word in plan.refreshes:
-                handle.tree.store_word(node, word)
-            for node in plan.new_logs:
-                handle.tree.store_log_ptr(node, node.log_off)
-                self._txn_logs.append(node)
-            for dev_off, payload in plan.data_writes:
-                fs.device.nt_store(dev_off, payload)
+            handle.tree.store_words(plan.refreshes)
+            handle.tree.store_log_ptrs(plan.new_logs)
+            self._txn_logs.extend(plan.new_logs)
+            # One store per sub-block (no coalescing): the txn stream
+            # stays the one the per-element loop issued.
+            fs.device.nt_store_v(plan.data_writes)
             fs.device.fence()
 
             # Stage the bitmap words: DRAM only until commit.
@@ -143,8 +142,7 @@ class MgspTransaction:
 
                 # Apply the staged words durably, then the size (the DRAM
                 # size was staged at write time; persist it now).
-                for key, node in self._staged.items():
-                    handle.tree.store_word(node, node.word)
+                handle.tree.store_words((node, node.word) for node in self._staged.values())
                 if self._new_size > self._orig_size:
                     fs.volume.set_size_volatile(handle.inode, self._new_size)
                     if not handle.inode.unlinked:  # slot may be reused
@@ -183,15 +181,16 @@ class MgspTransaction:
             )
             for key, node in self._staged.items():
                 node.word = self._durable_words[key]
-            freed_any = False
+            freed = []
             for node in self._txn_logs:
                 # Only reclaim logs that are not referenced by the
                 # (restored) durable state.
                 if not self._node_log_live(node):
                     fs.logs.free(node.log_off, node.size)
-                    handle.tree.store_log_ptr(node, 0)
-                    freed_any = True
-            if freed_any:
+                    node.log_off = 0
+                    freed.append(node)
+            if freed:
+                handle.tree.store_log_ptrs(freed)
                 # Only the pointer-zeroing needs ordering; the staged
                 # words were DRAM-only and every txn write already
                 # fenced its own data, so a rollback that freed nothing

@@ -144,10 +144,20 @@ class PagedImage:
     def __setitem__(self, key: slice, data) -> None:
         start, stop, _ = key.indices(len(self.base))
         data = memoryview(data)
+        # Checked before any page is touched: a bytearray slice assigned
+        # another length silently resizes the page.
         if len(data) != stop - start:
             raise ValueError(f"{len(data)} bytes assigned to a slice of {stop - start}")
         pages = self.pages
-        for n in range(start >> _PAGE_SHIFT, ((stop - 1) >> _PAGE_SHIFT) + 1):
+        n = start >> _PAGE_SHIFT
+        if n == (stop - 1) >> _PAGE_SHIFT:  # inside one page: nearly every store
+            lo = n << _PAGE_SHIFT
+            page = pages.get(n)
+            if page is None:
+                page = pages[n] = bytearray(self.base[lo : lo + PAGE])
+            page[start - lo : stop - lo] = data
+            return
+        for n in range(n, ((stop - 1) >> _PAGE_SHIFT) + 1):
             lo = n << _PAGE_SHIFT
             page = pages.get(n)
             if page is None:

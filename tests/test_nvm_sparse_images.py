@@ -243,6 +243,44 @@ class TestPagedImageEquality:
         assert not image.pages
 
 
+class TestPagedImageOnePageStore:
+    """A slice inside one page is one page lookup and one slice
+    assignment; it must leave what the per-page loop left."""
+
+    BASE = random.Random(11).randbytes(BOOTED_SIZE)
+
+    @pytest.mark.parametrize("start, stop", [
+        (PAGE, PAGE + 1),  # the page's first byte
+        (2 * PAGE - 1, 2 * PAGE),  # its last byte
+        (PAGE, 2 * PAGE),  # the whole page
+        (PAGE + 100, 2 * PAGE),  # ending exactly on the page boundary
+    ], ids=["first-byte", "last-byte", "whole-page", "ends-on-boundary"])
+    def test_a_store_inside_one_page_matches_bytes(self, start, stop):
+        image = PagedImage(self.BASE)
+        expected = bytearray(self.BASE)
+        for fill in (0xA5, 0x3C):  # a new private page, then the same one again
+            data = bytes([fill]) * (stop - start)
+            image[start:stop] = data
+            expected[start:stop] = data
+            assert image == bytes(expected) and bytes(image) == bytes(expected)
+            assert image[start:stop] == data
+            assert sorted(image.pages) == [1]
+            assert all(len(page) == PAGE for page in image.pages.values())
+
+    def test_a_wrong_length_inside_one_page_is_refused(self):
+        image = PagedImage(self.BASE)
+        with pytest.raises(ValueError):
+            image[10:14] = b"123"
+        assert not image.pages
+        image[PAGE + 10 : PAGE + 14] = b"1234"
+        for data in (b"", b"123", b"12345"):
+            with pytest.raises(ValueError):
+                image[PAGE + 10 : PAGE + 14] = data
+        assert sorted(image.pages) == [1]
+        assert all(len(page) == PAGE for page in image.pages.values())
+        assert image[PAGE + 10 : PAGE + 14] == b"1234" and len(bytes(image)) == BOOTED_SIZE
+
+
 def test_image_size_must_match():
     with pytest.raises(OutOfRangeError):
         StoreBuffer(4096, b"short")
