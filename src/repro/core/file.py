@@ -9,7 +9,7 @@ from repro.core.config import MgspConfig
 from repro.core.metalog import MAX_SLOTS
 from repro.core.radix import RadixTree
 from repro.core.shadowlog import ShadowLog
-from repro.errors import AllocationError
+from repro.errors import AllocationError, TransactionError
 from repro.fsapi.interface import FileHandle
 from repro.fsapi.volume import Inode
 
@@ -42,8 +42,8 @@ class MgspFile(FileHandle):
     def __init__(self, fs, inode: Inode) -> None:
         super().__init__(fs, inode.name)
         self.inode = inode
-        #: open MgspTransaction, if any (plain writes are excluded while
-        #: one is staged: they would plan against staged bitmap words)
+        #: open MgspTransaction, if any (plain writes, checkpoints and
+        #: closes are refused while one is staged: _refuse_open_txn)
         self._open_txn = None
         self.config: MgspConfig = fs.config
         self.tree = RadixTree(fs.device, inode, fs.config)
@@ -120,15 +120,15 @@ class MgspFile(FileHandle):
 
     # -- write (§III-D) --------------------------------------------------------
 
+    def _refuse_open_txn(self, what: str) -> None:
+        """A write would plan against a staged transaction's bitmap words,
+        a write-back would make them durable where rollback cannot reach."""
+        if self._open_txn is not None and self._open_txn.open:
+            raise TransactionError(f"{self.inode.name}: {what} while a transaction is open")
+
     def write(self, offset: int, data: bytes) -> int:
         self._check_writable()
-        if self._open_txn is not None and self._open_txn.open:
-            from repro.errors import TransactionError
-
-            raise TransactionError(
-                f"{self.inode.name}: plain write while a transaction is "
-                "open (its staged state would leak into the commit)"
-            )
+        self._refuse_open_txn("plain write")
         self._check_range(offset, len(data))
         if not data:
             return 0
@@ -402,6 +402,7 @@ class MgspFile(FileHandle):
         fence, and a crash mid-checkpoint just recovers the logs again.
         """
         self._check_open()
+        self._refuse_open_txn("checkpoint")
         with self.fs.op("checkpoint"):
             copied = self._reclaim_logs()
             self._mst = None
@@ -427,6 +428,7 @@ class MgspFile(FileHandle):
         """Write all logs back to the file and release log space."""
         if self.closed:
             return
+        self._refuse_open_txn("close")
         fs = self.fs
         with fs.op("close"):
             self._reclaim_logs()

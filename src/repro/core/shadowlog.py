@@ -339,12 +339,13 @@ class ShadowLog:
         pieces = []  # (target, [payload chunks])
         i = s0
         while i < s1:
-            bit = (mask >> i) & 1
-            j = i + 1
-            if shadow:
-                while j < s1 and ((mask >> j) & 1) == bit:
-                    j += 1
-            else:
+            # j: one past the run of equal bits from i, clipped at s1: the
+            # run is x's trailing zeros (x is ~m if bit is set; 0: no end).
+            m = mask >> i
+            bit = m & 1
+            x = m ^ -bit
+            j = i + (x & -x).bit_length() - 1 if shadow and x else s1
+            if j > s1:
                 j = s1
             run_start = node.start + i * sub
             run_end = node.start + j * sub

@@ -21,16 +21,16 @@ Five fields, nothing else:
   Every store, load and copy between them is a slice read or a slice
   assignment on these two objects; what backs them follows from how the
   buffer starts. A *fresh* device lives for a whole workload and takes
-  millions of stores: two lazily zero-filled anonymous mappings behind
+  millions of stores: two *private* anonymous mappings behind
   ``memoryview``\\ s, C slices over pages the kernel hands out on first
-  write. A device *booted from content* lives for one recovery (~130
-  device events, ~20 of 1,024 pages written): two :class:`PagedImage`\\ s
-  over one shared immutable ``bytes``, a page lookup per slice instead
-  of two whole-image heap copies — which cost fresh pages, not memcpy
-  (glibc trims the freed heap top, so every copy faults its pages in
-  again), and a sparse mapping filled with the non-zero pages measured
-  worse still (each whole-image read then faults the zero pages). Only
-  ``crash_image`` (one ``bytes`` that outlives the buffer) is
+  write (a read of an unwritten page maps the zero page; a shared
+  mapping, ``mmap(-1, size)``'s default, allocates every page it reads).
+  A device *booted from content* lives for one recovery (~130 device
+  events, ~20 of 1,024 pages written): two :class:`PagedImage`\\ s over
+  one shared immutable ``bytes``, a page lookup per slice instead of two
+  whole-image heap copies — which cost fresh pages, not memcpy (glibc
+  trims the freed heap top, so every copy faults its pages in again).
+  Only ``crash_image`` (one ``bytes`` that outlives the buffer) is
   proportional to the provisioned size.
 - ``dirty`` — the stored-not-flushed cache lines, a chunked line bitmap
   (:class:`repro.nvm.bitmap.RangeBitmap`): a bulk store is one slice
@@ -187,12 +187,12 @@ class StoreBuffer:
         *image* (*size* bytes of content, never observably aliased)."""
         self.size = size
         #: ``working`` is what loads observe, ``durable`` what survives a
-        #: crash (fenced). Mappings the kernel zero-fills on first touch,
-        #: or copy-on-write pages over the content (module docstring):
-        #: either way a device costs what it writes, not its size.
+        #: crash (fenced). Private mappings zero-filled on first write, or
+        #: copy-on-write pages over the content (module docstring): either
+        #: way a device costs what it writes, not its size.
         if image is None:
-            self.working = memoryview(mmap.mmap(-1, size))
-            self.durable = memoryview(mmap.mmap(-1, size))
+            self.working = memoryview(mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE))
+            self.durable = memoryview(mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE))
         else:
             if len(image) != size:
                 raise OutOfRangeError(f"image of {len(image)} bytes for a device of {size}")

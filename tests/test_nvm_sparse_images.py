@@ -339,6 +339,21 @@ def test_booting_from_bytes_copies_pages_not_the_image():
     assert image[PAGE + 100 : 2 * PAGE + 100] == bytes(PAGE)
 
 
+def _child_rss_growth(script):
+    """Run *script* in a fresh interpreter (its own peak RSS, untouched
+    by this process's heap) and return the MB figures it prints."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env={"PYTHONPATH": str(src), "PYTHONHASHSEED": "0"},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    return [float(mb) for mb in out.stdout.split()]
+
+
 def test_gigabyte_mount_costs_what_it_touches():
     """A 1 GB device is two 1 GB images. Mount, a 1 MB file, write +
     fsync, drain and unmount may only pay for the pages they write."""
@@ -362,14 +377,45 @@ def test_gigabyte_mount_costs_what_it_touches():
         print(rss_mb() - before)
         """
     )
-    src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run(
-        [sys.executable, "-c", script],
-        env={"PYTHONPATH": str(src), "PYTHONHASHSEED": "0"},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert out.returncode == 0, out.stderr
-    grown_mb = float(out.stdout.strip())
+    (grown_mb,) = _child_rss_growth(script)
     assert grown_mb < 64, f"a 1 GB mount grew RSS by {grown_mb:.0f} MB"
+
+
+def test_reading_a_fresh_image_allocates_nothing():
+    """A fresh device's images are private anonymous mappings, so a read
+    of a page nobody wrote maps the kernel's zero page. Hashing a whole
+    256 MB durable image (the e2e digest) may not grow RSS by the device
+    size, and composing a crash image may pay for the ``bytes`` it
+    returns and for nothing else. (A shared mapping allocated every page
+    it read: +256 MB for the hash, +512 MB after the compose.)"""
+    script = textwrap.dedent(
+        """
+        import hashlib
+        import resource
+        from repro.core import MgspFilesystem
+        from repro.errors import CrashRequested
+        from repro.nvm.crash import CrashPlan, CrashPolicy, compose_image
+
+        def rss_mb():
+            return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+        before = rss_mb()
+        fs = MgspFilesystem(device_size=256 << 20)
+        handle = fs.create("f", capacity=1 << 20)
+        fs.device.drain()
+        hashlib.sha256(fs.device.buffer.durable).hexdigest()
+        hashed = rss_mb() - before
+        fs.device.attach(CrashPlan(40))
+        try:
+            handle.write(0, b"x" * (1 << 16))
+            raise AssertionError("the write did not reach the crash point")
+        except CrashRequested:
+            pass
+        image = compose_image(fs.device, CrashPolicy.RANDOM, seed=1)
+        assert len(image) == 256 << 20
+        print(hashed, rss_mb() - before)
+        """
+    )
+    hashed_mb, composed_mb = _child_rss_growth(script)
+    assert hashed_mb < 64, f"hashing a fresh 256 MB image grew RSS by {hashed_mb:.0f} MB"
+    assert composed_mb < 256 + 64, f"one 256 MB crash image grew RSS by {composed_mb:.0f} MB"

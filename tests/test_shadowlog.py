@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import bitmap
 from repro.core.config import MgspConfig
 from repro.core.radix import RadixTree, required_table_len
-from repro.core.shadowlog import ShadowLog
+from repro.core.shadowlog import ShadowLog, WritePlan
 from repro.fsapi.volume import Volume
 from repro.nvm.allocator import LogAllocator
 from repro.nvm.device import NvmDevice
@@ -190,3 +192,45 @@ class TestShadowOffAblation:
         gen = shadow.tree.next_gen()
         plan = shadow.plan_write(0, b"a" * 4096, gen)
         assert plan.checkpoints  # double write scheduled
+
+
+def _per_bit_runs(mask, s0, s1):
+    """[s0, s1) cut into maximal runs of equal valid bits, one bit at a
+    time: the reference for ``ShadowLog._plan_leaf``'s trailing-ones /
+    trailing-zeros run ends."""
+    runs, i = [], s0
+    while i < s1:
+        bit = (mask >> i) & 1
+        j = i + 1
+        while j < s1 and ((mask >> j) & 1) == bit:
+            j += 1
+        runs.append((i, j, bit))
+        i = j
+    return runs
+
+
+class TestLeafRuns:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        nbits=st.sampled_from([1, 2, 8, 32]),
+        mask=st.integers(0, bitmap.MASK32),
+        cut=st.tuples(st.integers(0, 4095), st.integers(1, 4096)),
+    )
+    def test_run_boundaries_match_per_bit_scan(self, nbits, mask, cut):
+        """One device write per run: a set bit's run goes to the ancestor
+        (the file extent), a clear bit's to the leaf log, so two adjacent
+        runs never have touching targets and are never merged."""
+        shadow, tree, _, inode = make_shadow(leaf_valid_bits=nbits)
+        off_in, length = cut[0], min(cut[1], 4096 - cut[0])
+        node = tree.node(0, 1)
+        node.word = bitmap.pack_leaf(mask, 1)
+        off = node.start + off_in
+        sub = 4096 // nbits
+        plan = WritePlan(gen=2)
+        shadow._plan_leaf(plan, node, 0, inode.base, 0, off, length, b"d" * length, off)
+        expected = [
+            (node.start + i * sub + (inode.base if bit else node.log_off - node.start), (j - i) * sub)
+            for i, j, bit in _per_bit_runs(mask, off_in // sub, -(-(off_in + length) // sub))
+        ]
+        assert [(t, len(p)) for t, p in plan.data_writes] == expected
+        assert b"".join(p for _, p in plan.data_writes)[off_in % sub :][:length] == b"d" * length

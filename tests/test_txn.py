@@ -145,6 +145,56 @@ class TestBasics:
         assert f.read(0, 8) == b"txn!norm"
 
 
+class TestWriteBackRefusedWhileOpen:
+    """A checkpoint or close writes every log back and clears the table;
+    run under an open transaction it would make the staged words durable
+    where ``rollback`` cannot reach them, so both are refused."""
+
+    @pytest.mark.parametrize("method", ["checkpoint", "close"])
+    def test_refused_before_touching_anything(self, method):
+        fs = make_fs()
+        f = fs.create("t", capacity=CAP)
+        f.write(0, b"A" * 8192)
+        txn = fs.begin_transaction(f)
+        txn.write(100, b"B" * 300)
+        stats = dict(vars(fs.device.stats))
+        with pytest.raises(TransactionError):
+            getattr(f, method)()
+        assert vars(fs.device.stats) == stats
+        assert not f.closed
+        txn.rollback()
+        assert f.read(100, 4) == b"AAAA"
+
+    @pytest.mark.parametrize("method", ["checkpoint", "close"])
+    def test_rollback_survives_write_back_and_crash(self, method):
+        fs = make_fs()
+        f = fs.create("t", capacity=CAP)
+        f.write(0, b"A" * 8192)
+        txn = fs.begin_transaction(f)
+        txn.write(100, b"B" * 300)
+        with pytest.raises(TransactionError):
+            getattr(f, method)()
+        txn.rollback()
+        getattr(f, method)()  # allowed once the transaction is closed
+        if f.closed:
+            f = fs.open("t")
+        assert f.read(100, 4) == b"AAAA"
+        fs.device.drain()
+        image = fs.device.crash_image(rng=random.Random(0), persist_probability=0.5)
+        fs2, _ = recover(NvmDevice.from_image(image), config=MgspConfig(degree=16))
+        assert fs2.open("t").read(0, 8192) == b"A" * 8192
+
+    def test_commit_then_checkpoint_keeps_the_commit(self, setup):
+        fs, f = setup
+        txn = fs.begin_transaction(f)
+        txn.write(100, b"B" * 300)
+        with pytest.raises(TransactionError):
+            f.checkpoint()
+        txn.commit()
+        f.checkpoint()
+        assert f.read(100, 300) == b"B" * 300
+
+
 class TestTxnCrashAtomicity:
     def _run(self, crash_after, n_writes=6, seed=5):
         fs = make_fs()
