@@ -11,23 +11,25 @@ Persistent state per node is one 16-byte slot in the file's node table:
     +0  u64  packed metadata word (see bitmap.py) — atomic commit unit
     +8  u64  log block device offset (0 = none)
 
-The DRAM ``Node`` objects mirror those slots and are rebuilt by scanning
-the table on remount/recovery.
+The DRAM ``Node`` objects mirror those slots and are rebuilt on
+remount/recovery from the table's non-zero words
+(``repro.util.nonzero_words``), each decoded little-endian.
 """
 
 from __future__ import annotations
 
+import struct
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.core import bitmap
 from repro.core.config import MgspConfig
 from repro.errors import FsError
 from repro.fsapi.volume import Inode
 from repro.nvm.device import NvmDevice
+from repro.util import nonzero_words
 
 SLOT_SIZE = 16
+_U64 = struct.Struct("<Q").unpack_from
 
 
 class Node:
@@ -211,16 +213,14 @@ class RadixTree:
         """Rebuild the DRAM mirror by scanning the persistent node table."""
         total_slots = self.level_base[-1] + self.level_counts[-1]
         raw = self.device.buffer.load(self.inode.node_table_off, total_slots * SLOT_SIZE)
-        words = np.frombuffer(raw, dtype="<u8")
-        nonzero = np.flatnonzero(words)
         self.epoch += 1
         max_gen = 0
-        for flat in nonzero.tolist():
+        for flat in nonzero_words(raw):
             slot_idx, field = divmod(flat, 2)
             level = self._level_of_slot(slot_idx)
             index = slot_idx - self.level_base[level]
             node = self.node(level, index)
-            value = int(words[flat])
+            (value,) = _U64(raw, flat << 3)
             if field == 0:
                 node.word = value
                 if level == 0:

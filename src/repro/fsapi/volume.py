@@ -23,8 +23,6 @@ import struct
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-import numpy as np
-
 from repro.errors import AllocationError, FileExists, FileNotFound
 from repro.fsapi.layout import VolumeLayout
 from repro.nvm.device import NvmDevice
@@ -34,6 +32,7 @@ INODE_MAGIC = 0x1A0DE5
 SLOT_SIZE = 64
 HEADER_SIZE = 64
 _SLOT = struct.Struct("<IIQQQQQ16s")
+_MAGIC_BYTES = INODE_MAGIC.to_bytes(4, "little")
 
 
 @dataclass
@@ -77,15 +76,15 @@ class Volume:
         """Rebuild the namespace from the superblock (post-crash path)."""
         volume = cls(device, layout)
         base = volume.layout.superblock.start + HEADER_SIZE
-        # untimed (mount path): the whole slot table in one buffer load,
-        # the live slots found by one strided compare of the magic words
+        # untimed (mount path): the whole slot table in one buffer load, then
+        # the magic's slot-aligned hits (a file of INODE_MAGIC bytes has it at +24)
         table = device.buffer.load(base, volume._max_slots * SLOT_SIZE)
-        magics = np.frombuffer(table, dtype="<u4")[:: SLOT_SIZE // 4]
-        for slot_idx in np.flatnonzero(magics == INODE_MAGIC).tolist():
-            _magic, fid, ext_base, cap, size, nt_off, nt_len, name = _SLOT.unpack_from(
-                table, slot_idx * SLOT_SIZE
-            )
-            slot_off = base + slot_idx * SLOT_SIZE
+        pos = -1
+        while (pos := table.find(_MAGIC_BYTES, pos + 1)) >= 0:
+            if pos % SLOT_SIZE:
+                continue
+            _magic, fid, ext_base, cap, size, nt_off, nt_len, name = _SLOT.unpack_from(table, pos)
+            slot_off = base + pos
             inode = Inode(
                 id=fid,
                 name=name.rstrip(b"\0").decode("utf-8"),

@@ -49,9 +49,11 @@ lines to one of the two sets, a flush moves lines from the first to the
 second, and a line leaves both only in ``fence`` / ``drain``, after it
 was copied. So ``unfenced_words`` and ``drain`` walk the coalesced runs
 of ``dirty ∪ pending`` in ascending offset order and never look at the
-rest of the image, and ``choose_persist_words`` — one coin per
-candidate, in order — yields the same subset from the same seed
-whatever order the stores were issued in.
+rest of the image (a run's two slices are XORed as integers and
+``repro.util.nonzero_words`` lists the result's non-zero words), and
+``choose_persist_words`` — one coin per candidate, in order — yields
+the same subset from the same seed whatever order the stores were
+issued in.
 """
 
 from __future__ import annotations
@@ -60,11 +62,9 @@ import mmap
 import random
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import OutOfRangeError, TornWriteError
 from repro.nvm.bitmap import RangeBitmap
-from repro.util import ATOMIC_UNIT, CACHE_LINE
+from repro.util import ATOMIC_UNIT, CACHE_LINE, nonzero_words
 
 # Alignment masks (power-of-two sizes): x & _LINE_MASK == align_down,
 # (x + LINE - 1) & _LINE_MASK == align_up. Inlined in the hot methods —
@@ -73,10 +73,8 @@ _LINE = CACHE_LINE
 _LINE_MASK = -CACHE_LINE
 _LINE_SHIFT = CACHE_LINE.bit_length() - 1
 
-#: line runs at least this long diff working vs durable through a
-#: vectorized uint64 compare; shorter runs stay on the per-word loop
-#: (less constant overhead). Both scans emit words in ascending order.
-_VECTOR_SCAN_BYTES = 1024
+#: ``_diff_words`` XORs a run in chunks: a long run's transient copies stay small
+_SCAN_CHUNK = 1 << 16
 
 
 def choose_persist_words(
@@ -392,20 +390,14 @@ class StoreBuffer:
 
     def _diff_words(self, start: int, end: int, words: List[int]) -> None:
         """Append offsets of words differing between working and durable
-        inside [start, end), ascending. Long runs use one vectorized
-        uint64 compare; short runs use the per-word loop — same output."""
-        working = self.working[start:end]
-        durable = self.durable[start:end]
-        if end - start >= _VECTOR_SCAN_BYTES:
-            diff = np.flatnonzero(np.frombuffer(working, "<u8") != np.frombuffer(durable, "<u8"))
-            if len(diff):
-                words.extend((start + (diff << 3)).tolist())
-            return
-        if working == durable:
-            return
-        for off in range(0, end - start, ATOMIC_UNIT):
-            if working[off : off + 8] != durable[off : off + 8]:
-                words.append(start + off)
+        inside [start, end), ascending: each chunk's two slices XORed as
+        little-endian integers, then the non-zero words of the result."""
+        for lo in range(start, end, _SCAN_CHUNK):
+            hi = min(lo + _SCAN_CHUNK, end)
+            diff = int.from_bytes(self.working[lo:hi], "little")
+            diff ^= int.from_bytes(self.durable[lo:hi], "little")
+            if diff:
+                words += [lo + (w << 3) for w in nonzero_words(diff.to_bytes(hi - lo, "little"))]
 
     def unfenced_words(self) -> List[int]:
         """Offsets of every 8-byte word that differs between the working

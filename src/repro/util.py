@@ -1,8 +1,9 @@
-"""Small shared helpers: alignment math, checksums, size parsing."""
+"""Small shared helpers: alignment math, checksums, size parsing, word scans."""
 
 from __future__ import annotations
 
 import zlib
+from itertools import compress
 
 CACHE_LINE = 64
 ATOMIC_UNIT = 8
@@ -54,3 +55,9 @@ def is_power_of_two(n: int) -> bool:
 def checksum(data: bytes) -> int:
     """CRC32 of *data*, used by the metadata log to validate entries."""
     return zlib.crc32(data) & 0xFFFFFFFF
+
+
+def nonzero_words(buf) -> list:
+    """Indices of the 8-byte words of *buf* holding a non-zero byte, ascending:
+    one C-level pass (a word is zero in either byte order, so the cast is exact)."""
+    return list(compress(range(len(buf) >> 3), memoryview(buf).cast("Q")))

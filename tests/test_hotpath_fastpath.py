@@ -18,7 +18,7 @@ from device_oracle import differing_words
 from repro.core import MgspConfig, MgspFilesystem
 from repro.core.file import MgspFile
 from repro.errors import TransactionError
-from repro.nvm.cache import StoreBuffer
+from repro.nvm.cache import _SCAN_CHUNK, PAGE, StoreBuffer
 
 CAP = 4 << 20
 
@@ -137,7 +137,48 @@ def test_fast_and_slow_planner_differential(detach_tracer, monkeypatch):
 
 def test_unfenced_words_matches_full_scan():
     """The dirty/pending line walk (plus memo) must report exactly the
-    words a whole-image diff finds, in the same ascending order."""
+    words a whole-image diff finds, in the same ascending order — also on
+    the inputs a word scan of XORed chunks could get wrong: zero bytes
+    inside a differing word, one run longer than a scan chunk with an odd
+    tail, and a buffer booted from an image."""
+    rng = random.Random(11)
+
+    # A word differs when any one of its bytes does: a single non-zero
+    # byte at either end of a zero word, and zero bytes stored over
+    # non-zero ones (the XOR's non-zero byte is where working is zero).
+    buf = StoreBuffer(1 << 16)
+    buf.nt_store(0, bytes(range(1, 129)))
+    buf.fence()
+    buf.store(0, b"\0\0\0\0\0\0\0\x07" + b"\x09" + bytes(7) + b"\0" * 8)
+    buf.store(64, bytes(range(65, 72)) + b"\0")  # only the last byte changes
+    assert buf.unfenced_words() == [0, 8, 16, 64] == differing_words(buf.working, buf.durable)
+
+    # One run of two chunks and an odd tail: differing words at both ends
+    # of every chunk, sparse ones inside, and a dense stretch.
+    run_start, run_len = 3 * 64, 2 * _SCAN_CHUNK + 448
+    buf = StoreBuffer(4 * _SCAN_CHUNK)
+    buf.store(run_start, bytes(run_len))  # one dirty run, no difference yet
+    assert buf.unfenced_words() == []
+    edges = [0, _SCAN_CHUNK - 8, _SCAN_CHUNK, 2 * _SCAN_CHUNK - 8, 2 * _SCAN_CHUNK, run_len - 8]
+    for rel in edges + [rng.randrange(run_len // 8) * 8 for _ in range(40)]:
+        buf.store(run_start + rel + rng.randrange(8), bytes([rng.randrange(1, 256)]))
+    buf.store(run_start + _SCAN_CHUNK - 200, bytes(rng.randrange(256) for _ in range(400)))
+    assert buf.unfenced_words() == differing_words(buf.working, buf.durable)
+    buf.flush(run_start, _SCAN_CHUNK)
+    buf.fence()  # the first chunk's lines become durable; the rest still differ
+    assert buf.unfenced_words() == differing_words(buf.working, buf.durable)
+
+    # Booted from content: both images are pages over one base, so the
+    # scan reads page pieces; stores that restore the base's bytes, zero
+    # them, or cross a page boundary.
+    image = bytes(rng.randrange(256) for _ in range(4 * PAGE))
+    buf = StoreBuffer(len(image), image=image)
+    buf.store(PAGE - 24, bytes(48))
+    buf.store(2 * PAGE, image[2 * PAGE : 2 * PAGE + 64])  # dirty, unchanged
+    buf.store(3 * PAGE + 8, b"\0" + image[3 * PAGE + 9 : 3 * PAGE + 16])
+    assert buf.unfenced_words() == differing_words(buf.working, buf.durable)
+    assert len(buf.unfenced_words()) == 7
+
     buf = StoreBuffer(1 << 16)
     rng = random.Random(3)
     for step in range(400):

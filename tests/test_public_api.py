@@ -5,6 +5,9 @@ from __future__ import annotations
 import ast
 import importlib
 import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -120,6 +123,34 @@ class TestTopLevel:
             assert not hasattr(module, "attach_collector")
         for name in repro.infer.__all__:
             assert hasattr(repro.infer, name), name
+
+
+def test_imports_only_the_standard_library():
+    """Importing ``repro`` and every subpackage loads no third-party
+    module: the program runs on the standard library alone. A fresh
+    interpreter, so nothing a test imported counts."""
+    script = textwrap.dedent(
+        """
+        import importlib, pkgutil, sys
+        before = set(sys.modules)
+        import repro
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            if info.name.rpartition(".")[2] != "__main__":
+                importlib.import_module(info.name)
+        tops = {name.partition(".")[0] for name in set(sys.modules) - before}
+        print(" ".join(sorted(tops - set(sys.stdlib_module_names) - {"repro"})))
+        """
+    )
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == []
 
 
 def _imported_names(path: pathlib.Path) -> set:

@@ -155,6 +155,31 @@ class TestPersistence:
         assert fresh.peek(1, 0).word == bitmap.pack_nonleaf(True, True, 4, 5)
         assert fresh.gen == 5  # max gen observed
 
+    def test_load_from_table_decodes_words_with_interior_zero_bytes(self):
+        """Little-endian words whose non-zero bytes sit at one end or with
+        zero bytes between them: found by the scan, decoded exactly."""
+        tree, inode, device = make_tree()
+        stored = {
+            (0, 0): (bitmap.pack_leaf(0x1, 0x10000), 0x0100_0000_0040),
+            (0, 9): (bitmap.pack_leaf(0x8000_0000, 0), 0),
+            (0, 15): (0, 0x40_0000_0000_0000),  # only a log pointer, high bytes
+            (1, 0): (bitmap.pack_nonleaf(True, False, 0x01_0000, 0x00_0002), 0),
+            (2, 0): (bitmap.pack_nonleaf(False, True, 0, 0x80_0000), 0x1000),
+        }
+        for (level, index), (word, log_off) in stored.items():
+            node = tree.node(level, index)
+            if word:
+                tree.store_word(node, word)
+            if log_off:
+                tree.store_log_ptr(node, log_off)
+        device.drain()
+
+        fresh = RadixTree(device, inode, tree.config)
+        fresh.load_from_table()
+        got = {(n.level, n.index): (n.word, n.log_off) for n in fresh.nodes.values()}
+        assert got == stored
+        assert fresh.gen == 0x80_0000
+
     def test_clear_table_zeroes(self):
         tree, inode, device = make_tree()
         node = tree.node(0, 1)

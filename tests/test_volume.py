@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import AllocationError, FileExists, FileNotFound
 from repro.fsapi.layout import VolumeLayout
-from repro.fsapi.volume import Volume
+from repro.fsapi.volume import INODE_MAGIC, Volume
 from repro.nvm.device import NvmDevice
 
 
@@ -123,6 +123,21 @@ class TestMount:
         a = remounted.lookup("a")
         assert c.base >= a.base + a.capacity
         assert c.id > a.id
+
+    def test_mount_ignores_the_magic_outside_a_slot_boundary(self, device):
+        """A file of INODE_MAGIC bytes stores the magic in its size field
+        (slot offset 24): the remount finds exactly the created inodes."""
+        volume = Volume(device)
+        a = volume.create("alpha", 2 << 20)
+        b = volume.create("beta", 4096)
+        volume.set_size(a, INODE_MAGIC)
+        device.drain()
+        remounted = Volume.mount(NvmDevice.from_image(device.buffer.snapshot_durable()))
+        got = {i.name: (i.id, i.base, i.capacity, i.size, i.slot_offset) for i in remounted.files()}
+        assert got == {
+            "alpha": (a.id, a.base, a.capacity, INODE_MAGIC, a.slot_offset),
+            "beta": (b.id, b.base, b.capacity, 0, b.slot_offset),
+        }
 
     def test_mount_empty(self, device):
         remounted = Volume.mount(device)
