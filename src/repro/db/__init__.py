@@ -5,8 +5,9 @@ two journal modes the paper evaluates:
 
 - ``wal``  — write-ahead log file + checkpointing (SQLite's WAL mode);
 - ``off``  — dirty pages written in place at commit, no DB-level journal
-  (SQLite's ``journal_mode=OFF``; crash safety comes from the FS, which
-  is exactly what MGSP provides and Ext4-DAX does not).
+  (SQLite's ``journal_mode=OFF``). On MGSP each page write is atomic but
+  a commit is one write per dirty page, so a crash can tear a commit
+  across its pages (on Ext4-DAX, inside a page too); only ``wal`` is.
 """
 
 from repro.db.engine import Database

@@ -17,49 +17,56 @@ Representation
 
 Five fields, nothing else:
 
-- ``working`` — what loads observe; ``durable`` — what survives a crash.
-  Every store, load and copy between them is a slice read or a slice
-  assignment on these two objects; what backs them follows from how the
-  buffer starts. A *fresh* device lives for a whole workload and takes
-  millions of stores: two *private* anonymous mappings behind
-  ``memoryview``\\ s, C slices over pages the kernel hands out on first
-  write (a read of an unwritten page maps the zero page; a shared
+- ``working`` — what loads observe, and the only full image. Every store
+  and load is a slice read or a slice assignment on it; what backs it
+  follows from how the buffer starts. A *fresh* device lives for a whole
+  workload and takes millions of stores: a *private* anonymous mapping
+  behind a ``memoryview``, C slices over pages the kernel hands out on
+  first write (a read of an unwritten page maps the zero page; a shared
   mapping, ``mmap(-1, size)``'s default, allocates every page it reads).
   A device *booted from content* lives for one recovery (~130 device
-  events, ~20 of 1,024 pages written): two :class:`PagedImage`\\ s over
-  one shared immutable ``bytes``, a page lookup per slice instead of two
-  whole-image heap copies — which cost fresh pages, not memcpy (glibc
+  events, ~20 of 1,024 pages written): a :class:`PagedImage` over the
+  shared immutable ``bytes``, a page lookup per slice instead of a
+  whole-image heap copy — which costs fresh pages, not memcpy (glibc
   trims the freed heap top, so every copy faults its pages in again).
-  Only ``crash_image`` (one ``bytes`` that outlives the buffer) is
-  proportional to the provisioned size.
+- ``_undo`` — ``(offset, the bytes a store overwrote)`` in store order,
+  captured before each assignment. The medium differs from what loads
+  see only in the stores not yet fenced (x86 + ADR), so ``durable``,
+  what survives a crash, is ``working`` with this log undone newest
+  entry first (a byte's oldest capture wins), and ``working`` itself
+  when the log is empty. A fence that finds nothing dirty (every fence
+  any workload here issues) and ``drain`` just clear it; a fence that
+  finds lines still dirty keeps one entry per run of the dirty,
+  unfenced lines: their durable bytes.
 - ``dirty`` — the stored-not-flushed cache lines, a chunked line bitmap
   (:class:`repro.nvm.bitmap.RangeBitmap`): a bulk store is one slice
   assignment plus a few chunk-mask ORs, a small store ORs one bit.
 - ``_pending_log`` — the flushed-not-fenced lines, as the raw
-  line-aligned ranges ``flush`` / ``nt_store*`` queued, in issue order.
-  It is never folded into a set on the store path: ``fence`` replays
-  the ranges as they are (duplicates and overlaps copy the same bytes
-  twice) and drops the list.
-- ``_uw_cache`` — the memoized crash-candidate word list, dropped by
-  every mutation.
+  line-aligned ranges ``flush`` / ``nt_store*`` queued, in issue order,
+  never folded into a set on the store path.
+- ``_uw_cache`` — the memoized crash-candidate scan (each run's durable
+  bytes and the unfenced words), dropped by every mutation.
 
-One invariant ties them together: **every word where ``working`` and
-``durable`` differ lies in a dirty or a pending line.** A store adds its
-lines to one of the two sets, a flush moves lines from the first to the
-second, and a line leaves both only in ``fence`` / ``drain``, after it
-was copied. So ``unfenced_words`` and ``drain`` walk the coalesced runs
-of ``dirty ∪ pending`` in ascending offset order and never look at the
-rest of the image (a run's two slices are XORed as integers and
-``repro.util.nonzero_words`` lists the result's non-zero words), and
-``choose_persist_words`` — one coin per candidate, in order — yields
-the same subset from the same seed whatever order the stores were
-issued in.
+One invariant ties them together: **every undo entry lies inside one
+coalesced run of ``dirty ∪ pending`` lines**, so every word where
+``working`` and ``durable`` differ does too. A store adds its lines to
+one of the two sets, a flush moves lines from the first to the second,
+and a line leaves both only in ``fence`` / ``drain``, which drop its
+entries. So the crash-candidate scan undoes the log over those runs,
+in ascending offset order, and never looks at the rest of the image (a
+run's two slices are XORed as integers and ``repro.util.nonzero_words``
+lists the result's non-zero words), and ``choose_persist_words`` — one
+coin per candidate, in order — yields the same subset from the same
+seed whatever order the stores were issued in. Only ``crash_image``
+(one ``bytes`` that outlives the buffer) is proportional to the
+provisioned size.
 """
 
 from __future__ import annotations
 
 import mmap
 import random
+from bisect import bisect_right
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import OutOfRangeError, TornWriteError
@@ -73,7 +80,7 @@ _LINE = CACHE_LINE
 _LINE_MASK = -CACHE_LINE
 _LINE_SHIFT = CACHE_LINE.bit_length() - 1
 
-#: ``_diff_words`` XORs a run in chunks: a long run's transient copies stay small
+#: the crash-candidate scan XORs a run in chunks: its transient ints stay small
 _SCAN_CHUNK = 1 << 16
 
 
@@ -184,24 +191,26 @@ class StoreBuffer:
         """A fresh all-zero device of *size* bytes, or one booted from
         *image* (*size* bytes of content, never observably aliased)."""
         self.size = size
-        #: ``working`` is what loads observe, ``durable`` what survives a
-        #: crash (fenced). Private mappings zero-filled on first write, or
-        #: copy-on-write pages over the content (module docstring): either
-        #: way a device costs what it writes, not its size.
+        #: a private mapping zero-filled on first write, or copy-on-write
+        #: pages over the content: a device costs what it writes, once
         if image is None:
             self.working = memoryview(mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE))
-            self.durable = memoryview(mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE))
         else:
             if len(image) != size:
                 raise OutOfRangeError(f"image of {len(image)} bytes for a device of {size}")
             self.working = PagedImage(image)
-            self.durable = PagedImage(self.working)
+        self._undo: List[Tuple[int, bytes]] = []
         self.dirty = RangeBitmap(CACHE_LINE)  # stored, not flushed
         #: flushed, not fenced: the raw line-aligned ranges in issue
-        #: order, duplicates and overlaps included (see the module
-        #: docstring for why it is a list and not a set).
+        #: order, duplicates and overlaps included
         self._pending_log: List[tuple] = []
-        self._uw_cache: Optional[List[int]] = None
+        self._uw_cache: Optional[tuple] = None
+
+    @property
+    def durable(self):
+        """What survives a crash: ``working`` itself while no store is
+        unfenced, else a ``bytes`` of it with the undo log undone."""
+        return self.crash_image(persist_words=()) if self._undo else self.working
 
     def pending_set(self) -> RangeBitmap:
         """The flushed-not-fenced lines as a bitmap, built per call (for
@@ -215,21 +224,15 @@ class StoreBuffer:
         """Whether a fence would make anything durable."""
         return bool(self._pending_log)
 
-    def _volatile_runs(self):
-        """Coalesced runs of ``dirty ∪ pending``, ascending: the only
-        lines where the two images can differ."""
-        lines = self.pending_set()
-        for start, end in self.dirty.runs():
-            lines.add(start, end)
-        return lines.runs()
-
     # -- the persistence primitives ---------------------------------------
 
     def store(self, offset: int, data) -> None:
         end = offset + len(data)
         if offset < 0 or end > self.size:
             raise OutOfRangeError(f"store [{offset}, {end}) outside device of {self.size}")
-        self.working[offset:end] = data
+        working = self.working
+        self._undo.append((offset, bytes(working[offset:end])))
+        working[offset:end] = data
         self.dirty.add(offset & _LINE_MASK, (end + _LINE - 1) & _LINE_MASK)
         self._uw_cache = None
 
@@ -252,7 +255,9 @@ class StoreBuffer:
         end = offset + len(data)
         if offset < 0 or end > self.size:
             raise OutOfRangeError(f"store [{offset}, {end}) outside device of {self.size}")
-        self.working[offset:end] = data
+        working = self.working
+        self._undo.append((offset, bytes(working[offset:end])))
+        working[offset:end] = data
         start = offset & _LINE_MASK
         aend = (end + _LINE - 1) & _LINE_MASK
         if self.dirty:
@@ -273,6 +278,7 @@ class StoreBuffer:
                 end = offset + len(data)
                 raise OutOfRangeError(f"store [{offset}, {end}) outside device of {size}")
         working = self.working
+        undo = self._undo
         # A batch only removes from dirty, so emptiness checked once holds.
         dirty = self.dirty if self.dirty else None
         plog = self._pending_log
@@ -280,6 +286,7 @@ class StoreBuffer:
         lines = 0
         for offset, data in writes:
             end = offset + len(data)
+            undo.append((offset, bytes(working[offset:end])))
             working[offset:end] = data
             start = offset & _LINE_MASK
             aend = (end + _LINE - 1) & _LINE_MASK
@@ -306,10 +313,12 @@ class StoreBuffer:
                 raise TornWriteError(f"atomic store at unaligned offset {offset}")
             if offset < 0 or offset + 8 > size:
                 raise OutOfRangeError(f"store at {offset} outside device of {size}")
+        undo = self._undo
         # A batch only removes from dirty, so emptiness checked once holds.
         dirty = self.dirty if self.dirty else None
         plog = self._pending_log
         for offset, value in words:
+            undo.append((offset, bytes(working[offset : offset + 8])))
             working[offset : offset + 8] = value.to_bytes(8, "little")
             line = offset & _LINE_MASK
             if dirty is not None:
@@ -359,12 +368,23 @@ class StoreBuffer:
 
     def fence(self) -> None:
         """sfence: everything previously flushed becomes durable. A line
-        stored again after its flush is copied as it stands — a legal
-        eviction — and is still in ``dirty`` afterwards."""
-        working = self.working
-        durable = self.durable
-        for start, end in self._pending_log:
-            durable[start:end] = working[start:end]
+        stored again after its flush is fenced as it stands — a legal
+        eviction — and is still in ``dirty`` afterwards; the undo log
+        keeps the durable bytes of the dirty lines not fenced."""
+        if self.dirty:
+            kept = RangeBitmap(CACHE_LINE)
+            for start, end in self.dirty.runs():
+                kept.add(start, end)
+            for start, end in self._pending_log:
+                kept.remove(start, end)
+            starts, images, _ = self._scan()
+            undo = []
+            for start, end in kept.runs():
+                i = bisect_right(starts, start) - 1
+                undo.append((start, bytes(images[i][start - starts[i] : end - starts[i]])))
+            self._undo = undo
+        else:
+            self._undo.clear()
         self._pending_log.clear()
         self._uw_cache = None
 
@@ -375,43 +395,49 @@ class StoreBuffer:
         return nlines
 
     def drain(self) -> None:
-        """Make the entire working image durable (orderly shutdown).
-        The images differ only inside dirty or pending lines, so only
-        those are copied."""
-        working = self.working
-        durable = self.durable
-        for start, end in self._volatile_runs():
-            durable[start:end] = working[start:end]
+        """Make the entire working image durable (orderly shutdown)."""
+        self._undo.clear()
         self.dirty.clear()
         self._pending_log.clear()
         self._uw_cache = None
 
     # -- crash-image composition ------------------------------------------
 
-    def _diff_words(self, start: int, end: int, words: List[int]) -> None:
-        """Append offsets of words differing between working and durable
-        inside [start, end), ascending: each chunk's two slices XORed as
-        little-endian integers, then the non-zero words of the result."""
-        for lo in range(start, end, _SCAN_CHUNK):
-            hi = min(lo + _SCAN_CHUNK, end)
-            diff = int.from_bytes(self.working[lo:hi], "little")
-            diff ^= int.from_bytes(self.durable[lo:hi], "little")
-            if diff:
-                words += [lo + (w << 3) for w in nonzero_words(diff.to_bytes(hi - lo, "little"))]
+    def _scan(self) -> Tuple[List[int], List[bytearray], List[int]]:
+        """The starts of the coalesced runs of ``dirty ∪ pending``
+        (ascending), each run's durable bytes — its ``working`` slice
+        with the undo log applied newest entry first — and the offsets
+        of the words where the two differ, ascending: each chunk's two
+        slices XORed as little-endian integers, then the non-zero words
+        of the result. Memoized until the next store/fence/drain."""
+        if self._uw_cache is None:
+            working = self.working
+            lines = self.pending_set()
+            for start, end in self.dirty.runs():
+                lines.add(start, end)
+            runs = list(lines.runs())
+            starts = [start for start, _ in runs]
+            images = [bytearray(working[start:end]) for start, end in runs]
+            for offset, old in reversed(self._undo):
+                if old:  # inside one run; a zero-length store marks no line
+                    i = bisect_right(starts, offset) - 1
+                    images[i][offset - starts[i] : offset - starts[i] + len(old)] = old
+            words: List[int] = []
+            for (start, end), image in zip(runs, images):
+                for lo in range(start, end, _SCAN_CHUNK):
+                    hi = min(lo + _SCAN_CHUNK, end)
+                    diff = int.from_bytes(working[lo:hi], "little")
+                    diff ^= int.from_bytes(image[lo - start : hi - start], "little")
+                    if diff:
+                        words += [lo + (w << 3) for w in nonzero_words(diff.to_bytes(hi - lo, "little"))]
+            self._uw_cache = (starts, images, words)
+        return self._uw_cache
 
     def unfenced_words(self) -> List[int]:
         """Offsets of every 8-byte word that differs between the working
-        and durable images and has not been fenced.
-
-        Memoized until the next store/fence/drain; the scan visits only
-        dirty and pending lines, in ascending order.
-        """
-        if self._uw_cache is None:
-            words: List[int] = []
-            for start, end in self._volatile_runs():
-                self._diff_words(start, end, words)
-            self._uw_cache = words
-        return list(self._uw_cache)
+        and durable images and has not been fenced, ascending; the scan
+        visits only dirty and pending lines."""
+        return list(self._scan()[2])
 
     def crash_image(
         self,
@@ -426,8 +452,9 @@ class StoreBuffer:
         - Otherwise each unfenced word independently persists with
           ``persist_probability`` using ``rng`` (default: fresh RNG).
 
-        One allocation (durable slices with the chosen words in between)
-        and immutable, so a device booted from it shares it uncopied.
+        One allocation — ``working`` slices and each run's durable bytes,
+        split around the chosen words — and immutable, so a device
+        booted from it shares it uncopied.
         """
         candidates = self.unfenced_words()
         if persist_words is not None:
@@ -439,13 +466,22 @@ class StoreBuffer:
             # analysis: allow(ambient-nondeterminism) -- exploratory default only; every replayable caller passes a seeded rng
             rng = rng or random.Random()
             chosen = choose_persist_words(candidates, rng, persist_probability)
-        working, durable = self.working, self.durable
+        working = self.working
+        starts, images, _ = self._scan()
+        chosen = sorted(chosen)
+        k = pos = 0
         parts = []
-        pos = 0
-        for off in sorted(chosen):
-            parts += (durable[pos:off], working[off : off + 8])
-            pos = off + 8
-        parts.append(durable[pos:])
+        for start, image in zip(starts, images):
+            view = memoryview(image)
+            parts.append(working[pos:start])
+            pos, end = start, start + len(image)
+            while k < len(chosen) and chosen[k] < end:
+                off = chosen[k]
+                parts += (view[pos - start : off - start], working[off : off + 8])
+                pos, k = off + 8, k + 1
+            parts.append(view[pos - start :])
+            pos = end
+        parts.append(working[pos:])
         return b"".join(parts)
 
     def snapshot_durable(self) -> bytes:

@@ -342,11 +342,11 @@ class NvmDevice:
         """Boot a device from a crash image (the recovered machine).
         *image* is never observably aliased, and what the boot copies
         depends on what it is: immutable ``bytes`` are shared as the
-        base of the device's copy-on-write images (no copy), another
-        booted device's live ``buffer.working`` / ``.durable`` shares
-        that device's base and copies only the pages it has written,
-        and anything else (``bytearray``, a fresh device's mmap view) is
-        snapshotted once."""
+        base of the device's copy-on-write image (no copy), another
+        booted device's live ``buffer.working`` (``.durable`` while no
+        store is unfenced) shares that device's base and copies only
+        its written pages, and anything else (``bytearray``, a fresh
+        device's mmap view) is snapshotted once."""
         return cls(len(image), timing=timing, name=name, image=image)
 
     # -- derived accounting --------------------------------------------------

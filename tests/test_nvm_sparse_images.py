@@ -1,13 +1,14 @@
 """``StoreBuffer`` images cost what was touched — and hold what the
 full-copy model holds.
 
-A fresh image is lazily zero-filled, ``drain`` copies only dirty and
-pending lines, and a buffer booted from content holds copy-on-write
-pages over it (``PagedImage``) instead of copies. None of that may be
+A fresh image is lazily zero-filled, a buffer booted from content holds
+copy-on-write pages over it (``PagedImage``) instead of copies, and
+``working`` is the only full image: ``durable`` is derived from it and
+an undo log of the stores not yet fenced. None of that may be
 observable: every sequence of persistence ops must leave the same
 working image, durable image, crash candidates (in order) and seeded
-crash image as ``device_oracle.FullCopyBuffer``, which does whole-image
-passes over eager ``bytearray`` images.
+crash image as ``device_oracle.FullCopyBuffer``, which keeps two eager
+``bytearray`` images and does whole-image passes over them.
 """
 
 from __future__ import annotations
@@ -159,6 +160,27 @@ def test_fence_with_a_line_stored_again_after_its_flush(seed):
     ]
     run_differential(buf, model, operations, seed)
     assert bytes(buf.durable) == bytes(buf.working)
+    assert not buf.dirty and not buf.has_pending()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_line_dirty_across_a_fence_of_other_lines(seed):
+    """The fence branch no workload reaches: a cached store is still
+    dirty when a fence makes other lines durable, so the undo log keeps
+    that line's durable bytes and nothing else. A second store to the
+    same line and its flush + fence then make it durable, and
+    ``durable`` is ``working`` itself again."""
+    buf, model = StoreBuffer(SIZE), FullCopyBuffer(SIZE)
+    operations = [
+        ("store", 200, b"cached, stays dirty"),
+        ("nt_store", 1024, b"another line, fenced"),
+        ("fence",),
+        ("store", 196, b"the same line again"),
+        ("flush", 192, 64),
+        ("fence",),
+    ]
+    run_differential(buf, model, operations, seed)
+    assert buf.durable is buf.working
     assert not buf.dirty and not buf.has_pending()
 
 
@@ -339,12 +361,24 @@ def test_booting_from_bytes_copies_pages_not_the_image():
     assert image[PAGE + 100 : 2 * PAGE + 100] == bytes(PAGE)
 
 
+#: ``rss_mb()`` for the child scripts: its own peak RSS (``VmHWM``).
+#: ``ru_maxrss`` will not do: Linux carries it across ``execve``, so a
+#: child of this test process starts at this process's peak (~40 MB
+#: here, more late in the suite) and under-reports what it grew.
+_RSS_MB = """
+def rss_mb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024
+"""
+
+
 def _child_rss_growth(script):
     """Run *script* in a fresh interpreter (its own peak RSS, untouched
-    by this process's heap) and return the MB figures it prints."""
+    by this process's heap) with :data:`_RSS_MB` defined, and return the
+    MB figures it prints."""
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-c", _RSS_MB + script],
         env={"PYTHONPATH": str(src), "PYTHONHASHSEED": "0"},
         capture_output=True,
         text=True,
@@ -355,15 +389,11 @@ def _child_rss_growth(script):
 
 
 def test_gigabyte_mount_costs_what_it_touches():
-    """A 1 GB device is two 1 GB images. Mount, a 1 MB file, write +
+    """A 1 GB device is one 1 GB image. Mount, a 1 MB file, write +
     fsync, drain and unmount may only pay for the pages they write."""
     script = textwrap.dedent(
         """
-        import resource
         from repro.core import MgspFilesystem
-
-        def rss_mb():
-            return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
         before = rss_mb()
         fs = MgspFilesystem(device_size=1 << 30)
@@ -382,7 +412,7 @@ def test_gigabyte_mount_costs_what_it_touches():
 
 
 def test_reading_a_fresh_image_allocates_nothing():
-    """A fresh device's images are private anonymous mappings, so a read
+    """A fresh device's image is a private anonymous mapping, so a read
     of a page nobody wrote maps the kernel's zero page. Hashing a whole
     256 MB durable image (the e2e digest) may not grow RSS by the device
     size, and composing a crash image may pay for the ``bytes`` it
@@ -391,13 +421,9 @@ def test_reading_a_fresh_image_allocates_nothing():
     script = textwrap.dedent(
         """
         import hashlib
-        import resource
         from repro.core import MgspFilesystem
         from repro.errors import CrashRequested
         from repro.nvm.crash import CrashPlan, CrashPolicy, compose_image
-
-        def rss_mb():
-            return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
         before = rss_mb()
         fs = MgspFilesystem(device_size=256 << 20)
@@ -419,3 +445,28 @@ def test_reading_a_fresh_image_allocates_nothing():
     hashed_mb, composed_mb = _child_rss_growth(script)
     assert hashed_mb < 64, f"hashing a fresh 256 MB image grew RSS by {hashed_mb:.0f} MB"
     assert composed_mb < 256 + 64, f"one 256 MB crash image grew RSS by {composed_mb:.0f} MB"
+
+
+def test_a_fenced_page_is_resident_once():
+    """``working`` is the device's only full image and a fence with
+    nothing dirty drops the undo log, so a fresh 256 MB device that
+    non-temporally stores and fences 32 MB in 4 KB stores holds each
+    page it wrote once. (A second, fenced image held each one twice:
+    +64 MB.)"""
+    script = textwrap.dedent(
+        """
+        from repro.nvm.device import NvmDevice
+
+        before = rss_mb()
+        device = NvmDevice(256 << 20)
+        block = b"\\x5a" * 4096
+        for offset in range(0, 32 << 20, 4096):
+            device.nt_store(offset, block)
+            device.fence()
+        assert device.load((32 << 20) - 4096, 4096) == block
+        assert device.unfenced_words() == []
+        print(rss_mb() - before)
+        """
+    )
+    (grown_mb,) = _child_rss_growth(script)
+    assert grown_mb < 48, f"32 MB stored and fenced grew RSS by {grown_mb:.0f} MB"
