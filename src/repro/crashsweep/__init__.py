@@ -15,9 +15,10 @@ package finds the rest by construction:
   recovery and checks the §III-D contract, including that recovery
   itself is an idempotent fixpoint, and holds the one content check
   every file subject shares;
-- :mod:`~repro.crashsweep.sweep` drives the whole loop, crashing at
-  every sampled index under every :class:`~repro.nvm.crash.CrashPolicy`
-  and shrinking failures to minimal seeded reproducers.
+- :mod:`~repro.crashsweep.sweep` drives the whole loop: one capture
+  run per unit composes every sampled index's image under every
+  :class:`~repro.nvm.crash.CrashPolicy` from the live device and shrinks
+  failures to minimal seeded reproducers.
 
 CLI::
 

@@ -1,8 +1,8 @@
 """Crash-point enumeration: census a workload, then pick what to sweep.
 
-The census runs the workload once with a *counting* plan armed — a
-:class:`~repro.nvm.crash.CrashPlan` that observes every persistence
-event but never fires. Two independent tallies must agree:
+The census runs the workload once with a *counting* plan armed — an
+:class:`~repro.nvm.crash.EventCounter` with no point, which counts every
+persistence event and visits none. Two independent tallies must agree:
 
 - ``events``: what the plan's ``on_event``/``on_batch`` hooks saw
   (ground truth);

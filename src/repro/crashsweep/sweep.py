@@ -1,11 +1,16 @@
-"""The sweep driver: census → sample → crash → check → minimize.
+"""The sweep driver: census → sample → capture → check → minimize.
 
 For every (workload, config) pair the driver runs one census to count
-persistence events, samples crash indices within the budget, re-runs the
-workload once per index with an armed :class:`CrashPlan`, and checks
-every :class:`CrashPolicy` image of the crashed device against the
-invariant checker. The three policies share one crashed run — they only
-differ in which unfenced words the composed image keeps.
+persistence events and samples crash indices within the budget. One
+capture run then visits every sampled index through an
+:class:`~repro.nvm.crash.EventCounter`, before that event is applied:
+the live device holds exactly what a crash there leaves (its durable
+image is ``working`` with the undo log of unfenced stores undone) and
+the oracles are in the crashed state, so each :class:`CrashPolicy`
+image is composed from it, checked on a new device, and a failing one
+is minimized there and then; the run goes on to the next index. Two
+runs per unit, however many points — no per-point re-execution. An
+index the run never reaches is reported as a failure after it.
 
 Failures carry a fully deterministic reproducer: the (workload, config,
 policy, crash index, seed) tuple pins the exact image, and a greedy
@@ -18,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.nvm.crash import CrashPlan, CrashPolicy, compose_image, policy_words
+from repro.nvm.crash import CrashPolicy, EventCounter, compose_image, policy_words
 
 from repro.crashsweep.census import Census, sample_points, take_census
 from repro.crashsweep.workloads import CONFIGS, WORKLOADS, get_workload
@@ -80,10 +85,6 @@ class SweepReport:
     units: List[UnitReport] = field(default_factory=list)
 
     @property
-    def events(self) -> int:
-        return sum(u.census.events for u in self.units)
-
-    @property
     def points_swept(self) -> int:
         return sum(len(u.points) for u in self.units)
 
@@ -138,67 +139,48 @@ def sweep_unit(
     points: Optional[Iterable[int]] = None,
     progress=None,
 ) -> UnitReport:
-    """Sweep one (workload, config) pair. ``points`` overrides sampling
-    (used by ``--at`` to replay a single reported crash index)."""
+    """Sweep one (workload, config) pair: a census run, then one capture
+    run that checks every point as the live device reaches it.
+    ``points`` overrides sampling (``--at`` replays one reported index)."""
     workload = get_workload(workload_name)
     census = take_census(workload, config_name)
     if points is None:
         points = sample_points(census.events, budget, seed)
-    report = UnitReport(census=census, points=list(points))
+    report = UnitReport(census=census, points=sorted(set(points)))
 
-    for n, crash_after in enumerate(report.points):
-        outcome = workload.run(config_name, CrashPlan(crash_after))
-        if not outcome.crashed:
-            report.failures.append(
-                Failure(
-                    workload=workload_name,
-                    config_name=config_name,
-                    policy=CrashPolicy.DROP_ALL,
-                    crash_after=crash_after,
-                    seed=seed,
-                    fired_kind=None,
-                    violations=[
-                        f"enumerated crash point {crash_after} never fired "
-                        f"(census counted {census.events} events)"
-                    ],
-                )
-            )
-            continue
+    def visit(kind: str) -> None:
+        crash_after = capture.count - 1
+        outcome = capture.context
         device = outcome.fs.device
+        image_seed = point_seed(seed, crash_after)
         for policy in policies:
-            image_seed = point_seed(seed, crash_after)
-            image = compose_image(
-                device, policy, seed=image_seed, persist_probability=PERSIST_PROBABILITY
-            )
+            image = compose_image(device, policy, image_seed, PERSIST_PROBABILITY)
             report.images_checked += 1
-            violations = workload.check(
-                image, config_name, outcome.oracles, idempotence=idempotence
-            )
+            violations = workload.check(image, config_name, outcome.oracles, idempotence)
             if not violations:
                 continue
             failure = Failure(
-                workload=workload_name,
-                config_name=config_name,
-                policy=policy,
-                crash_after=crash_after,
-                seed=seed,
-                fired_kind=outcome.plan.fired_kind,
-                violations=violations,
+                workload_name, config_name, policy, crash_after, seed, kind, violations
             )
-            if minimize:
-                chosen = policy_words(device, policy, image_seed, PERSIST_PROBABILITY)
-                if chosen:
-                    failure.minimized_words = minimize_failure(
-                        device,
-                        config_name,
-                        outcome.oracles,
-                        chosen,
-                        idempotence=idempotence,
-                        checker=workload.check,
-                    )
+            chosen = policy_words(device, policy, image_seed, PERSIST_PROBABILITY)
+            if minimize and chosen:
+                failure.minimized_words = minimize_failure(
+                    device, config_name, outcome.oracles, chosen, workload.check, idempotence
+                )
             report.failures.append(failure)
-        if progress is not None and (n + 1) % 50 == 0:
-            progress(workload_name, config_name, n + 1, len(report.points))
+        done = report.points.index(crash_after) + 1
+        if progress is not None and done % 50 == 0:
+            progress(workload_name, config_name, done, len(report.points))
+
+    capture = EventCounter(report.points, visit)
+    workload.run(config_name, capture)
+    for crash_after in report.points:
+        if crash_after >= capture.count:
+            never = f"enumerated crash point {crash_after} never fired"
+            report.failures.append(Failure(
+                workload_name, config_name, CrashPolicy.DROP_ALL, crash_after, seed, None,
+                [f"{never} (census counted {census.events} events)"],
+            ))
     return report
 
 
@@ -221,16 +203,8 @@ def sweep(
         for config_name in configs or sorted(CONFIGS):
             if config_name not in supported:
                 continue
-            report.units.append(
-                sweep_unit(
-                    workload_name,
-                    config_name,
-                    policies=policies,
-                    budget=budget,
-                    seed=seed,
-                    idempotence=idempotence,
-                    minimize=minimize,
-                    progress=progress,
-                )
-            )
+            report.units.append(sweep_unit(
+                workload_name, config_name, policies, budget, seed, idempotence, minimize,
+                progress=progress,
+            ))
     return report

@@ -1,11 +1,12 @@
 """Workload registry for the crash-state sweep.
 
 A sweep workload is a *deterministic* driver: it builds a small system
-under test, arms a :class:`~repro.nvm.crash.CrashPlan`, and issues a
-fixed (seeded) operation stream while maintaining an oracle of what the
-system must expose after any crash. Determinism is the whole point — the
-sweep re-runs the same workload once per sampled crash index and every
-run must emit the identical persistence-event sequence.
+under test, arms an :class:`~repro.nvm.crash.EventCounter`, and issues
+a fixed (seeded) operation stream while maintaining an oracle of what
+the system must expose after any crash. Determinism is the whole point —
+the census, the capture run that visits every sampled crash index and
+any single-point replay must emit the identical persistence-event
+sequence.
 
 A subject's oracle is its consistency level: one object that issues the
 stream's updates (``write`` / ``fsync``) and judges a recovered file
@@ -45,7 +46,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core import MgspConfig, MgspFilesystem
 from repro.errors import CrashRequested
-from repro.nvm.crash import CrashPlan
+from repro.nvm.crash import EventCounter
 from repro.nvm.device import NvmDevice
 from repro.sim.trace import TraceRecorder
 
@@ -145,7 +146,7 @@ class RunOutcome:
     config_name: str
     oracles: Dict[str, object]
     crashed: bool
-    plan: Optional[CrashPlan]
+    plan: Optional[EventCounter]
     #: DeviceStats snapshot taken when the plan was armed — the census
     #: derives the crash-point count from the delta since this point.
     stats_base: object
@@ -238,7 +239,7 @@ class SweepWorkload:
     def run(
         self,
         config_name: str,
-        plan: Optional[CrashPlan] = None,
+        plan: Optional[EventCounter] = None,
         instrument: Optional[Callable[[object], object]] = None,
     ) -> RunOutcome:
         system = self.make_system(config_name)
@@ -247,23 +248,23 @@ class SweepWorkload:
         attached = instrument(system) if instrument is not None else None
         state = self.setup(system)
         system.device.drain()
-        stats_base = system.device.stats.snapshot()
-        if plan is not None:
-            system.device.attach(plan)
-        crashed = False
-        try:
-            self.body(system, state)
-        except CrashRequested:
-            crashed = True
-        return RunOutcome(
+        outcome = RunOutcome(
             fs=system,
             config_name=config_name,
             oracles=self.oracles(state),
-            crashed=crashed,
+            crashed=False,
             plan=plan,
-            stats_base=stats_base,
+            stats_base=system.device.stats.snapshot(),
             attached=attached,
         )
+        if plan is not None:
+            plan.context = outcome  # a visit reads the live device and oracles
+            system.device.attach(plan)
+        try:
+            self.body(system, state)
+        except CrashRequested:
+            outcome.crashed = True
+        return outcome
 
 
 class FioSweepWorkload(SweepWorkload):

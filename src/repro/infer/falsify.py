@@ -2,20 +2,24 @@
 
 Each surviving candidate maps to the *exact* crash points that could
 violate it (witness indices from the canonical trace — index parity
-with ``CrashPlan`` makes these literal ``crash_after`` values), and two
-kinds of evidence are gathered there:
+with the device's event counter makes these literal ``crash_after``
+values), and two kinds of evidence are gathered there:
 
 1. a **policy pass** — one ``crashsweep.sweep_unit`` over the union of
    target points with the standard DROP_ALL/KEEP_ALL/RANDOM policies.
    Any failure is a true bug with a ready-made CLI reproducer line;
-2. a **surgical probe** per candidate — replay to the target point and
-   compose ``crash_image(persist_words=...)`` keeping everything except
-   the candidate's "must already be durable" words (persist-before: B
+2. a **surgical probe** per candidate, within the probe budget in
+   candidate order. One capture run of the canonical workload visits
+   every probed point; at each, with the live device held there,
+   ``crash_image(persist_words=...)`` keeps everything except the
+   candidate's "must already be durable" words (persist-before: B
    survives, A dropped; never-torn: half of one wide store dropped;
    fenced-by-op-end: the op's words dropped). If those words are no
    longer persist-candidates the violating image is *unreachable* and
    the invariant is empirically confirmed; if the image is reachable,
-   recovery's verdict splits true bug from benign reordering.
+   recovery's verdict splits true bug from benign reordering, and a
+   failing image is minimized on the held device. A point the run
+   never reaches confirms the candidate.
 
 Benign reorderings — reachable violation, oracle holds — refute the
 invariant as a *requirement* while proving the implementation tolerates
@@ -28,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.nvm.crash import CrashPlan
+from repro.nvm.crash import EventCounter
 
 from repro.crashsweep.sweep import minimize_failure, sweep_unit
 from repro.crashsweep.workloads import get_workload
@@ -205,24 +209,17 @@ def falsify(
             active.append((candidate, _probe_plan(candidate)))
 
     # -- phase 1: standard-policy pass over the union of target points ----
-    point_map: Dict[int, List[int]] = {}
-    for i, (candidate, plan) in enumerate(active):
-        if plan is not None:
-            point_map.setdefault(plan[0], []).append(i)
-    points = sorted(point_map)
-    if len(points) > max(1, budget // 2):
-        points = points[: max(1, budget // 2)]
-    points_set = set(points)
+    points = sorted({plan[0] for _, plan in active if plan is not None})
+    points = points[: max(1, budget // 2)]
     policy_failures: Dict[int, object] = {}
     if points:
-        unit = sweep_unit(
-            workload_name, config_name, points=points, seed=seed, minimize=True
-        )
+        unit = sweep_unit(workload_name, config_name, points=points, seed=seed)
         for failure in unit.failures:
             policy_failures.setdefault(failure.crash_after, failure)
 
-    # -- phase 2: per-candidate surgical probes ---------------------------
+    # -- phase 2: surgical probes, all taken in one capture run ----------
     probes_left = max(0, budget - len(points))
+    probes: Dict[int, List[Tuple[Verdict, List[int]]]] = {}
     for candidate, plan in active:
         if plan is None:
             verdicts.append(
@@ -236,8 +233,9 @@ def falsify(
             continue
         point, drop_words = plan
         verdict = Verdict(candidate, UNPROBED, "probe budget exhausted", [point])
+        verdicts.append(verdict)
 
-        failure = policy_failures.get(point) if point in points_set else None
+        failure = policy_failures.get(point)
         if failure is not None:
             verdict.status = TRUE_BUG
             verdict.reason = (
@@ -247,52 +245,46 @@ def falsify(
             verdict.reproducer = failure.reproducer
             verdict.minimized_words = failure.minimized_words
             verdict.policy_failure = failure
-            verdicts.append(verdict)
-            continue
-
-        if probes_left <= 0:
-            verdicts.append(verdict)
-            continue
-        probes_left -= 1
-        verdict.probes = 1
-
-        outcome = workload.run(config_name, CrashPlan(point))
-        if not outcome.crashed:
-            verdict.status = CONFIRMED
+        elif probes_left > 0:
+            probes_left -= 1
+            verdict.probes = 1
+            verdict.status = CONFIRMED  # stands if the capture run never gets there
             verdict.reason = "target point lies beyond the event stream"
-            verdicts.append(verdict)
-            continue
+            probes.setdefault(point, []).append((verdict, drop_words))
+
+    def visit(kind: str) -> None:
+        outcome = capture.context
         device = outcome.fs.device
         reachable = set(device.unfenced_words())
-        drop = sorted(set(drop_words) & reachable)
-        if not drop:
-            verdict.status = CONFIRMED
-            verdict.reason = (
-                "violating image unreachable: the words the invariant "
-                "protects are already durable at the crash point"
-            )
-            verdicts.append(verdict)
-            continue
-        keep = sorted(reachable - set(drop))
-        image = device.crash_image(persist_words=keep)
-        violations = workload.check(image, config_name, outcome.oracles)
-        if violations:
-            verdict.status = TRUE_BUG
-            verdict.reason = (
-                f"surgical violation (dropped {len(drop)} words) breaks "
-                f"recovery: {violations[0]}"
-            )
-            verdict.minimized_words = minimize_failure(
-                device,
-                config_name,
-                outcome.oracles,
-                keep,
-                checker=workload.check,
-            )
-            # Surgical images are not expressible as a crashsweep policy
-            # line; the CLI layer emits a `python -m repro.infer`
-            # reproducer from target_points + minimized_words instead.
-        else:
+        for verdict, drop_words in probes[capture.count - 1]:
+            drop = sorted(set(drop_words) & reachable)
+            if not drop:
+                verdict.reason = (
+                    "violating image unreachable: the words the invariant "
+                    "protects are already durable at the crash point"
+                )
+                continue
+            keep = sorted(reachable - set(drop))
+            image = device.crash_image(persist_words=keep)
+            violations = workload.check(image, config_name, outcome.oracles)
+            if violations:
+                verdict.status = TRUE_BUG
+                verdict.reason = (
+                    f"surgical violation (dropped {len(drop)} words) breaks "
+                    f"recovery: {violations[0]}"
+                )
+                verdict.minimized_words = minimize_failure(
+                    device,
+                    config_name,
+                    outcome.oracles,
+                    keep,
+                    checker=workload.check,
+                )
+                # Surgical images are not expressible as a crashsweep policy
+                # line; the CLI layer emits a `python -m repro.infer`
+                # reproducer from target_points + minimized_words instead.
+                continue
+            candidate = verdict.candidate
             key = (fs_alias, candidate.family, candidate.a, candidate.b)
             retirement = RETIREMENTS.get(key)
             if retirement is not None:
@@ -307,7 +299,10 @@ def falsify(
                     f"reordering reachable (dropped {len(drop)} words) but "
                     "recovery holds — not a required invariant"
                 )
-        verdicts.append(verdict)
+
+    if probes:
+        capture = EventCounter(sorted(probes), visit)
+        workload.run(config_name, capture)
 
     order = {c.key: i for i, c in enumerate(candidates)}
     verdicts.sort(key=lambda v: order[v.candidate.key])

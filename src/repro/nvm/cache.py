@@ -467,13 +467,16 @@ class StoreBuffer:
             rng = rng or random.Random()
             chosen = choose_persist_words(candidates, rng, persist_probability)
         working = self.working
+        # a paged image's shared base as views: the join is its one copy
+        span = working._pieces if isinstance(working, PagedImage) else (
+            lambda a, b: (working[a:b],))
         starts, images, _ = self._scan()
         chosen = sorted(chosen)
         k = pos = 0
         parts = []
         for start, image in zip(starts, images):
             view = memoryview(image)
-            parts.append(working[pos:start])
+            parts += span(pos, start)
             pos, end = start, start + len(image)
             while k < len(chosen) and chosen[k] < end:
                 off = chosen[k]
@@ -481,7 +484,7 @@ class StoreBuffer:
                 pos, k = off + 8, k + 1
             parts.append(view[pos - start :])
             pos = end
-        parts.append(working[pos:])
+        parts += span(pos, len(working))
         return b"".join(parts)
 
     def snapshot_durable(self) -> bytes:

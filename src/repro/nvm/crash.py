@@ -1,10 +1,13 @@
 """Crash injection.
 
-A :class:`CrashPlan` attached to a device (``device.attach(plan)``)
-counts persistence events (stores, flushes, fences) and raises
-:class:`~repro.errors.CrashRequested` when the configured event index
-is reached. Tests catch the exception,
-compose a crash image, and run recovery against it.
+One :class:`EventCounter` attached to a device (``device.attach(c)``)
+counts persistence events (stores, flushes, fences) and visits chosen
+event indices before the event is applied. Three roles share it: with
+no point it is a census (:func:`counting_plan`); a :class:`CrashPlan`
+is the one-point counter that raises
+:class:`~repro.errors.CrashRequested` there, after which tests compose
+a crash image and run recovery against it; the crash sweep visits every
+sampled point of one run and composes each image from the live device.
 
 :func:`count_events` enumerates the crash points a workload exposes and
 is exact: it is derived from the same per-call counters the plan's
@@ -39,75 +42,89 @@ class CrashPolicy(enum.Enum):
     RANDOM = "random"  # each word flips a coin
 
 
-class CrashPlan:
-    """Fire a crash after the N-th persistence event of the chosen kinds."""
+#: past any run's last event: the index of "no further point"
+_NEVER = 1 << 62
 
-    def __init__(
-        self,
-        crash_after: int,
-        kinds: Optional[Set[str]] = None,
-    ) -> None:
-        if crash_after < 0:
-            raise ValueError("crash_after must be >= 0")
-        self.crash_after = crash_after
+
+class EventCounter:
+    """Count persistence events and visit the chosen ones.
+
+    Attached to a device, it is asked before each store / clwb call /
+    fence of *kinds* is applied (``on_event``), and ``visit(kind)`` runs
+    when the event's index is the next of the ascending *points* — the
+    device then still holds exactly what a crash at that index leaves.
+    ``count`` is the number of events offered so far.
+    """
+
+    def __init__(self, points=(), visit=None, kinds: Optional[Set[str]] = None) -> None:
         self.kinds = kinds or {"store", "flush", "fence"}
+        self.visit = visit
         self.count = 0
-        self.fired = False
-        self.fired_kind: Optional[str] = None
+        self._points = iter(points)
+        self._at = next(self._points, _NEVER)
+        #: what the driver that armed the counter hands its visitor
+        #: (``SweepWorkload.run``: the live ``RunOutcome``)
+        self.context = None
 
     def on_event(self, kind: str) -> None:
-        if self.fired or kind not in self.kinds:
-            return
-        self.count += 1
-        if self.count > self.crash_after:
-            self.fired = True
-            self.fired_kind = kind
-            raise CrashRequested(f"crash injected after {self.crash_after} events")
+        if kind in self.kinds:
+            count = self.count
+            self.count = count + 1
+            if count == self._at:
+                self._at = next(self._points, _NEVER)
+                self.visit(kind)
 
     def on_batch(self, n: int, kinds) -> bool:
         """Consume *n* events of each kind in *kinds* with one addition
         (a negative *n* hands a batch back). False — and nothing is
-        consumed — when the crash point lies inside the batch: the
+        consumed — when the next point lies inside the batch: the
         device then replays it per element through :meth:`on_event`."""
-        if self.fired:
-            return True
         total = 0
         for kind in kinds:
             if kind in self.kinds:
                 total += n
-        if self.count + total > self.crash_after:
+        if self.count + total > self._at:
             return False
         self.count += total
         return True
 
 
-#: A plan that counts every event but never fires: a census run's
-#: ``plan.count`` is the exact number of crash points, tallied by the
-#: same hooks an armed run fires in.
-def counting_plan(kinds: Optional[Set[str]] = None) -> CrashPlan:
-    return CrashPlan(crash_after=(1 << 62), kinds=kinds)
+class CrashPlan(EventCounter):
+    """Fire a crash after the N-th persistence event of the chosen kinds:
+    the one-point counter whose visit raises ``CrashRequested``."""
+
+    def __init__(self, crash_after: int, kinds: Optional[Set[str]] = None) -> None:
+        if crash_after < 0:
+            raise ValueError("crash_after must be >= 0")
+        super().__init__((crash_after,), self._fire, kinds)
+        self.crash_after = crash_after
+        self.fired = False
+        self.fired_kind: Optional[str] = None
+
+    def _fire(self, kind: str) -> None:
+        self.fired = True
+        self.fired_kind = kind
+        raise CrashRequested(f"crash injected after {self.crash_after} events")
+
+
+#: The counter with no point: a census run's ``count`` is the exact
+#: number of crash points, tallied by the same hooks an armed run fires in.
+def counting_plan(kinds: Optional[Set[str]] = None) -> EventCounter:
+    return EventCounter(kinds=kinds)
 
 
 def count_events(device, kinds: Optional[Set[str]] = None, since=None) -> int:
     """Number of persistence events a workload generated, derived from
     the device's counters; used to enumerate crash points.
 
-    ``flush`` events are counted with ``stats.flush_calls`` — one per
-    clwb *call*, exactly how :meth:`CrashPlan.on_event` fires (the old
-    ``flushed_lines`` proxy over- or under-counted whenever a flush
-    covered several lines or hit only clean ones). With ``since`` (a
-    ``DeviceStats`` snapshot) only events after the snapshot count.
+    ``flush`` events are ``stats.flush_calls``, one per clwb *call*,
+    exactly how :meth:`EventCounter.on_event` is asked (not per flushed
+    line). With ``since`` (a ``DeviceStats`` snapshot) only events after
+    the snapshot count.
     """
-    kinds = kinds or {"store", "flush", "fence"}
     stats = device.stats if since is None else device.stats.delta(since)
-    total = 0
-    if "store" in kinds:
-        total += stats.stores
-    if "flush" in kinds:
-        total += stats.flush_calls
-    if "fence" in kinds:
-        total += stats.fences
-    return total
+    counts = {"store": stats.stores, "flush": stats.flush_calls, "fence": stats.fences}
+    return sum(n for kind, n in counts.items() if kind in (kinds or counts))
 
 
 def policy_words(

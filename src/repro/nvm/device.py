@@ -23,7 +23,7 @@ class DeviceStats:
     loaded_bytes: int = 0
     flushed_lines: int = 0
     #: clwb *calls* (one per flushed range, even when every covered line
-    #: is clean) — the unit :meth:`CrashPlan.on_event` fires in, unlike
+    #: is clean) — the unit :meth:`EventCounter.on_event` is asked in, unlike
     #: ``flushed_lines`` which is a cost metric.
     flush_calls: int = 0
     fences: int = 0
@@ -56,9 +56,10 @@ class DeviceStats:
 #: The hooks an observer may implement — any subset, duck-typed. Which
 #: ones it has decides its role:
 #:
-#: - a *crash plan* (:class:`repro.nvm.crash.CrashPlan`): ``on_event(kind)``
-#:   before each store / clwb call / fence is applied, with
-#:   ``on_batch(n, kinds)`` to consume a whole ``_v`` batch at once;
+#: - an *event counter* (:class:`repro.nvm.crash.EventCounter`; a
+#:   ``CrashPlan`` is one): ``on_event(kind)`` before each store / clwb
+#:   call / fence is applied, with ``on_batch(n, kinds)`` to consume a
+#:   whole ``_v`` batch at once;
 #: - a *cost recorder* (:class:`repro.sim.trace.TraceRecorder`): the
 #:   ``io_*`` hooks, pricing each media operation once it is applied;
 #: - a *tap* (:class:`repro.obs.flight.FlightRecorder`): ``on_store`` /
@@ -71,7 +72,7 @@ class NvmDevice:
     """Byte-addressable persistent device with explicit persistence ops.
 
     Everything that watches the device is an entry of one ordered list,
-    :attr:`observers`. Per event the order is fixed: crash plans are
+    :attr:`observers`. Per event the order is fixed: event counters are
     asked before the event is applied; once it is, cost recorders price
     it and then taps see it — so a tap that reads the virtual clock
     reads the cost of the event it is told about. Within a role,
@@ -81,7 +82,7 @@ class NvmDevice:
     buffer's validate-then-mutate bulk calls and then notify per element
     in that same order, so every observer sees the event stream, indices
     and trace segments of the equivalent loop of single-op calls. That
-    loop itself runs only for a batch a crash plan must stop inside, and
+    loop itself runs only for a batch a counter must stop inside, and
     to reproduce the exact partial state of a batch with a bad element.
     ``store_v`` and ``flush_v`` have no caller on a hot path and are
     that loop.
@@ -138,8 +139,8 @@ class NvmDevice:
         self._plans = tuple(obs for obs in observers if hasattr(obs, "on_event"))
 
     def _admit(self, n: int, *kinds: str) -> bool:
-        """Offer every crash plan a batch of *n* events of each of
-        *kinds*. False when a crash point lies inside it: nothing is
+        """Offer every event counter a batch of *n* events of each of
+        *kinds*. False when a counter's point lies inside it: nothing is
         consumed and the caller replays the batch per element."""
         plans = self._plans
         for i, plan in enumerate(plans):

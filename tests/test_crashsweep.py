@@ -14,6 +14,7 @@ from repro.core import MgspConfig, MgspFilesystem, recover
 from repro.core.metalog import MetadataLog
 from repro.crashsweep import (
     CONFIGS,
+    POLICIES,
     WORKLOADS,
     check_image,
     get_workload,
@@ -87,6 +88,74 @@ class TestSweep:
         assert report.points == [40]
         assert report.images_checked == 3
         assert report.ok
+
+
+def replayed_unit(workload_name, config_name, seed):
+    """The per-point re-execution the capture run replaced, kept as the
+    reference: census, then one fresh run per sampled point crashed there
+    by a ``CrashPlan``, every policy image checked and minimized."""
+    workload = get_workload(workload_name)
+    census = take_census(workload, config_name)
+    points = sample_points(census.events, 40, seed)
+    failures, images = [], 0
+    for crash_after in points:
+        outcome = workload.run(config_name, CrashPlan(crash_after))
+        assert outcome.crashed
+        device = outcome.fs.device
+        image_seed = point_seed(seed, crash_after)
+        for policy in POLICIES:
+            image = compose_image(device, policy, seed=image_seed,
+                                  persist_probability=PERSIST_PROBABILITY)
+            images += 1
+            violations = workload.check(image, config_name, outcome.oracles)
+            if violations:
+                chosen = policy_words(device, policy, image_seed, PERSIST_PROBABILITY)
+                words = minimize_failure(device, config_name, outcome.oracles, chosen,
+                                         workload.check) if chosen else None
+                failures.append(
+                    (crash_after, policy, outcome.plan.fired_kind, violations, words))
+    return failures, images
+
+
+class TestCaptureMatchesReplay:
+    """One capture run per unit must report exactly what a fresh run
+    crashed at each point reports. The Fig 13 "base" config tears
+    committed writes, so the comparison covers failures and the
+    minimizer, not only clean images."""
+
+    #: failures per unit at budget 40, seed 7 (12 in all; every RANDOM
+    #: one is minimized to the metadata-log entry word plus one or two
+    #: node-table / data words)
+    @pytest.mark.parametrize("name,failing", [("fio-write", 1), ("txn-mixed", 7),
+                                              ("fio-randwrite", 4)])
+    def test_failures_and_images_are_the_replayed_ones(self, name, failing, monkeypatch):
+        monkeypatch.setitem(CONFIGS, "base", MgspConfig.baseline)
+        runs = []
+        workload = get_workload(name)
+        monkeypatch.setattr(workload, "run", lambda *args: runs.append(args) or
+                            type(workload).run(workload, *args))
+        report = sweep_unit(name, "base", budget=40, seed=7)
+        assert len(runs) == 2  # the census and the capture: a failing point costs no run
+        captured = [(f.crash_after, f.policy, f.fired_kind, f.violations, f.minimized_words)
+                    for f in report.failures]
+        failures, images = replayed_unit(name, "base", 7)
+        assert captured == failures
+        assert report.images_checked == images == 120
+        assert len(failures) == failing
+        assert any(words for *_, words in failures)
+
+    def test_a_point_past_the_census_never_fires(self):
+        census = take_census(get_workload("fio-randwrite"), "sync")
+        report = sweep_unit("fio-randwrite", "sync", seed=7,
+                            points=[census.events - 1, census.events, census.events + 3])
+        assert report.images_checked == 3
+        assert [f.crash_after for f in report.failures] == [census.events, census.events + 3]
+        for failure in report.failures:
+            assert failure.fired_kind is None and failure.policy is CrashPolicy.DROP_ALL
+            assert failure.violations == [
+                f"enumerated crash point {failure.crash_after} never fired "
+                f"(census counted {census.events} events)"
+            ]
 
 
 class TestRandomPolicyDeterminism:

@@ -6,6 +6,8 @@ must be indistinguishable from. For each entry point and each observer
 set — cost recorder alone, recorder + telemetry + flight recorder, the
 trace analyzer and the inference event fold over a flight recorder's
 entries, a counting crash plan, a
+capture visiting points inside the batch beside a counting plan and a
+crash plan that must hand the batch back, a
 plan armed at *every* index of a five-element batch, a bad element
 mid-batch — both devices must end with identical working and durable
 images, ``DeviceStats``, ``OpTrace.segments`` and virtual clock, and every
@@ -22,7 +24,7 @@ from repro.analysis.analyzer import RegionMap, TraceAnalyzer
 from repro.crashsweep.workloads import RawSystem
 from repro.errors import CrashRequested, OutOfRangeError, TornWriteError
 from repro.infer.events import from_flight
-from repro.nvm.crash import CrashPlan, counting_plan
+from repro.nvm.crash import CrashPlan, EventCounter, counting_plan
 from repro.obs import attach_flight, attach_telemetry
 
 SIZE = 4 << 20
@@ -41,6 +43,7 @@ BATCHES = {
 }
 #: events a batch of five emits (a word store is a store and a clwb)
 EVENTS = {"store_v": 5, "nt_store_v": 5, "store_word_v": 10, "flush_v": 5}
+EVENTS_MAX = max(EVENTS.values())
 BAD_ELEMENT = {
     "store_v": ((SIZE - 4, b"x" * 16), OutOfRangeError),
     "nt_store_v": ((SIZE - 4, b"x" * 16), OutOfRangeError),
@@ -79,7 +82,26 @@ OBSERVER_SETS = {
         "plan": system.device.attach(counting_plan(kinds={"store"})),
         "flight": attach_flight(system, capacity=0),
     },
+    "capture": lambda system: _attach_capture(system),
 }
+
+
+def _attach_capture(system):
+    """A counting plan and a crash plan past the batch admit it first; a
+    capture with points inside the batch then refuses it, so both hand
+    their share back and every element is offered one at a time."""
+    device = system.device
+    visits = []
+
+    def visit(kind):
+        visits.append((capture.count - 1, kind, bytes(device.buffer.working),
+                       device.unfenced_words()))
+
+    counter = device.attach(counting_plan())
+    armed = device.attach(CrashPlan(EVENTS_MAX + 2))
+    capture = device.attach(EventCounter((0, 2, 3, EVENTS_MAX), visit))
+    capture.visits = visits
+    return {"plan": counter, "armed": armed, "capture": capture}
 
 
 def _observed(system, observers, raised) -> dict:
@@ -106,8 +128,11 @@ def _observed(system, observers, raised) -> dict:
             events = from_flight(observer.events_list(), RegionMap.for_device(SIZE))
             assert [event.index for event in events] == list(range(observer.event_index))
             seen[label] = (events, observer.event_index)
+        elif label == "capture":
+            seen[label] = (observer.count, observer.visits)
         else:
-            seen[label] = (observer.count, observer.fired, observer.fired_kind)
+            seen[label] = (observer.count, getattr(observer, "fired", None),
+                           getattr(observer, "fired_kind", None))
     return seen
 
 
@@ -149,6 +174,12 @@ def test_batch_is_indistinguishable_from_the_loop(entry, observer_set):
                        if e[0] in ("store", "flush", "fence"))
     if observer_set == "counting-plan":
         assert observers["plan"].count == EVENTS[entry] + 1
+    if observer_set == "capture":
+        events = EVENTS[entry] + 1
+        assert observers["plan"].count == observers["armed"].count == events
+        assert not observers["armed"].fired
+        visited = [index for index, *_ in observers["capture"].visits]
+        assert visited == [p for p in (0, 2, 3, EVENTS_MAX) if p < events]
 
 
 @pytest.mark.parametrize("entry", BATCHES)

@@ -14,11 +14,12 @@ import json
 import pytest
 
 from repro.infer.__main__ import main as infer_main
-from repro.infer.falsify import RETIREMENTS
-from repro.infer.subjects import collect_trace
+from repro.infer.falsify import RETIREMENTS, falsify
+from repro.infer.miner import mine
+from repro.infer.subjects import collect_trace, collect_traces
 
 from repro.crashsweep.__main__ import main as crashsweep_main
-from repro.crashsweep.workloads import get_workload
+from repro.crashsweep.workloads import get_workload, resolve
 
 FAST = ["--budget", "120", "--seed", "7"]
 
@@ -27,6 +28,20 @@ def run_cli(tmp_path, *args, name="report.json"):
     out = tmp_path / name
     code = infer_main([*args, "--out", str(out)])
     return code, json.loads(out.read_text())
+
+
+def test_falsify_runs_the_workload_three_times(monkeypatch):
+    """The census and capture of the policy pass, then one capture for
+    every surgical probe: no candidate costs a run of its own."""
+    name, config = resolve("mgsp", "fio")
+    candidates = mine(collect_traces(name, config, runs=3))
+    workload = get_workload(name)
+    runs = []
+    monkeypatch.setattr(workload, "run", lambda *args: runs.append(args) or
+                        type(workload).run(workload, *args))
+    verdicts = falsify(candidates, name, config, "mgsp", budget=120, seed=7)
+    assert sum(verdict.probes for verdict in verdicts) == 16
+    assert len(runs) == 3
 
 
 class TestPlantedBug:

@@ -361,6 +361,23 @@ def test_booting_from_bytes_copies_pages_not_the_image():
     assert image[PAGE + 100 : 2 * PAGE + 100] == bytes(PAGE)
 
 
+def test_a_booted_devices_crash_image_is_one_copy():
+    """A 4 MB booted device with one unfenced 64 B store: composing its
+    crash image allocates the image once (joining copied slices of the
+    paged image made it twice, 8 MB)."""
+    size = 4 << 20
+    device = NvmDevice.from_image(bytes(size))
+    device.store(3 * PAGE + 64, b"\x33" * 64)
+    tracemalloc.start()
+    try:
+        image = device.crash_image(persist_words=[3 * PAGE + 64])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert image[3 * PAGE + 64 : 3 * PAGE + 80] == b"\x33" * 8 + bytes(8)
+    assert peak < size + (size >> 4), f"composing peaked at {peak / size:.2f} images"
+
+
 #: ``rss_mb()`` for the child scripts: its own peak RSS (``VmHWM``).
 #: ``ru_maxrss`` will not do: Linux carries it across ``execve``, so a
 #: child of this test process starts at this process's peak (~40 MB
